@@ -184,7 +184,7 @@ def _cmd_index_sparse(args) -> int:
     index = build_index(corpus, bm25)
     out = _output_path(args.output, cfg.sparse_index, "index")
     save_index(index, out)
-    print(f"indexed {index.doc_count} passages, {len(index.postings)} terms -> {out}")
+    print(f"indexed {index.doc_count} passages, {index.term_count} terms -> {out}")
     return 0
 
 

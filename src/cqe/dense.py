@@ -8,10 +8,11 @@ exact brute force over all stored rows.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
-from .ranking import RankedList
+from .ranking import RankedList, id_ranks, top_k
 
 
 class PassageEmbeddingStore:
@@ -32,7 +33,18 @@ class PassageEmbeddingStore:
         self.ids = list(ids)
         self.vectors = vectors
         self._row = {pid: i for i, pid in enumerate(ids)}
-        self._ids_arr = np.asarray(ids)
+
+    @cached_property
+    def _vectors64(self) -> np.ndarray:
+        """The float64 copy search scores against (8 * count * dim bytes), made on first search.
+
+        ``vectors`` must not be modified in place after that.
+        """
+        return self.vectors.astype(np.float64)
+
+    @cached_property
+    def _id_ranks(self) -> np.ndarray:
+        return id_ranks(self.ids)
 
     @property
     def dim(self) -> int:
@@ -105,9 +117,11 @@ def search_dense(store: PassageEmbeddingStore, query: np.ndarray, k: int) -> Ran
     query = np.asarray(query, dtype=np.float64)
     if query.ndim != 1 or query.shape[0] != store.dim:
         raise ValueError(f"query dimension {query.shape} does not match store dim {store.dim}")
+    if not np.isfinite(query).all():
+        raise ValueError("query vector contains non-finite values")
     if store.count == 0:
         return RankedList([], tag="dense")
-    scores = store.vectors.astype(np.float64) @ query
-    order = np.lexsort((store._ids_arr, -scores))[:k]
-    entries = [(store.ids[i], float(scores[i])) for i in order]
-    return RankedList.from_scores(entries, tag="dense", k=k)
+    # One matrix-vector product per query: a matrix-matrix product over a
+    # batch of queries rounds differently and would change the scores.
+    scores = store._vectors64 @ query
+    return top_k(np.arange(store.count), scores, store.ids, store._id_ranks, k, "dense")

@@ -166,7 +166,13 @@ def read_run(path: str) -> dict[str, RankedList]:
             if len(fields) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
             qid, _, docid, rank, score, tag = fields
-            grouped.setdefault(qid, []).append(RankedEntry(docid, float(score), int(rank)))
+            try:
+                entry = RankedEntry(docid, float(score), int(rank))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad rank {rank!r} or score {score!r}") from None
+            if not math.isfinite(entry.score):
+                raise ValueError(f"{path}:{lineno}: non-finite score {score!r}")
+            grouped.setdefault(qid, []).append(entry)
             tags[qid] = tag
 
     runs: dict[str, RankedList] = {}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 
 class RankedEntry(NamedTuple):
@@ -65,3 +67,34 @@ class RankedList:
 
     def __bool__(self) -> bool:
         return bool(self.entries)
+
+
+def id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Position of each id in Python string order, for tie-breaking in :func:`top_k`."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def top_k(
+    rows: np.ndarray, scores: np.ndarray, ids: Sequence[str], ranks: np.ndarray, k: int, tag: str
+) -> RankedList:
+    """Exact top-k of candidate ``rows`` by descending score, then ascending id.
+
+    ``scores[j]`` is the score of row ``rows[j]``; ``ids`` and ``ranks``
+    (their :func:`id_ranks`) are indexed by row. A partial selection
+    finds the k-th best score and every candidate tied with it is kept,
+    so only that small set is fully sorted and the ascending-id rule
+    still decides which tied rows make the cut. The result equals
+    :meth:`RankedList.from_scores` over all candidates, cut at ``k``.
+    """
+    if len(rows) > k:
+        cut = len(rows) - k
+        kept = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        rows, scores = rows[kept], scores[kept]
+    order = np.lexsort((ranks[rows], -scores))[:k]
+    entries = [
+        RankedEntry(ids[row], score, rank)
+        for rank, row, score in zip(range(1, k + 1), rows[order].tolist(), scores[order].tolist())
+    ]
+    return RankedList(entries, tag)

@@ -106,6 +106,25 @@ class TestIndexAndSearch:
         assert all(len(r) == 10 for r in runs.values())
 
 
+    def test_truncated_index_is_a_clean_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "p0", "text": "red fox"}\n{"id": "p1", "text": "blue fox"}\n')
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"qid": "q", "text": "fox"}) + "\n")
+        index = tmp_path / "index.bin"
+        assert run_cli(["index-sparse", "--corpus", str(corpus), "--output", str(index)]) == 0
+        raw = index.read_bytes()
+        cut = tmp_path / "cut.bin"
+        search = ["search-sparse", "--index", str(cut), "--queries", str(queries), "--output", str(tmp_path / "run.txt")]
+        capsys.readouterr()
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            assert run_cli(search) == 1, size
+            assert capsys.readouterr().err.startswith(f"error: {cut}: "), size
+        cut.write_bytes(raw)
+        assert run_cli(search) == 0
+
+
 class TestHybridConsistency:
     def test_alpha_zero_matches_dense(self, workspace, tmp_path):
         dense_out = str(tmp_path / "dense.txt")

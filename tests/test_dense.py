@@ -8,6 +8,12 @@ import pytest
 from cqe.dense import PassageEmbeddingStore, load_embeddings, save_embeddings, search_dense
 
 
+def brute_force(store, query):
+    """Every row scored in float64 and fully sorted by descending score, then ascending id."""
+    scores = store.vectors.astype(np.float64) @ np.asarray(query, dtype=np.float64)
+    return sorted(zip(store.ids, scores.tolist()), key=lambda it: (-it[1], it[0]))
+
+
 def random_store(rng, count, dim):
     ids = [f"d{i:03d}" for i in range(count)]
     return PassageEmbeddingStore(ids, rng.standard_normal((count, dim)).astype(np.float32))
@@ -144,3 +150,39 @@ class TestSearchDense:
         store = random_store(rng, 3, 4)
         with pytest.raises(ValueError, match="dimension"):
             search_dense(store, np.zeros(5), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        store = random_store(np.random.default_rng(11), 3, 4)
+        query = np.zeros(4)
+        query[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            search_dense(store, query, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_ties_straddling_kth_score(self, k):
+        # Rows 1, 3, 4 and 6 are equal, so they tie at ranks 3..6; row order
+        # differs from id order ("r10" < "r2" < "r5" < "r9").
+        rows = [[0.5, 0.0], [0.25, 0.25], [1.0, 0.0], [0.25, 0.25], [0.25, 0.25], [0.0, 0.0], [0.25, 0.25], [0.75, 0.0]]
+        ids = ["a", "r9", "c", "r2", "r10", "z", "r5", "b"]
+        store = PassageEmbeddingStore(ids, np.array(rows, dtype=np.float32))
+        query = np.array([1.0, 1.0])
+        full = brute_force(store, query)
+        assert [d for d, _ in full] == ["c", "b", "a", "r10", "r2", "r5", "r9", "z"]
+        got = search_dense(store, query, k)
+        assert [(e.docid, e.score) for e in got] == full[:k]
+        assert [e.rank for e in got] == list(range(1, min(k, 8) + 1))
+
+    @pytest.mark.parametrize("k", [1, 4, 7, 20])
+    def test_all_scores_equal(self, k):
+        ids = [f"s{i}" for i in (4, 10, 0, 3, 1, 12, 7)]
+        store = PassageEmbeddingStore(ids, np.ones((7, 3), dtype=np.float32))
+        got = search_dense(store, np.array([0.5, -1.0, 2.0]), k)
+        assert got.docids() == sorted(ids)[:k]
+        assert {e.score for e in got} == {1.5}
+
+    def test_float64_copy_made_on_first_search(self):
+        store = random_store(np.random.default_rng(12), 5, 3)
+        assert "_vectors64" not in vars(store)
+        search_dense(store, np.ones(3), 2)
+        assert vars(store)["_vectors64"].dtype == np.float64

@@ -1,6 +1,7 @@
 """Metric fidelity: nDCG, recall, win/tie, paired t-test, and TREC file IO."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -246,6 +247,19 @@ class TestRunIO:
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 2.0\n")
         with pytest.raises(ValueError, match="6 fields"):
+            read_run(str(path))
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "run.txt"
+        path.write_text(f"q Q0 p1 1 2.0 x\nq Q0 p0 2 {score} x\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: non-finite score")):
+            read_run(str(path))
+
+    def test_unparsable_score_names_line(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q Q0 p0 1 high x\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad rank")):
             read_run(str(path))
 
     def test_duplicate_docid_rejected(self, tmp_path):

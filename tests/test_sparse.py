@@ -1,10 +1,13 @@
 """Inverted index construction, BM25 scoring, search, and persistence."""
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqe.corpus import Corpus, Passage, tokenize
 from cqe.sparse import (
@@ -28,6 +31,12 @@ def random_corpus(rng, n_docs, vocab_size=20, min_len=3, max_len=25):
         for _ in range(n_docs)
     ]
     return make_corpus(texts)
+
+
+def exhaustive_ranking(index, query_tokens):
+    """Every passage scored by bm25_score, positive scores only, in the promised order."""
+    scored = [(pid, bm25_score(index, query_tokens, pid)) for pid in index.ids]
+    return sorted(((d, s) for d, s in scored if s > 0), key=lambda it: (-it[1], it[0]))
 
 
 def reference_bm25(texts, query_tokens, doc_idx, k1=0.82, b=0.68):
@@ -172,6 +181,63 @@ class TestSearchSparse:
             search_sparse(index, ["a"], 0)
 
 
+class TestTopKTies:
+    # Corpus order differs from id order ("m10" < "m2" < "m30" < "m7"), so
+    # only the ascending-id rule can pick which tied passages make the cut.
+    TEXTS = [
+        ("m7", "a c c"),
+        ("t1", "a a c"),
+        ("m10", "a c c"),
+        ("z0", "c c c"),
+        ("m2", "a c c"),
+        ("low", "a c c c c"),
+        ("t0", "a a c"),
+        ("m30", "a c c"),
+    ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 10])
+    def test_ties_straddling_kth_score(self, k):
+        index = build_index(Corpus([Passage(pid, text) for pid, text in self.TEXTS]))
+        full = exhaustive_ranking(index, ["a"])
+        assert [d for d, _ in full] == ["t0", "t1", "m10", "m2", "m30", "m7", "low"]
+        got = search_sparse(index, ["a"], k)
+        assert [(e.docid, e.score) for e in got] == full[:k]
+        assert [e.rank for e in got] == list(range(1, min(k, 7) + 1))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_all_scores_equal(self, k):
+        ids = ["e4", "e10", "e0", "e3", "e1"]
+        index = build_index(Corpus([Passage(pid, "same words here") for pid in ids]))
+        got = search_sparse(index, ["words"], k)
+        assert got.docids() == sorted(ids)[:k]
+        assert len({e.score for e in got}) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_search_equals_exhaustive_bm25(data):
+    # A four-word vocabulary makes equal scores common.
+    vocab = ["a", "b", "c", "d"]
+    texts = data.draw(
+        st.lists(st.lists(st.sampled_from(vocab), min_size=1, max_size=6), min_size=1, max_size=12)
+    )
+    ids = data.draw(st.permutations([f"d{i}" for i in range(len(texts))]))
+    query = data.draw(st.lists(st.sampled_from(vocab + ["zz"]), min_size=1, max_size=5))
+    k = data.draw(st.integers(1, len(texts) + 2))
+    index = build_index(Corpus([Passage(pid, " ".join(t)) for pid, t in zip(ids, texts)]))
+    got = search_sparse(index, query, k)
+    assert [(e.docid, e.score) for e in got] == exhaustive_ranking(index, query)[:k]
+
+
+def post_payload_offset(raw: bytes) -> int:
+    """Byte offset of the POST section's payload in a saved index."""
+    offset = 12
+    while raw[offset : offset + 4] != b"POST":
+        (length,) = struct.unpack_from("<Q", raw, offset + 4)
+        offset += 12 + length
+    return offset + 12
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -195,3 +261,67 @@ class TestPersistence:
         path.write_bytes(b"NOTANIDX" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_index(str(path))
+
+    def test_save_load_save_identical_bytes(self, tmp_path):
+        rng = np.random.default_rng(6)
+        index = build_index(random_corpus(rng, 30, vocab_size=40))
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_index(index, str(first))
+        save_index(load_index(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("size", [0, 7, 11, 20, 40, 150, 190])
+    def test_truncated_file_rejected(self, tmp_path, size):
+        path = tmp_path / "index.bin"
+        save_index(build_index(make_corpus(["a b", "a c"])), str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match=str(path)):
+            load_index(str(path))
+
+    def test_trailing_bytes_in_section_rejected(self, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(build_index(make_corpus(["a b", "a c"])), str(path))
+        raw = bytearray(path.read_bytes())
+        (length,) = struct.unpack_from("<Q", raw, 16)  # CONF is the first section
+        struct.pack_into("<Q", raw, 16, length + 4)
+        raw[28 + length : 28 + length] = b"\0" * 4
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="trailing"):
+            load_index(str(path))
+
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(build_index(make_corpus(["a b", "a c"])), str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"\x02\x00\x00\x00p1", b"\x02\x00\x00\x00p0"))
+        with pytest.raises(ValueError, match="duplicate passage ids"):
+            load_index(str(path))
+
+    @pytest.mark.parametrize("first, second", [(2, 1), (1, 1), (1, 0)])
+    def test_bad_ordinals_rejected(self, tmp_path, first, second):
+        # Term "a" comes first in the POST section with postings [(0, 1), (1, 1)].
+        path = tmp_path / "index.bin"
+        save_index(build_index(make_corpus(["a b", "a c"])), str(path))
+        raw = bytearray(path.read_bytes())
+        pairs = post_payload_offset(raw) + 8 + 4 + 1 + 8
+        struct.pack_into("<I", raw, pairs, first)
+        struct.pack_into("<I", raw, pairs + 8, second)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="term 'a'"):
+            load_index(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte_loads_or_fails_cleanly(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("flip") / "index.bin"
+        save_index(build_index(make_corpus(["a b", "a c"])), str(path))
+        raw = bytearray(path.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(raw))
+        try:
+            index = load_index(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(str(path))
+            return
+        search_sparse(index, ["a", "b", "c"], 5)
