@@ -7,7 +7,7 @@ norm-thresholded rewriting), sparse-dense fusion, weak-label training of
 a toy query encoder, and TREC-style evaluation.
 """
 
-from .corpus import Corpus, Passage, load_corpus, save_corpus, tokenize
+from .corpus import Corpus, Passage, load_corpus, read_jsonl, save_corpus, tokenize
 from .core import (
     RewriteConfig,
     Session,
@@ -36,7 +36,7 @@ from .evaluation import (
     write_qrels,
     write_run,
 )
-from .fusion import FusionConfig, hybrid_combine, rrf
+from .fusion import FusionConfig, hybrid_combine, hybrid_search, rrf
 from .ranking import RankedEntry, RankedList
 from .sparse import (
     BM25Config,

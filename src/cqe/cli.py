@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .core import (
     RewriteConfig,
@@ -24,11 +24,10 @@ from .core import (
     pool,
     token_norm_report,
 )
-from .corpus import load_corpus, tokenize
+from .corpus import load_corpus, read_jsonl, str_fields, tokenize, unique
 from .dense import load_embeddings, search_dense
 from .evaluation import ndcg, paired_t_test, read_qrels, read_run, recall_at, win_tie, write_run
-from .fusion import FusionConfig, hybrid_combine, rrf
-from .ranking import RankedList
+from .fusion import FusionConfig, hybrid_search, rrf
 from .sparse import BM25Config, build_index, load_index, save_index, search_sparse
 from .trainer import (
     CosineTeacher,
@@ -42,6 +41,8 @@ from .trainer import (
 )
 
 ENV_CONFIG = "CQE_CONFIG"
+_PATHS = ("corpus", "sparse_index", "dense_store", "query_matrices", "qrels")
+_SECTIONS = ("bm25", "rewrite", "hybrid_rewrite", "fusion", "train")
 
 
 @dataclass
@@ -63,28 +64,41 @@ class EngineConfig:
 
     @classmethod
     def from_file(cls, path: str) -> EngineConfig:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg = cls()
-        paths = raw.get("paths", {})
-        for name in ("corpus", "sparse_index", "dense_store", "query_matrices", "qrels"):
-            if name in paths:
-                setattr(cfg, name, paths[name])
-        for name, dc_cls in (
-            ("bm25", BM25Config),
-            ("rewrite", RewriteConfig),
-            ("hybrid_rewrite", RewriteConfig),
-            ("fusion", FusionConfig),
-            ("train", TrainConfig),
-        ):
-            if name in raw:
-                overrides = raw[name]
-                known = {f.name for f in fields(dc_cls)}
-                unknown = set(overrides) - known
-                if unknown:
-                    raise ValueError(f"{path}: unknown {name} settings {sorted(unknown)}")
-                setattr(cfg, name, dc_cls(**{**asdict(getattr(cfg, name)), **overrides}))
-        return cfg
+        """The defaults overridden by a JSON config file; every problem names ``path``."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = _known(json.load(fh), ("paths", *_SECTIONS), "sections")
+            paths = _known(raw.get("paths", {}), _PATHS, "paths")
+            str_fields(paths, *paths)
+            cfg = cls()
+            sections = {n: _section(getattr(cfg, n), raw[n], n) for n in _SECTIONS if n in raw}
+            return replace(cfg, **paths, **sections)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _known(values, names, what: str) -> dict:
+    if not isinstance(values, dict):
+        raise TypeError(f"expected a JSON object, got {type(values).__name__}")
+    unknown = set(values) - set(names)
+    if unknown:
+        raise ValueError(f"unknown {what} {sorted(unknown)}")
+    return values
+
+
+def _section(base, values, name: str):
+    """``base`` with one config-file section's settings, each of its default's type."""
+    for key, value in _known(values, [f.name for f in fields(base)], f"{name} settings").items():
+        want = type(getattr(base, key))
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise TypeError(f"{name}.{key} must be {want.__name__}, got {value!r}")
+    return replace(base, **values)
+
+
+def _merge(base, args):
+    """``base`` with each field replaced by the same-named flag, where that flag was given."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(base)}
+    return replace(base, **{name: value for name, value in given.items() if value is not None})
 
 
 def _load_config(args) -> EngineConfig:
@@ -114,18 +128,13 @@ def _output_path(value: str | None, fallback: str | None, name: str) -> str:
 
 def _load_text_queries(path: str) -> dict[str, str]:
     """Read {"qid", "text"} JSON-lines."""
-    queries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-                qid, text = obj["qid"], obj["text"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad query record: {exc}") from None
-            if qid in queries:
-                raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
-            queries[qid] = text
-    return queries
+    seen: set[str] = set()
+
+    def record(obj: dict) -> tuple[str, str]:
+        qid, text = str_fields(obj, "qid", "text")
+        return unique(qid, seen, "qid"), text
+
+    return dict(read_jsonl(path, record))
 
 
 def _query_matrices(args, cfg: EngineConfig) -> dict[str, TokenEmbeddingMatrix]:
@@ -145,30 +154,6 @@ def _query_matrices(args, cfg: EngineConfig) -> dict[str, TokenEmbeddingMatrix]:
     return load_token_matrices(path)
 
 
-def _hybrid_search(
-    matrix: TokenEmbeddingMatrix,
-    index,
-    store,
-    alpha: float,
-    rewrite_cfg: RewriteConfig,
-    depth: int,
-) -> RankedList:
-    dense_list = search_dense(store, pool(matrix), depth)
-    bag = decontextualize(matrix, rewrite_cfg)
-    sparse_list = search_sparse(index, bag, depth) if bag else RankedList([], tag="sparse")
-    if not sparse_list:
-        return RankedList(dense_list.entries, tag="hybrid")
-    if not dense_list:
-        return RankedList(sparse_list.entries, tag="hybrid")
-    return hybrid_combine(sparse_list, dense_list, FusionConfig(alpha=alpha))
-
-
-def _truncate(ranked: RankedList, k: int | None) -> RankedList:
-    if k is None or len(ranked) <= k:
-        return ranked
-    return RankedList(ranked.entries[:k], ranked.tag)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -177,11 +162,7 @@ def _truncate(ranked: RankedList, k: int | None) -> RankedList:
 def _cmd_index_sparse(args) -> int:
     cfg = _load_config(args)
     corpus = load_corpus(_input_path(args.corpus, cfg.corpus, "corpus"))
-    bm25 = BM25Config(
-        k1=args.k1 if args.k1 is not None else cfg.bm25.k1,
-        b=args.b if args.b is not None else cfg.bm25.b,
-    )
-    index = build_index(corpus, bm25)
+    index = build_index(corpus, _merge(cfg.bm25, args))
     out = _output_path(args.output, cfg.sparse_index, "index")
     save_index(index, out)
     print(f"indexed {index.doc_count} passages, {index.term_count} terms -> {out}")
@@ -192,8 +173,7 @@ def _cmd_search_sparse(args) -> int:
     cfg = _load_config(args)
     index = load_index(_input_path(args.index, cfg.sparse_index, "index"))
     queries = _load_text_queries(_input_path(args.queries, None, "queries"))
-    k = args.k if args.k is not None else 1000
-    runs = {qid: search_sparse(index, tokenize(text), k) for qid, text in queries.items()}
+    runs = {qid: search_sparse(index, tokenize(text), args.k) for qid, text in queries.items()}
     out = _output_path(args.output, None, "run")
     write_run(out, runs, tag=args.tag)
     print(f"wrote {sum(len(r) for r in runs.values())} results for {len(runs)} queries -> {out}")
@@ -204,8 +184,7 @@ def _cmd_search_dense(args) -> int:
     cfg = _load_config(args)
     store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))
     matrices = _query_matrices(args, cfg)
-    k = args.k if args.k is not None else 1000
-    runs = {qid: search_dense(store, pool(m), k) for qid, m in matrices.items()}
+    runs = {qid: search_dense(store, pool(m), args.k) for qid, m in matrices.items()}
     out = _output_path(args.output, None, "run")
     write_run(out, runs, tag=args.tag)
     print(f"wrote {sum(len(r) for r in runs.values())} results for {len(runs)} queries -> {out}")
@@ -217,12 +196,9 @@ def _cmd_search_hybrid(args) -> int:
     index = load_index(_input_path(args.index, cfg.sparse_index, "index"))
     store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))
     matrices = _query_matrices(args, cfg)
-    alpha = args.alpha if args.alpha is not None else cfg.fusion.alpha
-    gamma = args.gamma if args.gamma is not None else cfg.hybrid_rewrite.gamma
-    rewrite_cfg = RewriteConfig(gamma=gamma, exclude_special_tokens=cfg.hybrid_rewrite.exclude_special_tokens)
-    k = args.k if args.k is not None else 1000
+    rewrite, fusion = _merge(cfg.hybrid_rewrite, args), _merge(cfg.fusion, args)
     runs = {
-        qid: _truncate(_hybrid_search(m, index, store, alpha, rewrite_cfg, args.depth), k)
+        qid: hybrid_search(index, store, m, rewrite, fusion, args.depth, args.k)
         for qid, m in matrices.items()
     }
     out = _output_path(args.output, None, "run")
@@ -234,28 +210,23 @@ def _cmd_search_hybrid(args) -> int:
 def _cmd_rewrite(args) -> int:
     cfg = _load_config(args)
     matrices = _query_matrices(args, cfg)
-    gamma = args.gamma if args.gamma is not None else cfg.rewrite.gamma
-    rewrite_cfg = RewriteConfig(gamma=gamma, exclude_special_tokens=cfg.rewrite.exclude_special_tokens)
+    rewrite = _merge(cfg.rewrite, args)
     out = _output_path(args.output, None, "rewrites")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for qid, matrix in matrices.items():
-            bag = decontextualize(matrix, rewrite_cfg)
+            bag = decontextualize(matrix, rewrite)
             fh.write(json.dumps({"qid": qid, "text": " ".join(bag)}, ensure_ascii=False))
             fh.write("\n")
-    print(f"rewrote {len(matrices)} queries (gamma={gamma}) -> {out}")
+    print(f"rewrote {len(matrices)} queries (gamma={rewrite.gamma}) -> {out}")
     return 0
 
 
 def _cmd_fuse_rrf(args) -> int:
     cfg = _load_config(args)
     run_files = [read_run(_input_path(p, None, "run")) for p in args.runs]
-    config = FusionConfig(rrf_k=args.rrf_k if args.rrf_k is not None else cfg.fusion.rrf_k)
+    config = _merge(cfg.fusion, args)
     qids = sorted({qid for run in run_files for qid in run})
-    k = args.k
-    fused = {}
-    for qid in qids:
-        lists = [run[qid] for run in run_files if qid in run]
-        fused[qid] = _truncate(rrf(lists, config), k)
+    fused = {qid: rrf([run[qid] for run in run_files if qid in run], config, args.k) for qid in qids}
     out = _output_path(args.output, None, "run")
     write_run(out, fused, tag=args.tag)
     print(f"fused {len(run_files)} runs over {len(qids)} queries -> {out}")
@@ -287,17 +258,7 @@ def _cmd_train_toy(args) -> int:
     sessions = load_sessions(_input_path(args.sessions, None, "sessions"))
     corpus = load_corpus(_input_path(args.corpus, cfg.corpus, "corpus"))
     store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))
-
-    base = cfg.train
-    train_cfg = TrainConfig(
-        tau=args.tau if args.tau is not None else base.tau,
-        learning_rate=args.learning_rate if args.learning_rate is not None else base.learning_rate,
-        batch_size=args.batch_size if args.batch_size is not None else base.batch_size,
-        steps=args.steps if args.steps is not None else base.steps,
-        seed=args.seed if args.seed is not None else base.seed,
-        use_hard_negatives=args.hard_negatives or base.use_hard_negatives,
-        use_soft_labels=args.soft_labels or base.use_soft_labels,
-    )
+    train_cfg = _merge(cfg.train, args)
     vocab_tokens = [
         tok
         for session in sessions
@@ -389,9 +350,7 @@ def _cmd_converse(args) -> int:
         matrices = load_token_matrices(
             _input_path(args.matrices, cfg.query_matrices, "query matrices")
         )
-    alpha = args.alpha if args.alpha is not None else cfg.fusion.alpha
-    gamma = args.gamma if args.gamma is not None else cfg.hybrid_rewrite.gamma
-    rewrite_cfg = RewriteConfig(gamma=gamma, exclude_special_tokens=cfg.hybrid_rewrite.exclude_special_tokens)
+    rewrite, fusion = _merge(cfg.hybrid_rewrite, args), _merge(cfg.fusion, args)
 
     history: list[str] = []
     for line in sys.stdin:
@@ -420,8 +379,7 @@ def _cmd_converse(args) -> int:
         history.append(utterance)
 
         print(f"turn {turn_number} ({len(context)} context tokens)")
-        bag = decontextualize(matrix, rewrite_cfg)
-        print(f"rewrite: {' '.join(bag)}")
+        print(f"rewrite: {' '.join(decontextualize(matrix, rewrite))}")
         print("token norms (l2, normalized by context mean):")
         for row, is_context in zip(
             token_norm_report(matrix),
@@ -430,12 +388,8 @@ def _cmd_converse(args) -> int:
             kind = "context" if is_context else "query"
             normalized = f"{row.normalized_norm:.4f}" if row.normalized_norm is not None else "-"
             print(f"  [{kind}] {row.token} {row.l2_norm:.4f} {normalized}")
-        results = _truncate(
-            _hybrid_search(matrix, index, store, alpha, rewrite_cfg, args.depth),
-            args.k if args.k is not None else 10,
-        )
         print("results:")
-        for e in results:
+        for e in hybrid_search(index, store, matrix, rewrite, fusion, args.depth, args.k):
             print(f"  {e.rank}. {e.docid} {e.score:.6f}")
     return 0
 
@@ -446,24 +400,27 @@ def _cmd_converse(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each subcommand gets only the flags it reads. Parents share their
+    # action objects, so per-command defaults (--k) are set per subparser.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"JSON config file (or ${ENV_CONFIG})")
-    common.add_argument("--seed", type=int, help="random seed override")
-    common.add_argument("--k", type=int, help="result depth (default 1000; 10 for converse)")
-    common.add_argument("--output", help="output file path")
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--output", help="output file path")
+    k_help = "result depth"
 
     parser = argparse.ArgumentParser(prog="cqe", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("index-sparse", parents=[common], help="build and save the inverted index")
+    p = sub.add_parser("index-sparse", parents=[writes], help="build and save the inverted index")
     p.add_argument("--corpus")
     p.add_argument("--k1", type=float)
     p.add_argument("--b", type=float)
     p.set_defaults(func=_cmd_index_sparse)
 
-    p = sub.add_parser("search-sparse", parents=[common], help="BM25 retrieval for text queries")
+    p = sub.add_parser("search-sparse", parents=[writes], help="BM25 retrieval for text queries")
     p.add_argument("--index")
     p.add_argument("--queries", help='JSON-lines {"qid", "text"}')
+    p.add_argument("--k", type=int, default=1000, help=k_help)
     p.add_argument("--tag", default="sparse")
     p.set_defaults(func=_cmd_search_sparse)
 
@@ -471,11 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("search-dense", "inner-product retrieval for query matrices", _cmd_search_dense),
         ("search-hybrid", "combined sparse+dense retrieval", _cmd_search_hybrid),
     ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[writes], help=help_text)
         p.add_argument("--store")
         p.add_argument("--matrices", help="token-matrix JSON-lines file")
         p.add_argument("--encoder", help="toy encoder checkpoint manifest")
         p.add_argument("--sessions", help="sessions file (with --encoder)")
+        p.add_argument("--k", type=int, default=1000, help=k_help)
         p.add_argument("--tag", default=name.split("-", 1)[1])
         if name == "search-hybrid":
             p.add_argument("--index")
@@ -484,20 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=int, default=1000)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("rewrite", parents=[common], help="emit decontextualized text queries")
+    p = sub.add_parser("rewrite", parents=[writes], help="emit decontextualized text queries")
     p.add_argument("--matrices")
     p.add_argument("--encoder")
     p.add_argument("--sessions")
     p.add_argument("--gamma", type=float)
     p.set_defaults(func=_cmd_rewrite)
 
-    p = sub.add_parser("fuse-rrf", parents=[common], help="reciprocal rank fusion of run files")
+    p = sub.add_parser("fuse-rrf", parents=[writes], help="reciprocal rank fusion of run files")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--rrf-k", type=float, dest="rrf_k")
+    p.add_argument("--k", type=int, help=f"{k_help} (default: all)")
     p.add_argument("--tag", default="rrf")
     p.set_defaults(func=_cmd_fuse_rrf)
 
-    p = sub.add_parser("build-weak-labels", parents=[common], help="pseudo-label session turns")
+    p = sub.add_parser("build-weak-labels", parents=[writes], help="pseudo-label session turns")
     p.add_argument("--corpus")
     p.add_argument("--index")
     p.add_argument("--store")
@@ -507,17 +466,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool-size", type=int, default=200, dest="pool_size")
     p.set_defaults(func=_cmd_build_weak_labels)
 
-    p = sub.add_parser("train-toy", parents=[common], help="train the toy query encoder")
+    # Flag dests equal TrainConfig field names; None (not given) keeps the config value.
+    p = sub.add_parser("train-toy", parents=[writes], help="train the toy query encoder")
     p.add_argument("--labels")
     p.add_argument("--sessions")
     p.add_argument("--corpus")
     p.add_argument("--store")
+    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--steps", type=int)
     p.add_argument("--learning-rate", "--lr", type=float, dest="learning_rate")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--tau", type=float)
-    p.add_argument("--hard-negatives", action="store_true", dest="hard_negatives")
-    p.add_argument("--soft-labels", action="store_true", dest="soft_labels")
+    p.add_argument("--hard-negatives", action="store_true", default=None, dest="use_hard_negatives")
+    p.add_argument("--soft-labels", action="store_true", default=None, dest="use_soft_labels")
     p.set_defaults(func=_cmd_train_toy)
 
     p = sub.add_parser("eval", parents=[common], help="score a run file against qrels")
@@ -547,6 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--depth", type=int, default=1000)
+    p.add_argument("--k", type=int, default=10, help=k_help)
     p.set_defaults(func=_cmd_converse)
 
     return parser

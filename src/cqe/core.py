@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import read_jsonl, str_fields, tokenize, unique
 
 # Marker tokens from embedding dumps; never emitted in rewritten queries.
 SPECIAL_TOKENS = frozenset(
@@ -195,6 +195,10 @@ class Turn:
     raw_utterance: str
     manual_rewrite: str | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.manual_rewrite, (str, type(None))):
+            raise TypeError(f"manual_rewrite must be a string or null, got {self.manual_rewrite!r}")
+
 
 @dataclass
 class Session:
@@ -222,19 +226,15 @@ class Session:
 
 def load_sessions(path: str) -> list[Session]:
     """Read sessions from JSON-lines: {"session_id", "turns": [...]} per line."""
-    sessions = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
-            turns = [
-                Turn(t["raw_utterance"], t.get("manual_rewrite"))
-                for t in obj.get("turns", [])
-            ]
-            sessions.append(Session(obj["session_id"], turns))
-    return sessions
+
+    def record(obj: dict) -> Session:
+        turns = [
+            Turn(*str_fields(t, "raw_utterance"), t.get("manual_rewrite"))
+            for t in obj.get("turns", [])
+        ]
+        return Session(*str_fields(obj, "session_id"), turns)
+
+    return read_jsonl(path, record)
 
 
 def save_sessions(sessions: list[Session], path: str) -> None:
@@ -258,27 +258,19 @@ def save_sessions(sessions: list[Session], path: str) -> None:
 
 def load_token_matrices(path: str) -> dict[str, TokenEmbeddingMatrix]:
     """Read {"qid", "tokens", "context_len", "vectors"} JSON-lines."""
-    matrices: dict[str, TokenEmbeddingMatrix] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
-            qid = obj.get("qid")
-            if not isinstance(qid, str) or not qid:
-                raise ValueError(f"{path}:{lineno}: missing qid")
-            if qid in matrices:
-                raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
-            try:
-                matrices[qid] = TokenEmbeddingMatrix(
-                    list(obj["tokens"]),
-                    np.asarray(obj["vectors"], dtype=np.float64),
-                    int(obj["context_len"]),
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return matrices
+    seen: set[str] = set()
+
+    def record(obj: dict) -> tuple[str, TokenEmbeddingMatrix]:
+        (qid,) = str_fields(obj, "qid")
+        tokens, context_len = obj["tokens"], obj["context_len"]
+        if not qid or not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise TypeError("a matrix needs a non-empty 'qid' and a list of string 'tokens'")
+        if type(context_len) is not int:
+            raise TypeError(f"'context_len' must be an integer, got {context_len!r}")
+        vectors = np.asarray(obj["vectors"], dtype=np.float64)
+        return unique(qid, seen, "qid"), TokenEmbeddingMatrix(tokens, vectors, context_len)
+
+    return dict(read_jsonl(path, record))
 
 
 def save_token_matrices(matrices: Mapping[str, TokenEmbeddingMatrix], path: str) -> None:

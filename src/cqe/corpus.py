@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
+T = TypeVar("T")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+WHITESPACE = re.compile(r"\s")  # matches exactly the characters str.isspace() accepts
 
 
 def tokenize(text: str) -> list[str]:
@@ -30,7 +32,7 @@ class Passage:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("passage id must be non-empty")
-        if any(c.isspace() for c in self.id):
+        if WHITESPACE.search(self.id):
             raise ValueError(f"passage id {self.id!r} contains whitespace")
 
 
@@ -72,31 +74,56 @@ class Corpus:
         return self._by_id.get(passage_id)
 
 
+def read_jsonl(path: str, record: Callable[[dict], T]) -> list[T]:
+    """``record(obj)`` for each line of a JSON-lines file, one JSON object per line.
+
+    Bad JSON, a line that is not an object, and any KeyError, TypeError or
+    ValueError raised by ``record`` become ``ValueError("<path>:<line>: ...")``.
+    """
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                out.append(record(obj))
+            except (KeyError, TypeError, ValueError) as exc:
+                problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}:{lineno}: {problem}") from None
+    return out
+
+
+def str_fields(obj: dict, *names: str) -> tuple[str, ...]:
+    """The values of ``names`` in ``obj``; TypeError unless each is a string."""
+    values = tuple(obj[name] for name in names)
+    for name, value in zip(names, values):
+        if not isinstance(value, str):
+            raise TypeError(f"{name!r} must be a string, got {type(value).__name__}")
+    return values
+
+
+def unique(key: Hashable, seen: set, what: str) -> Hashable:
+    """``key``, added to ``seen``; ValueError if it is already there."""
+    if key in seen:
+        raise ValueError(f"duplicate {what} {key!r}")
+    seen.add(key)
+    return key
+
+
 def load_corpus(path: str) -> Corpus:
     """Read a JSON-lines corpus file: one {"id", "text"} object per line.
 
     Line order is preserved. Malformed lines are reported with their
     1-based line number; duplicate or empty ids are rejected.
     """
-    passages = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            pid = obj.get("id")
-            text = obj.get("text")
-            if not isinstance(pid, str) or not isinstance(text, str):
-                raise ValueError(f'{path}:{lineno}: "id" and "text" must be strings')
-            if pid in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate passage id {pid!r}")
-            seen.add(pid)
-            passages.append(Passage(pid, text))
-    return Corpus(passages)
+
+    def record(obj: dict) -> Passage:
+        pid, text = str_fields(obj, "id", "text")
+        return Passage(unique(pid, seen, "passage id"), text)
+
+    return Corpus(read_jsonl(path, record))
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

@@ -12,6 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .corpus import WHITESPACE
 from .ranking import RankedList, id_ranks, top_k
 
 
@@ -26,13 +27,17 @@ class PassageEmbeddingStore:
             raise ValueError("vector dimension must be >= 1")
         if len(ids) != vectors.shape[0]:
             raise ValueError(f"id count {len(ids)} != vector count {vectors.shape[0]}")
-        if len(set(ids)) != len(ids):
-            raise ValueError("passage ids must be unique")
         if vectors.size and not np.isfinite(vectors).all():
             raise ValueError("vectors contain non-finite values")
+        self._row = {pid: i for i, pid in enumerate(ids)}
+        if len(self._row) != len(ids):
+            raise ValueError("passage ids must be unique")
+        # One scan of all ids; the per-id search only runs to name the offender.
+        if "" in self._row or WHITESPACE.search("\0".join(ids)):
+            bad = next(pid for pid in ids if not pid or WHITESPACE.search(pid))
+            raise ValueError(f"passage id {bad!r} is empty or contains whitespace")
         self.ids = list(ids)
         self.vectors = vectors
-        self._row = {pid: i for i, pid in enumerate(ids)}
 
     @cached_property
     def _vectors64(self) -> np.ndarray:
@@ -107,7 +112,10 @@ def load_embeddings(manifest_path: str) -> PassageEmbeddingStore:
         ids = fh.read().splitlines()
     if len(ids) != count:
         raise ValueError(f"{ids_path}: {len(ids)} ids != declared count {count}")
-    return PassageEmbeddingStore(ids, raw.reshape(count, dim))
+    try:
+        return PassageEmbeddingStore(ids, raw.reshape(count, dim))
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
 
 
 def search_dense(store: PassageEmbeddingStore, query: np.ndarray, k: int) -> RankedList:

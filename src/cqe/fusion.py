@@ -1,11 +1,14 @@
-"""Rank fusion: min-substitution score combination and reciprocal rank fusion."""
+"""Rank fusion: min-substitution score combination, hybrid search and reciprocal rank fusion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import RewriteConfig, TokenEmbeddingMatrix, decontextualize, pool
+from .dense import PassageEmbeddingStore, search_dense
 from .ranking import RankedList
+from .sparse import InvertedIndex, search_sparse
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,34 @@ def hybrid_combine(
     return RankedList.from_scores(combined, tag="hybrid")
 
 
-def rrf(lists: Sequence[RankedList], config: FusionConfig | None = None) -> RankedList:
-    """Reciprocal rank fusion: score(d) = sum over lists of 1/(rrf_k + rank)."""
+def hybrid_search(
+    index: InvertedIndex,
+    store: PassageEmbeddingStore,
+    matrix: TokenEmbeddingMatrix,
+    rewrite: RewriteConfig,
+    fusion: FusionConfig,
+    depth: int,
+    k: int,
+) -> RankedList:
+    """Top ``k`` of the fused sparse and dense lists for one query turn.
+
+    Dense search takes the pooled ``matrix``, sparse search its rewritten
+    bag of words, each to ``depth``; :func:`hybrid_combine` fuses them.
+    When one list is empty the other is returned as is, tagged ``hybrid``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    dense = search_dense(store, pool(matrix), depth)
+    bag = decontextualize(matrix, rewrite)
+    sparse = search_sparse(index, bag, depth) if bag else RankedList([])
+    fused = hybrid_combine(sparse, dense, fusion) if sparse and dense else sparse or dense
+    return RankedList(fused.entries[:k], tag="hybrid")
+
+
+def rrf(
+    lists: Sequence[RankedList], config: FusionConfig | None = None, k: int | None = None
+) -> RankedList:
+    """Reciprocal rank fusion: score(d) = sum over lists of 1/(rrf_k + rank), top ``k`` kept."""
     config = config or FusionConfig()
     if not lists:
         raise ValueError("rrf requires at least one list")
@@ -52,4 +81,4 @@ def rrf(lists: Sequence[RankedList], config: FusionConfig | None = None) -> Rank
     for ranked in lists:
         for entry in ranked:
             accum[entry.docid] = accum.get(entry.docid, 0.0) + 1.0 / (config.rrf_k + entry.rank)
-    return RankedList.from_scores(accum.items(), tag="rrf")
+    return RankedList.from_scores(accum.items(), tag="rrf", k=k)

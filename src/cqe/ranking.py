@@ -19,8 +19,7 @@ class RankedList:
     """Ordered retrieval results: non-increasing scores, ranks from 1.
 
     Ties are broken by ascending docid so runs are reproducible. Lists
-    built through :meth:`from_scores` always satisfy the invariants;
-    :meth:`validate` re-checks lists from external sources.
+    built through :meth:`from_scores` always satisfy the invariants.
     """
 
     entries: list[RankedEntry] = field(default_factory=list)
@@ -33,7 +32,9 @@ class RankedList:
         tag: str = "run",
         k: int | None = None,
     ) -> RankedList:
-        """Sort (docid, score) pairs by descending score, ascending docid."""
+        """Sort (docid, score) pairs by descending score, ascending docid; keep the first ``k``."""
+        if k is not None and k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         items = sorted(scored, key=lambda it: (-it[1], it[0]))
         if len({d for d, _ in items}) != len(items):
             raise ValueError("duplicate docids in scored results")
@@ -41,17 +42,6 @@ class RankedList:
             items = items[:k]
         entries = [RankedEntry(d, float(s), r) for r, (d, s) in enumerate(items, start=1)]
         return cls(entries, tag)
-
-    def validate(self) -> None:
-        seen: set[str] = set()
-        for i, e in enumerate(self.entries):
-            if e.rank != i + 1:
-                raise ValueError(f"rank {e.rank} at position {i}; expected {i + 1}")
-            if i > 0 and e.score > self.entries[i - 1].score:
-                raise ValueError(f"score increases at rank {e.rank}")
-            if e.docid in seen:
-                raise ValueError(f"duplicate docid {e.docid!r}")
-            seen.add(e.docid)
 
     def docids(self) -> list[str]:
         return [e.docid for e in self.entries]

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Passage, tokenize
+from .corpus import Corpus, Passage, read_jsonl, str_fields, tokenize, unique
 from .core import Session, TokenEmbeddingMatrix
 from .dense import PassageEmbeddingStore
 from .sparse import InvertedIndex, search_sparse
@@ -90,16 +90,17 @@ class TableTeacher:
 
     @classmethod
     def from_file(cls, path: str) -> TableTeacher:
-        """Read JSON-lines of {"query", "id", "score"} records."""
-        table: dict[tuple[str, str], float] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    obj = json.loads(line)
-                    table[(obj["query"], obj["id"])] = float(obj["score"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}:{lineno}: bad score record: {exc}") from None
-        return cls(table)
+        """Read JSON-lines of {"query", "id", "score"} records; keys are unique, scores finite."""
+        seen: set[tuple[str, str]] = set()
+
+        def record(obj: dict) -> tuple[tuple[str, str], float]:
+            key = unique(str_fields(obj, "query", "id"), seen, "(query, id)")
+            score = float(obj["score"])
+            if not math.isfinite(score):
+                raise ValueError(f"non-finite score {score}")
+            return key, score
+
+        return cls(dict(read_jsonl(path, record)))
 
     def score(self, query_text: str, passage: Passage) -> float:
         try:
@@ -136,12 +137,6 @@ class WeakLabelSet:
     def __iter__(self):
         return iter(self.turns)
 
-    def get(self, qid: str) -> TurnLabels:
-        for t in self.turns:
-            if t.qid == qid:
-                return t
-        raise KeyError(f"no labels for turn {qid!r}")
-
 
 def build_weak_labels(
     corpus: Corpus,
@@ -159,6 +154,8 @@ def build_weak_labels(
     pool_size ids of both orderings. Turns with fewer than 3 candidates
     are skipped with a warning.
     """
+    if min(candidate_depth, pool_size) < 1:
+        raise ValueError(f"candidate_depth {candidate_depth} and pool_size {pool_size} must be >= 1")
     turns = []
     for session in sessions:
         for i, turn in enumerate(session.turns):
@@ -206,23 +203,15 @@ def save_weak_labels(labels: WeakLabelSet, path: str) -> None:
 
 
 def load_weak_labels(path: str) -> WeakLabelSet:
-    turns = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-                turns.append(
-                    TurnLabels(
-                        qid=obj["qid"],
-                        rewrite=obj["rewrite"],
-                        positives=list(obj["positives"]),
-                        bm25_pool=list(obj["bm25_pool"]),
-                        teacher_pool=[(r["id"], float(r["score"])) for r in obj["teacher_pool"]],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad label record: {exc}") from None
-    return WeakLabelSet(turns)
+    def record(obj: dict) -> TurnLabels:
+        return TurnLabels(
+            *str_fields(obj, "qid", "rewrite"),
+            positives=list(obj["positives"]),
+            bm25_pool=list(obj["bm25_pool"]),
+            teacher_pool=[(r["id"], float(r["score"])) for r in obj["teacher_pool"]],
+        )
+
+    return WeakLabelSet(read_jsonl(path, record))
 
 
 # ---------------------------------------------------------------------------

@@ -414,3 +414,179 @@ class TestFileBackedMatrices:
         )
         assert rc == 1
         assert "turn_2" in capsys.readouterr().err
+
+
+# Each reader gets one good line, then the bad one, so the error must name line 2.
+GOOD_LINES = {
+    "corpus": {"id": "p0", "text": "red fox"},
+    "sessions": {"session_id": "s", "turns": [{"raw_utterance": "red fox"}]},
+    "matrices": {"qid": "q", "tokens": ["fox"], "context_len": 0, "vectors": [[1.0, 2.0]]},
+    "queries": {"qid": "q", "text": "fox"},
+    "labels": {"qid": "s_1", "rewrite": "fox", "positives": [], "bm25_pool": [], "teacher_pool": []},
+    "teacher": {"query": "fox", "id": "p0", "score": 1.0},
+}
+
+BAD_LINES = [
+    ("corpus", "[1, 2]"),
+    ("corpus", json.dumps({"id": 7, "text": "a"})),
+    ("corpus", "{broken"),
+    ("sessions", json.dumps([{"session_id": "s"}])),
+    ("sessions", json.dumps({"session_id": "t", "turns": ["a string turn"]})),
+    ("sessions", json.dumps({"session_id": "t", "turns": [{"raw_utterance": "a", "manual_rewrite": 3}]})),
+    ("matrices", json.dumps([1, 2])),
+    ("matrices", json.dumps({"qid": "r", "tokens": 5, "context_len": 0, "vectors": [[1.0, 2.0]]})),
+    ("matrices", json.dumps({"qid": "r", "tokens": ["a"], "context_len": 0, "vectors": [["x", 2.0]]})),
+    ("matrices", json.dumps({"qid": "r", "tokens": ["a", "b"], "context_len": 0.5, "vectors": [[1.0], [2.0]]})),
+    ("queries", json.dumps(["q", "fox"])),
+    ("queries", json.dumps({"qid": "r", "text": 5})),
+    ("queries", json.dumps({"qid": "q", "text": "again"})),
+    ("labels", json.dumps(["s_1"])),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "teacher_pool": ["p0"]})),
+    ("teacher", json.dumps([1])),
+    ("teacher", json.dumps({"query": "fox", "id": "p0", "score": 2.0})),
+    ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "high"})),
+    ("teacher", '{"query": "fox", "id": "p1", "score": NaN}'),
+]
+
+
+def reader_argv(reader, path, workspace, tmp_path):
+    out = ["--output", str(tmp_path / "out")]
+    return {
+        "corpus": ["index-sparse", "--corpus", path, *out],
+        "sessions": ["search-dense", "--store", workspace["store"], "--encoder", workspace["encoder"],
+                     "--sessions", path, *out],
+        "matrices": ["search-dense", "--store", workspace["store"], "--matrices", path, *out],
+        "queries": ["search-sparse", "--index", workspace["index"], "--queries", path, *out],
+        "labels": ["train-toy", "--labels", path, "--sessions", workspace["sessions"],
+                   "--corpus", workspace["corpus"], "--store", workspace["store"], *out],
+        "teacher": ["build-weak-labels", "--corpus", workspace["corpus"], "--index", workspace["index"],
+                    "--sessions", workspace["sessions"], "--teacher-scores", path, *out],
+    }[reader]
+
+
+class TestMalformedJsonLines:
+    @pytest.mark.parametrize("reader,bad", BAD_LINES)
+    def test_error_names_path_and_line(self, reader, bad, workspace, tmp_path, capsys):
+        path = str(tmp_path / f"{reader}.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(GOOD_LINES[reader]) + "\n" + bad + "\n")
+        capsys.readouterr()
+        assert run_cli(reader_argv(reader, path, workspace, tmp_path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "{not json",
+            json.dumps({"fusion": {"alpha": "x"}}),
+            json.dumps({"fusoin": {"alpha": 0.2}}),
+            json.dumps({"paths": {"corpuss": "corpus.jsonl"}}),
+            json.dumps({"paths": {"corpus": 5}}),
+            json.dumps({"paths": []}),
+            json.dumps({"bm25": 0.5}),
+            json.dumps({"train": {"steps": 1.5}}),
+            json.dumps({"train": {"use_soft_labels": "yes"}}),
+            json.dumps({"rewrite": {"gamma": -1.0}}),
+        ],
+    )
+    def test_error_names_config_file(self, text, workspace, tmp_path, capsys):
+        config_path = str(tmp_path / "config.json")
+        with open(config_path, "w") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        argv = ["index-sparse", "--config", config_path, "--corpus", workspace["corpus"],
+                "--output", str(tmp_path / "idx.bin")]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
+
+    def test_integer_accepted_for_float_setting(self, tmp_path):
+        config_path = str(tmp_path / "config.json")
+        with open(config_path, "w") as fh:
+            fh.write(json.dumps({"fusion": {"rrf_k": 30}, "rewrite": {"gamma": 3}}))
+        cfg = cli.EngineConfig.from_file(config_path)
+        assert cfg.fusion.rrf_k == 30 and cfg.rewrite.gamma == 3
+
+
+class TestFlagMerge:
+    def train_configs(self, workspace, tmp_path, monkeypatch, config, flags):
+        """The TrainConfig that train-toy hands to train()."""
+        seen = []
+        real_train = cli.train
+
+        def spy(encoder, labels, sessions, store, config, **kwargs):
+            seen.append(config)
+            return real_train(encoder, labels, sessions, store, config, **kwargs)
+
+        monkeypatch.setattr(cli, "train", spy)
+        config_path = str(tmp_path / "config.json")
+        with open(config_path, "w") as fh:
+            fh.write(json.dumps({"train": config}))
+        argv = ["train-toy", "--config", config_path, "--labels", workspace["labels_train"],
+                "--sessions", workspace["sessions"], "--corpus", workspace["corpus"],
+                "--store", workspace["store"], "--output", str(tmp_path / "enc.json"), *flags]
+        assert run_cli(argv) == 0
+        return seen
+
+    def test_config_true_survives_absent_flags(self, workspace, tmp_path, monkeypatch):
+        config = {"steps": 1, "use_soft_labels": True, "use_hard_negatives": True}
+        (got,) = self.train_configs(workspace, tmp_path, monkeypatch, config, [])
+        assert got.use_soft_labels and got.use_hard_negatives and got.steps == 1
+
+    def test_flags_beat_config(self, workspace, tmp_path, monkeypatch):
+        config = {"steps": 1, "seed": 4, "tau": 2.0}
+        flags = ["--soft-labels", "--seed", "9", "--steps", "2"]
+        (got,) = self.train_configs(workspace, tmp_path, monkeypatch, config, flags)
+        assert got.use_soft_labels and not got.use_hard_negatives
+        assert (got.seed, got.steps, got.tau) == (9, 2, 2.0)
+
+    def test_k_defaults_per_command(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["converse"]).k == 10
+        assert parser.parse_args(["search-hybrid"]).k == 1000
+        assert parser.parse_args(["search-dense"]).k == 1000
+        assert parser.parse_args(["search-sparse"]).k == 1000
+        assert parser.parse_args(["fuse-rrf", "--runs", "a"]).k is None
+
+    @pytest.mark.parametrize("argv", [["eval", "--k", "5"], ["eval", "--seed", "1"], ["converse", "--output", "x"]])
+    def test_flags_a_command_does_not_read_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestHybridSearchRoute:
+    def test_run_file_matches_library(self, workspace, planted, tmp_path):
+        from cqe.core import RewriteConfig
+        from cqe.dense import load_embeddings
+        from cqe.fusion import hybrid_search
+        from cqe.sparse import load_index
+        from cqe.trainer import ToyQueryEncoder
+
+        out = str(tmp_path / "hybrid.txt")
+        assert run_cli(["search-hybrid", "--index", workspace["index"], "--store", workspace["store"],
+                        "--encoder", workspace["encoder"], "--sessions", workspace["sessions"],
+                        "--alpha", "0.4", "--depth", "50", "--k", "7", "--output", out]) == 0
+        runs = read_run(out)
+        index, store = load_index(workspace["index"]), load_embeddings(workspace["store"])
+        encoder = ToyQueryEncoder.load(workspace["encoder"])
+        rewrite, fusion = RewriteConfig(gamma=RewriteConfig.HYBRID_GAMMA), FusionConfig(alpha=0.4)
+        qids = [(s, i) for s in planted.sessions for i in range(len(s.turns))]
+        assert set(runs) == {s.qid(i) for s, i in qids}
+        for session, i in qids:
+            want = hybrid_search(index, store, encoder.encode(*session.tokens_for_turn(i)), rewrite, fusion, 50, 7)
+            got = runs[session.qid(i)]
+            assert got.docids() == want.docids()
+            assert [e.score for e in got] == [e.score for e in want]
+
+
+class TestLabellingInputs:
+    def test_pool_size_must_be_positive(self, workspace, tmp_path, capsys):
+        argv = ["build-weak-labels", "--corpus", workspace["corpus"], "--index", workspace["index"],
+                "--store", workspace["store"], "--sessions", workspace["sessions"],
+                "--pool-size", "-1", "--output", str(tmp_path / "labels.jsonl")]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert "pool_size -1" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Embedding store IO and exact inner-product search."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,18 @@ class TestIO:
         open(ids_path, "a").write("extra\n")
         with pytest.raises(ValueError, match="ids"):
             load_embeddings(manifest)
+
+    @pytest.mark.parametrize("bad_id", ["a b", "", "tab\there", "nbsp\u00a0id"])
+    def test_empty_or_whitespace_id_rejected(self, tmp_path, bad_id):
+        manifest = str(tmp_path / "s.json")
+        save_embeddings(random_store(np.random.default_rng(5), 3, 2), manifest)
+        ids_path = str(tmp_path / "s.ids")
+        with open(ids_path, "w", encoding="utf-8") as fh:
+            fh.write(f"d000\n{bad_id}\nd002\n")
+        with pytest.raises(ValueError, match=f"{re.escape(manifest)}: passage id .* is empty or contains whitespace"):
+            load_embeddings(manifest)
+        with pytest.raises(ValueError, match="whitespace"):
+            PassageEmbeddingStore(["d000", bad_id], np.zeros((2, 2), dtype=np.float32))
 
     def test_bad_dtype_rejected(self, tmp_path):
         manifest = str(tmp_path / "s.json")

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from cqe.fusion import FusionConfig, hybrid_combine, rrf
+from cqe.core import RewriteConfig, TokenEmbeddingMatrix, decontextualize, pool
+from cqe.corpus import tokenize
+from cqe.dense import search_dense
+from cqe.fusion import FusionConfig, hybrid_combine, hybrid_search, rrf
 from cqe.ranking import RankedList
+from cqe.sparse import search_sparse
+from cqe.trainer import ToyQueryEncoder
 
 
 def random_lists(rng, n_docs=30, overlap=10):
@@ -153,6 +158,52 @@ class TestRRF:
     def test_requires_a_list(self):
         with pytest.raises(ValueError):
             rrf([])
+
+    def test_k_keeps_the_top_of_the_full_fusion(self):
+        rng = np.random.default_rng(46)
+        lists = list(random_lists(rng))
+        full = rrf(lists)
+        assert rrf(lists, k=7).entries == full.entries[:7]
+        assert rrf(lists, k=10_000).entries == full.entries
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rrf(lists, k=0)
+
+
+class TestHybridSearch:
+    REWRITE = RewriteConfig(gamma=RewriteConfig.HYBRID_GAMMA)
+    FUSION = FusionConfig(alpha=0.3)
+
+    def turn_matrices(self, planted):
+        vocab = [tok for s in planted.sessions for t in s.turns for tok in tokenize(t.raw_utterance)]
+        encoder = ToyQueryEncoder.create(vocab, dim=planted.store.dim, seed=3)
+        return [
+            encoder.encode(*s.tokens_for_turn(i)) for s in planted.sessions for i in range(len(s.turns))
+        ]
+
+    def test_fused_case_is_hybrid_combine_cut_at_k(self, planted, planted_index):
+        fused_turns = 0
+        for matrix in self.turn_matrices(planted):
+            sparse = search_sparse(planted_index, decontextualize(matrix, self.REWRITE), 20)
+            dense = search_dense(planted.store, pool(matrix), 20)
+            got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+            assert got.tag == "hybrid"
+            if sparse and dense:
+                fused_turns += 1
+                assert got.entries == hybrid_combine(sparse, dense, self.FUSION).entries[:5]
+        assert fused_turns > 0
+
+    def test_empty_bag_returns_the_dense_list(self, planted, planted_index):
+        rng = np.random.default_rng(47)
+        matrix = TokenEmbeddingMatrix(["[cls]", "[sep]"], rng.standard_normal((2, planted.store.dim)), 0)
+        assert decontextualize(matrix, self.REWRITE) == []
+        got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+        assert got.tag == "hybrid"
+        assert got.entries == search_dense(planted.store, pool(matrix), 20).entries[:5]
+
+    def test_k_must_be_positive(self, planted, planted_index):
+        matrix = self.turn_matrices(planted)[0]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 0)
 
 
 class TestFusionConfig:

@@ -1,6 +1,7 @@
 """Weak labels, triplet sampling, losses, gradients, and the training loop."""
 
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -75,6 +76,16 @@ class TestTeachers:
         with pytest.raises(ValueError, match="p2"):
             teacher.score("q text", Passage("p2", "other"))
 
+    def test_table_teacher_rejects_duplicate_keys(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"query": "q text", "id": "p1", "score": 0.75}\n'
+            '{"query": "q text", "id": "p2", "score": 0.5}\n'
+            '{"query": "q text", "id": "p1", "score": 0.25}\n'
+        )
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: duplicate"):
+            TableTeacher.from_file(str(path))
+
 
 class _BM25Teacher:
     """Teacher that mirrors BM25 exactly, for ordering-equality tests."""
@@ -135,6 +146,12 @@ class TestBuildWeakLabels:
         sessions = [Session("s", [Turn("about apples", None)])]
         with pytest.raises(ValueError, match="manual rewrite"):
             build_weak_labels(corpus, sessions, index, _BM25Teacher(index))
+
+    @pytest.mark.parametrize("depth,pool_size", [(0, 200), (1000, 0), (1000, -1)])
+    def test_depth_and_pool_size_must_be_positive(self, depth, pool_size):
+        corpus, sessions, index = self.tiny_setup()
+        with pytest.raises(ValueError, match="must be >= 1"):
+            build_weak_labels(corpus, sessions, index, _BM25Teacher(index), depth, pool_size)
 
     def test_too_few_candidates_skips_with_warning(self):
         corpus, _, index = self.tiny_setup()
