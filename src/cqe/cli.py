@@ -24,7 +24,7 @@ from .core import (
     pool,
     token_norm_report,
 )
-from .corpus import load_corpus, read_jsonl, str_fields, tokenize, unique
+from .corpus import check_id, load_corpus, read_jsonl, str_fields, tokenize, unique
 from .dense import load_embeddings, search_dense
 from .evaluation import ndcg, paired_t_test, read_qrels, read_run, recall_at, win_tie, write_run
 from .fusion import FusionConfig, hybrid_search, rrf
@@ -132,7 +132,7 @@ def _load_text_queries(path: str) -> dict[str, str]:
 
     def record(obj: dict) -> tuple[str, str]:
         qid, text = str_fields(obj, "qid", "text")
-        return unique(qid, seen, "qid"), text
+        return unique(check_id(qid, "qid"), seen, "qid"), text
 
     return dict(read_jsonl(path, record))
 
@@ -339,6 +339,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_converse(args) -> int:
+    # Checked here, not per turn, so a bad value fails before any output.
+    for name, value in (("k", args.k), ("depth", args.depth)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     cfg = _load_config(args)
     index = load_index(_input_path(args.index, cfg.sparse_index, "index"))
     store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))

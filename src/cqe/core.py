@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import read_jsonl, str_fields, tokenize, unique
+from .corpus import check_id, read_jsonl, str_fields, tokenize, unique
 
 # Marker tokens from embedding dumps; never emitted in rewritten queries.
 SPECIAL_TOKENS = frozenset(
@@ -262,9 +262,10 @@ def load_token_matrices(path: str) -> dict[str, TokenEmbeddingMatrix]:
 
     def record(obj: dict) -> tuple[str, TokenEmbeddingMatrix]:
         (qid,) = str_fields(obj, "qid")
+        check_id(qid, "qid")
         tokens, context_len = obj["tokens"], obj["context_len"]
-        if not qid or not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise TypeError("a matrix needs a non-empty 'qid' and a list of string 'tokens'")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise TypeError("a matrix needs a list of string 'tokens'")
         if type(context_len) is not int:
             raise TypeError(f"'context_len' must be an integer, got {context_len!r}")
         vectors = np.asarray(obj["vectors"], dtype=np.float64)

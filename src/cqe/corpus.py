@@ -12,6 +12,15 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 WHITESPACE = re.compile(r"\s")  # matches exactly the characters str.isspace() accepts
 
 
+def check_id(value: str, what: str) -> str:
+    """``value``; ValueError if it is empty or has whitespace, which would split a run line."""
+    if not value:
+        raise ValueError(f"{what} must be non-empty")
+    if WHITESPACE.search(value):
+        raise ValueError(f"{what} {value!r} contains whitespace")
+    return value
+
+
 def tokenize(text: str) -> list[str]:
     """Split text into lowercase tokens.
 
@@ -30,10 +39,7 @@ class Passage:
     text: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("passage id must be non-empty")
-        if WHITESPACE.search(self.id):
-            raise ValueError(f"passage id {self.id!r} contains whitespace")
+        check_id(self.id, "passage id")
 
 
 class Corpus:

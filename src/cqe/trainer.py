@@ -64,22 +64,35 @@ class HashingTextEmbedder:
 
 
 class CosineTeacher:
-    """Scores a passage by cosine between its stored vector and the embedded query."""
+    """Scores a passage by cosine between its stored vector and the embedded query.
+
+    Each query text is embedded once and each (text, passage id) pair is
+    scored once; later calls return the stored float. Every score is one
+    1-D dot product, so it does not depend on what else was scored.
+    """
 
     def __init__(self, store: PassageEmbeddingStore, embedder: HashingTextEmbedder | None = None):
         self._store = store
         self._embedder = embedder or HashingTextEmbedder(store.dim)
         if self._embedder.dim != store.dim:
             raise ValueError("embedder and store dimensions differ")
+        self._queries: dict[str, tuple[np.ndarray, np.floating]] = {}
+        self._scores: dict[tuple[str, str], float] = {}
 
     def score(self, query_text: str, passage: Passage) -> float:
-        q = self._embedder.embed(query_text)
-        v = self._store.vector(passage.id).astype(np.float64)
-        nq = np.linalg.norm(q)
-        nv = np.linalg.norm(v)
-        if nq == 0.0 or nv == 0.0:
-            return 0.0
-        return float(q @ v / (nq * nv))
+        key = (query_text, passage.id)
+        score = self._scores.get(key)
+        if score is None:
+            query = self._queries.get(query_text)
+            if query is None:
+                q = self._embedder.embed(query_text)
+                query = self._queries[query_text] = (q, np.linalg.norm(q))
+            q, nq = query
+            v = self._store.vector(passage.id).astype(np.float64)
+            nv = np.linalg.norm(v)
+            score = 0.0 if nq == 0.0 or nv == 0.0 else float(q @ v / (nq * nv))
+            self._scores[key] = score
+        return score
 
 
 class TableTeacher:
@@ -253,16 +266,18 @@ class TripletSampler:
         use_hard_negatives: bool = False,
     ):
         self._labels = {t.qid: t for t in labels.turns}
-        self._turn_map: dict[str, tuple[Session, int]] = {}
-        for session in sessions:
-            for i in range(len(session.turns)):
-                self._turn_map[session.qid(i)] = (session, i)
+        turns = {s.qid(i): (s, i) for s in sessions for i in range(len(s.turns))}
+        # (context tokens, query tokens) per labelled turn, tokenized once
+        self._tokens: dict[str, tuple[list[str], list[str]]] = {}
         for qid in self._labels:
-            if qid not in self._turn_map:
+            if qid not in turns:
                 raise ValueError(f"labels refer to unknown turn {qid!r}")
+            session, turn_index = turns[qid]
+            self._tokens[qid] = session.tokens_for_turn(turn_index)
         self._rng = rng
         self._hard = use_hard_negatives
-        self._queues: dict[str, list[str]] = {}
+        self._eligible: dict[str, list[str]] = {}  # pool minus positives, built on first use
+        self._queues: dict[str, list[int]] = {}  # indices into eligible, drawn from the end
         self._filled: set[str] = set()
 
     def reset(self) -> None:
@@ -277,27 +292,26 @@ class TripletSampler:
             raise ValueError(f"no labels for turn {qid!r}") from None
         positive = lab.positives[int(self._rng.integers(len(lab.positives)))]
 
+        eligible = self._eligible.get(qid)
+        if eligible is None:
+            pool = [d for d, _ in lab.teacher_pool] if self._hard else lab.bm25_pool
+            positives = set(lab.positives)
+            eligible = self._eligible[qid] = [d for d in pool if d not in positives]
         queue = self._queues.get(qid)
         if not queue:
-            pool = [d for d, _ in lab.teacher_pool] if self._hard else list(lab.bm25_pool)
-            positives = set(lab.positives)
-            eligible = [d for d in pool if d not in positives]
             if not eligible:
                 raise ValueError(f"turn {qid!r} has no eligible negatives")
             if qid in self._filled:
                 warnings.warn(f"negative pool for turn {qid!r} exhausted; restarting")
-            order = self._rng.permutation(len(eligible))
-            queue = [eligible[i] for i in order]
-            self._queues[qid] = queue
+            queue = self._queues[qid] = self._rng.permutation(len(eligible)).tolist()
             self._filled.add(qid)
-        negative = queue.pop()
+        negative = eligible[queue.pop()]
 
-        session, turn_index = self._turn_map[qid]
-        context_tokens, query_tokens = session.tokens_for_turn(turn_index)
+        context_tokens, query_tokens = self._tokens[qid]
         return TrainingInstance(
             qid=qid,
-            context_tokens=context_tokens,
-            query_tokens=query_tokens,
+            context_tokens=list(context_tokens),
+            query_tokens=list(query_tokens),
             rewrite=lab.rewrite,
             positive_id=positive,
             negative_id=negative,

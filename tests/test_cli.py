@@ -294,6 +294,18 @@ class TestConverse:
         assert out.count("turn 1 (0 context tokens)") == 2
         assert "turn 2 (3 context tokens)" in out
 
+    @pytest.mark.parametrize("flag", ["--k", "--depth"])
+    def test_bad_depth_fails_before_any_output(self, flag, workspace, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("alpha beta\n"))
+        capsys.readouterr()
+        rc = run_cli(
+            ["converse", "--index", workspace["index"], "--store", workspace["store"],
+             "--encoder", workspace["encoder"], flag, "0"]
+        )
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert err == f"error: {flag[2:]} must be >= 1, got 0\n"
+
     def test_replay_is_byte_identical(self, workspace, monkeypatch, capsys):
         first = self.converse(workspace, monkeypatch, capsys)
         second = self.converse(workspace, monkeypatch, capsys)
@@ -437,9 +449,11 @@ BAD_LINES = [
     ("matrices", json.dumps({"qid": "r", "tokens": 5, "context_len": 0, "vectors": [[1.0, 2.0]]})),
     ("matrices", json.dumps({"qid": "r", "tokens": ["a"], "context_len": 0, "vectors": [["x", 2.0]]})),
     ("matrices", json.dumps({"qid": "r", "tokens": ["a", "b"], "context_len": 0.5, "vectors": [[1.0], [2.0]]})),
+    ("matrices", json.dumps({**GOOD_LINES["matrices"], "qid": "q 1"})),
     ("queries", json.dumps(["q", "fox"])),
     ("queries", json.dumps({"qid": "r", "text": 5})),
     ("queries", json.dumps({"qid": "q", "text": "again"})),
+    ("queries", json.dumps({"qid": "q 1", "text": "fox"})),
     ("labels", json.dumps(["s_1"])),
     ("labels", json.dumps({**GOOD_LINES["labels"], "teacher_pool": ["p0"]})),
     ("teacher", json.dumps([1])),

@@ -1,14 +1,20 @@
 """Metric fidelity: nDCG, recall, win/tie, paired t-test, and TREC file IO."""
 
 import math
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from cqe.corpus import WHITESPACE
 from cqe.evaluation import (
+    MAX_GRADE,
     MetricReport,
     ndcg,
     paired_t_test,
@@ -287,3 +293,50 @@ class TestQrelsIO:
         path.write_text("q1 0 d1 7\n")
         with pytest.raises(ValueError, match="grade"):
             read_qrels(str(path))
+
+
+# Run and qrels lines are whitespace-separated, so ids may hold any other
+# character that UTF-8 can encode.
+ids = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(
+    lambda s: not WHITESPACE.search(s)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        ids,
+        st.dictionaries(ids, st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5),
+        min_size=1,
+        max_size=4,
+    ),
+    ids,
+)
+def test_run_round_trip_is_exact(scored, tag):
+    runs = {qid: RankedList.from_scores(docs.items(), tag) for qid, docs in scored.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.txt")
+        write_run(path, runs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = read_run(path)
+    assert loaded.keys() == runs.keys()
+    for qid, ranked in runs.items():
+        # float.hex tells -0.0 from 0.0, which == does not
+        assert [(e.docid, e.score.hex(), e.rank) for e in loaded[qid]] == [
+            (e.docid, e.score.hex(), e.rank) for e in ranked
+        ]
+        assert loaded[qid].tag == tag
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        ids, st.dictionaries(ids, st.integers(0, MAX_GRADE), min_size=1, max_size=5), min_size=1, max_size=4
+    )
+)
+def test_qrels_round_trip_keeps_every_grade(qrels):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "qrels.txt")
+        write_qrels(qrels, path)
+        assert read_qrels(path) == qrels

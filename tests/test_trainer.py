@@ -13,12 +13,14 @@ from cqe.core import Session, Turn, token_norm_report
 from cqe.corpus import Corpus, Passage, tokenize
 from cqe.sparse import bm25_score, build_index, search_sparse
 from cqe.trainer import (
+    CosineTeacher,
     HashingTextEmbedder,
     TableTeacher,
     ToyQueryEncoder,
     TrainConfig,
     TrainingInstance,
     TripletSampler,
+    TurnLabels,
     WeakLabelSet,
     batch_gradients,
     build_weak_labels,
@@ -85,6 +87,75 @@ class TestTeachers:
         )
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: duplicate"):
             TableTeacher.from_file(str(path))
+
+
+class _ReferenceCosineTeacher:
+    """Recomputes every cosine score from scratch, as CosineTeacher did before memoising."""
+
+    def __init__(self, store, embedder=None):
+        self.store = store
+        self.embedder = embedder or HashingTextEmbedder(store.dim)
+
+    def score(self, query_text, passage):
+        q = self.embedder.embed(query_text)
+        v = self.store.vector(passage.id).astype(np.float64)
+        nq = np.linalg.norm(q)
+        nv = np.linalg.norm(v)
+        if nq == 0.0 or nv == 0.0:
+            return 0.0
+        return float(q @ v / (nq * nv))
+
+
+class _CountingEmbedder(HashingTextEmbedder):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.texts = Counter()
+
+    def embed(self, text):
+        self.texts[text] += 1
+        return super().embed(text)
+
+
+class TestCosineTeacherMemo:
+    """The memo returns exactly the floats the unmemoised formula gives."""
+
+    def test_weak_labels_equal_reference(self, planted, planted_index):
+        got = build_weak_labels(planted.corpus, planted.sessions, planted_index, CosineTeacher(planted.store))
+        want = build_weak_labels(
+            planted.corpus, planted.sessions, planted_index, _ReferenceCosineTeacher(planted.store)
+        )
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert (a.qid, a.rewrite, a.positives, a.bm25_pool) == (b.qid, b.rewrite, b.positives, b.bm25_pool)
+            assert a.teacher_pool == b.teacher_pool  # exact floats
+
+    def test_soft_label_training_is_bitwise_equal_to_reference(self, planted, planted_training):
+        untrained, _, train_labels = planted_training
+        cfg = TrainConfig(steps=60, seed=3, use_soft_labels=True, use_hard_negatives=True)
+        runs = []
+        for teacher in (CosineTeacher(planted.store), _ReferenceCosineTeacher(planted.store)):
+            encoder = untrained.copy()
+            result = train(
+                encoder, train_labels, planted.sessions, planted.store, cfg,
+                teacher=teacher, corpus=planted.corpus,
+            )
+            runs.append((encoder.embedding, encoder.projection, result.losses))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert runs[0][2] == runs[1][2]
+
+    def test_each_text_embedded_once(self, planted, planted_index):
+        embedder = _CountingEmbedder(planted.store.dim)
+        teacher = CosineTeacher(planted.store, embedder)
+        labels = build_weak_labels(planted.corpus, planted.sessions, planted_index, teacher)
+        for turn in labels:
+            for pid, score in turn.teacher_pool:
+                assert teacher.score(turn.rewrite, planted.corpus[pid]) == score
+        assert embedder.texts == Counter({t.manual_rewrite: 1 for s in planted.sessions for t in s.turns})
+
+    def test_zero_query_scores_zero(self, planted):
+        passage = planted.corpus.passages[0]
+        assert CosineTeacher(planted.store).score("...", passage) == 0.0
 
 
 class _BM25Teacher:
@@ -191,7 +262,55 @@ def single_turn_labels(n_negatives, positives=("g1", "g2", "g3")):
     return labels, sessions
 
 
+def multi_turn_labels():
+    """Four turns over one id list; each turn has three positives and five negatives."""
+    sessions = [
+        Session(s, [Turn(f"{s} turn {i}", f"{s} rewrite {i}") for i in range(2)]) for s in ("a", "b")
+    ]
+    ids = [f"p{j}" for j in range(8)]
+    qids = [s.qid(i) for s in sessions for i in range(2)]
+    labels = WeakLabelSet(
+        [
+            TurnLabels(
+                qid, f"rewrite {n}", ids[n : n + 3], list(ids),
+                [(d, -float(j)) for j, d in enumerate(reversed(ids))],
+            )
+            for n, qid in enumerate(qids)
+        ]
+    )
+    return labels, sessions, qids
+
+
+# Draws of seed 11 over three epochs, one sample per turn per epoch as in
+# train(); recorded before the sampler cached its per-turn work.
+PINNED_DRAWS = {
+    False: [
+        ("p0", "p3"), ("p2", "p6"), ("p3", "p6"), ("p5", "p7"), ("p1", "p6"), ("p3", "p0"),
+        ("p4", "p5"), ("p5", "p2"), ("p0", "p5"), ("p2", "p5"), ("p3", "p6"), ("p5", "p6"),
+    ],
+    True: [
+        ("p0", "p7"), ("p2", "p4"), ("p3", "p1"), ("p5", "p0"), ("p1", "p4"), ("p3", "p7"),
+        ("p4", "p5"), ("p5", "p2"), ("p0", "p5"), ("p2", "p5"), ("p3", "p1"), ("p5", "p1"),
+    ],
+}
+
+
 class TestTripletSampler:
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_draws_over_epochs_are_pinned(self, hard):
+        labels, sessions, qids = multi_turn_labels()
+        sampler = TripletSampler(labels, sessions, np.random.default_rng(11), use_hard_negatives=hard)
+        by_qid = {s.qid(i): (s, i) for s in sessions for i in range(len(s.turns))}
+        draws = []
+        for _ in range(3):
+            sampler.reset()
+            for qid in qids:
+                inst = sampler.sample(qid)
+                session, i = by_qid[qid]
+                assert (inst.context_tokens, inst.query_tokens) == session.tokens_for_turn(i)
+                draws.append((inst.positive_id, inst.negative_id))
+        assert draws == PINNED_DRAWS[hard]
+
     def test_single_eligible_negative_is_forced(self):
         labels, sessions = single_turn_labels(1)
         sampler = TripletSampler(labels, sessions, np.random.default_rng(0))
