@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import RewriteConfig, TokenEmbeddingMatrix, decontextualize, pool
 from .dense import PassageEmbeddingStore, search_dense
-from .ranking import RankedList
+from .ranking import RankedList, score_order
 from .sparse import InvertedIndex, search_sparse
 
 
@@ -29,21 +31,34 @@ def hybrid_combine(
     """Combine sparse and dense lists as alpha * sparse score + dense score.
 
     A document missing from one list takes that list's minimum observed
-    score as a substitute. The output covers the full union of both lists;
-    callers truncate to the depth they need.
+    score as a substitute. The output, in column form, covers the full
+    union of both lists in :meth:`RankedList.from_scores` order; callers
+    cut it to the depth they need with :meth:`RankedList.head`.
     """
     config = config or FusionConfig()
-    if not sparse.entries or not dense.entries:
+    if not sparse or not dense:
         raise ValueError("hybrid_combine requires two non-empty lists")
-    sp = sparse.scores()
-    ds = dense.scores()
-    min_sp = min(sp.values())
-    min_ds = min(ds.values())
-    combined = [
-        (docid, config.alpha * sp.get(docid, min_sp) + ds.get(docid, min_ds))
-        for docid in sp.keys() | ds.keys()
+    slot: dict[str, int] = {}  # union id -> position, sparse ids first
+    sides = [
+        (scores, [slot.setdefault(d, len(slot)) for d in ids])
+        for ids, scores in (sparse.columns(), dense.columns())
     ]
-    return RankedList.from_scores(combined, tag="hybrid")
+    sp, ds = (_spread(scores, pos, len(slot)) for scores, pos in sides)
+    fused = config.alpha * sp + ds  # the same IEEE multiply and add as on Python floats
+    union = list(slot)
+    order = score_order(fused, union)
+    return RankedList.from_columns([union[i] for i in order.tolist()], fused[order], "hybrid")
+
+
+def _spread(scores: np.ndarray, pos: list[int], n: int) -> np.ndarray:
+    """``scores`` at positions ``pos`` of ``n`` slots, the others filled with the list's minimum.
+
+    The filler is the first minimal score in rank order, the one ``min()``
+    picks, which decides the sign when 0.0 and -0.0 tie.
+    """
+    out = np.full(n, scores[np.argmax(scores == scores.min())])
+    out[pos] = scores
+    return out
 
 
 def hybrid_search(
@@ -67,7 +82,7 @@ def hybrid_search(
     bag = decontextualize(matrix, rewrite)
     sparse = search_sparse(index, bag, depth) if bag else RankedList([])
     fused = hybrid_combine(sparse, dense, fusion) if sparse and dense else sparse or dense
-    return RankedList(fused.entries[:k], tag="hybrid")
+    return fused.head(k, "hybrid")
 
 
 def rrf(

@@ -239,6 +239,10 @@ def save_index(index: InvertedIndex, path: str) -> None:
             fh.write(payload)
 
 
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+
 class _Reader:
     """Bounds-checked little-endian reads through one section of an index file."""
 
@@ -248,23 +252,49 @@ class _Reader:
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.path}: section {self.name}: {message}")
 
+    def short(self, pos: int, nbytes: int) -> ValueError:
+        return self.error(f"needs {nbytes} bytes at offset {pos}, {len(self.buf) - pos} left")
+
     def take(self, nbytes: int) -> memoryview:
         if nbytes > len(self.buf) - self.pos:
-            raise self.error(
-                f"needs {nbytes} bytes at offset {self.pos}, {len(self.buf) - self.pos} left"
-            )
+            raise self.short(self.pos, nbytes)
         self.pos += nbytes
         return self.buf[self.pos - nbytes : self.pos]
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def text(self) -> str:
-        (nbytes,) = self.unpack("<I")
-        try:
-            return str(self.take(nbytes), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.error(f"invalid UTF-8 at offset {self.pos - nbytes}: {exc.reason}") from None
+    def texts(self, n: int, runs: list[memoryview] | None = None) -> list[str]:
+        """``n`` strings, each a u32 byte length and UTF-8 bytes, read in one loop.
+
+        With ``runs``, each string is followed by a u64 count and that many
+        8-byte (ordinal, tf) pairs, whose bytes are appended to ``runs``.
+        """
+        buf, end, pos = self.buf, len(self.buf), self.pos
+        out = []
+        for _ in range(n):
+            if end - pos < 4:
+                raise self.short(pos, 4)
+            (nbytes,) = _U32.unpack_from(buf, pos)
+            pos += 4
+            if nbytes > end - pos:
+                raise self.short(pos, nbytes)
+            try:
+                out.append(str(buf[pos : pos + nbytes], "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise self.error(f"invalid UTF-8 at offset {pos}: {exc.reason}") from None
+            pos += nbytes
+            if runs is not None:
+                if end - pos < 8:
+                    raise self.short(pos, 8)
+                (count,) = _U64.unpack_from(buf, pos)
+                pos += 8
+                if count * 8 > end - pos:
+                    raise self.error(f"count {count} at offset {pos - 8} exceeds the section")
+                runs.append(buf[pos : pos + 8 * count])
+                pos += 8 * count
+        self.pos = pos
+        return out
 
     def count(self, item_bytes: int) -> int:
         """A u64 item count, checked against the bytes left for the items."""
@@ -324,7 +354,7 @@ def load_index(path: str) -> InvertedIndex:
 
     idmp = _Reader(path, "IDMP", sections[b"IDMP"])
     count = idmp.count(4)
-    ids = [idmp.text() for _ in range(count)]
+    ids = idmp.texts(count)
     idmp.finish()
     if len(set(ids)) != count:
         raise idmp.error("duplicate passage ids")
@@ -338,16 +368,13 @@ def load_index(path: str) -> InvertedIndex:
 
     post = _Reader(path, "POST", sections[b"POST"])
     n_terms = post.count(12)
-    terms, counts, chunks = [], [], []
-    for _ in range(n_terms):
-        terms.append(post.text())
-        n_post = post.count(8)
-        counts.append(n_post)
-        chunks.append(np.frombuffer(post.take(8 * n_post), dtype=U32))
+    runs: list[memoryview] = []
+    terms = post.texts(n_terms, runs)
     post.finish()
     if len(set(terms)) != len(terms):
         raise post.error("duplicate terms")
-    pairs = np.concatenate(chunks or [np.empty(0, dtype=U32)]).reshape(-1, 2)
+    counts = [len(run) // 8 for run in runs]
+    pairs = np.frombuffer(b"".join(runs), dtype=U32).reshape(-1, 2)
     ordinals = np.ascontiguousarray(pairs[:, 0])
     tfs = np.ascontiguousarray(pairs[:, 1])
     # Flag a posting whose ordinal is out of range or not above its predecessor's in the same term.

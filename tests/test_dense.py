@@ -1,11 +1,17 @@
 """Embedding store IO and exact inner-product search."""
 
 import json
+import os
 import re
+import tempfile
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cqe.corpus import WHITESPACE
 from cqe.dense import PassageEmbeddingStore, load_embeddings, save_embeddings, search_dense
 
 
@@ -199,3 +205,22 @@ class TestSearchDense:
         assert "_vectors64" not in vars(store)
         search_dense(store, np.ones(3), 2)
         assert vars(store)["_vectors64"].dtype == np.float64
+
+
+passage_ids = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(
+    lambda s: not WHITESPACE.search(s)
+)
+finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(passage_ids, max_size=6, unique=True), st.integers(1, 5), st.data())
+def test_store_round_trip_keeps_ids_and_float32_bytes(ids, dim, data):
+    vectors = data.draw(hnp.arrays(np.float32, (len(ids), dim), elements=finite_f32))
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = os.path.join(tmp, "store.json")
+        save_embeddings(PassageEmbeddingStore(ids, vectors), manifest)
+        loaded = load_embeddings(manifest)
+    assert loaded.ids == ids
+    assert loaded.vectors.dtype == np.float32 and loaded.vectors.shape == (len(ids), dim)
+    assert loaded.vectors.tobytes() == vectors.tobytes()

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqe.core import RewriteConfig, TokenEmbeddingMatrix, decontextualize, pool
 from cqe.corpus import tokenize
 from cqe.dense import search_dense
 from cqe.fusion import FusionConfig, hybrid_combine, hybrid_search, rrf
-from cqe.ranking import RankedList
+from cqe.ranking import RankedEntry, RankedList
 from cqe.sparse import search_sparse
 from cqe.trainer import ToyQueryEncoder
 
@@ -39,6 +41,94 @@ def oracle_hybrid(sparse, dense, alpha):
         else:
             out[d] = alpha * min_sp + ds[d]
     return sorted(out.items(), key=lambda it: (-it[1], it[0]))
+
+
+def reference_hybrid_combine(sparse, dense, config=None):
+    """The earlier list-and-dict fusion: two score dicts, then RankedList.from_scores."""
+    config = config or FusionConfig()
+    sp = {e.docid: e.score for e in sparse.entries}
+    ds = {e.docid: e.score for e in dense.entries}
+    min_sp = min(sp.values())
+    min_ds = min(ds.values())
+    combined = [
+        (docid, config.alpha * sp.get(docid, min_sp) + ds.get(docid, min_ds))
+        for docid in sp.keys() | ds.keys()
+    ]
+    return RankedList.from_scores(combined, tag="hybrid")
+
+
+def exact(ranked):
+    """(docid, score, rank) per entry with the score's bits: == alone takes -0.0 for 0.0."""
+    for e in ranked:
+        assert type(e.score) is float and type(e.rank) is int
+    return [(e.docid, e.score.hex(), e.rank) for e in ranked]
+
+
+def as_columns(ranked):
+    """The same results as a column-form list."""
+    return RankedList.from_columns(ranked.docids(), np.array([e.score for e in ranked]), ranked.tag)
+
+
+# Few distinct scores, signed zeros and tiny values force equal fused scores.
+TIE_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 5e-324, -5e-324]),
+    st.floats(-4, 4, allow_nan=False),
+)
+ALPHAS = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]), st.floats(0, 8, allow_nan=False))
+
+
+@st.composite
+def list_pairs(draw):
+    """(sparse, dense) entry lists whose id sets overlap, coincide or are disjoint."""
+    def scored(alphabet):
+        return st.dictionaries(st.text(alphabet, min_size=1, max_size=3), TIE_SCORES, min_size=1, max_size=9)
+
+    sparse = draw(scored("abc"))
+    mode = draw(st.sampled_from(["overlap", "same", "disjoint"]))
+    if mode == "same":
+        dense = {d: draw(TIE_SCORES) for d in sparse}
+    else:
+        dense = draw(scored("bcd" if mode == "overlap" else "xyz"))
+    return RankedList.from_scores(sparse.items(), "sparse"), RankedList.from_scores(dense.items(), "dense")
+
+
+class TestHybridCombineExact:
+    @settings(max_examples=300, deadline=None)
+    @given(list_pairs(), ALPHAS)
+    def test_equals_reference_bit_for_bit(self, pair, alpha):
+        sparse, dense = pair
+        config = FusionConfig(alpha=alpha)
+        expected = exact(reference_hybrid_combine(sparse, dense, config))
+        assert exact(hybrid_combine(sparse, dense, config)) == expected
+        assert exact(hybrid_combine(as_columns(sparse), as_columns(dense), config)) == expected
+        assert hybrid_combine(sparse, dense, config) == reference_hybrid_combine(sparse, dense, config)
+
+    def test_shared_fused_scores_break_by_id(self):
+        sparse = RankedList.from_scores([("c", 2.0), ("a", 1.0), ("b", 0.0)], "sparse")
+        dense = RankedList.from_scores([("b", 0.5), ("a", 0.4), ("d", 0.3)], "dense")
+        got = hybrid_combine(sparse, dense, FusionConfig(alpha=0.1))
+        # c: 0.2 + 0.3 (dense minimum), a: 0.1 + 0.4, b: 0.0 + 0.5, d: 0.0 (sparse minimum) + 0.3
+        assert [(e.docid, e.score, e.rank) for e in got] == [
+            ("a", 0.5, 1), ("b", 0.5, 2), ("c", 0.5, 3), ("d", 0.3, 4)
+        ]
+        tied = RankedList.from_scores([("z", 1.0), ("y", 1.0), ("x", 1.0)], "dense")
+        # alpha 0: every sparse-only document takes the dense minimum, 1.0
+        got = hybrid_combine(sparse, tied, FusionConfig(alpha=0.0))
+        assert got.docids() == ["a", "b", "c", "x", "y", "z"]
+
+    def test_signed_zero_substitute_is_the_first_minimum(self):
+        # The sparse minimum is a 0.0/-0.0 tie; min() takes the first in rank order ("a": -0.0).
+        sparse = RankedList([RankedEntry("a", -0.0, 1), RankedEntry("b", 0.0, 2)], "sparse")
+        dense = RankedList.from_scores([("c", -0.0)], "dense")
+        got = hybrid_combine(sparse, dense, FusionConfig(alpha=1.0))
+        assert exact(got) == exact(reference_hybrid_combine(sparse, dense, FusionConfig(alpha=1.0)))
+        assert got.scores()["c"].hex() == "-0x0.0p+0"
+
+    def test_one_element_lists(self):
+        one = RankedList.from_scores([("a", 2.0)], "sparse")
+        other = RankedList.from_scores([("b", 0.25)], "dense")
+        for sparse, dense in ((one, other), (one, one), (other, one)):
+            assert exact(hybrid_combine(sparse, dense)) == exact(reference_hybrid_combine(sparse, dense))
 
 
 class TestHybridCombine:
@@ -199,6 +289,16 @@ class TestHybridSearch:
         got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
         assert got.tag == "hybrid"
         assert got.entries == search_dense(planted.store, pool(matrix), 20).entries[:5]
+
+    @pytest.mark.parametrize("k", [1, 7, 10_000])
+    def test_equals_reference_cut_at_k(self, planted, planted_index, k):
+        for matrix in self.turn_matrices(planted):
+            sparse = search_sparse(planted_index, decontextualize(matrix, self.REWRITE), 20)
+            dense = search_dense(planted.store, pool(matrix), 20)
+            got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, k)
+            full = reference_hybrid_combine(sparse, dense, self.FUSION) if sparse else dense
+            assert exact(got) == exact(full)[:k]
+            assert len(got) == min(k, len(full))
 
     def test_k_must_be_positive(self, planted, planted_index):
         matrix = self.turn_matrices(planted)[0]

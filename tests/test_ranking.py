@@ -1,0 +1,104 @@
+"""Ranked lists in their two forms, entries and columns, and the exact orderings behind them."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cqe.ranking import RankedEntry, RankedList, id_ranks, score_order, top_k
+
+SCORED = [("b", 2.0), ("a", 2.0), ("c", 0.5), ("d", -0.0), ("e", -1.25)]
+
+
+def both_forms(scored, tag="run"):
+    """(entry-built, column-built) lists of the same results."""
+    entries = RankedList.from_scores(scored, tag)
+    columns = RankedList.from_columns(entries.docids(), np.array([e.score for e in entries]), tag)
+    return entries, columns
+
+
+class TestTwoForms:
+    def test_equal_and_read_alike(self):
+        entries, columns = both_forms(SCORED)
+        assert columns == entries and entries == columns
+        assert columns.docids() == entries.docids() == ["a", "b", "c", "d", "e"]
+        assert columns.scores() == entries.scores()
+        assert list(columns) == list(entries)
+        assert columns.entries == entries.entries
+        assert [e.rank for e in columns] == [1, 2, 3, 4, 5]
+        assert len(columns) == len(entries) == 5
+        assert bool(columns) and bool(entries)
+        assert repr(columns) == repr(entries)
+
+    def test_reads_alike_after_its_entries_are_built(self):
+        entries, columns = both_forms(SCORED, "dense")
+        ids, scores = columns.columns()
+        assert columns.entries == entries.entries  # the entries now replace the columns
+        assert columns.docids() == ids and columns.scores() == dict(zip(ids, scores.tolist()))
+        again_ids, again_scores = columns.columns()
+        assert again_ids == ids and again_scores.tobytes() == scores.tobytes()
+        assert columns.head(2) == entries.head(2) and len(columns) == 5
+
+    def test_entries_hold_python_numbers(self):
+        _, columns = both_forms(SCORED)
+        for e in columns:
+            assert type(e) is RankedEntry and type(e.score) is float and type(e.rank) is int
+        assert columns.scores()["d"].hex() == "-0x0.0p+0"
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_head_cuts_both_forms_alike(self, k):
+        entries, columns = both_forms(SCORED, "sparse")
+        assert columns.head(k) == entries.head(k) == RankedList(entries.entries[:k], "sparse")
+        assert columns.head(k, "hybrid") == RankedList(entries.entries[:k], "hybrid")
+        assert len(columns.head(k)) == min(k, 5)
+
+    def test_tag_and_order_matter(self):
+        entries, columns = both_forms(SCORED)
+        assert columns != both_forms(SCORED, "other")[1]
+        assert columns != RankedList(entries.entries[::-1])
+        assert columns != entries.entries
+
+    def test_empty_lists_are_falsy(self):
+        for empty in (RankedList(), RankedList([], "dense"), RankedList.from_columns([], np.empty(0))):
+            assert not empty and len(empty) == 0
+            assert empty.docids() == [] and empty.scores() == {} and list(empty) == []
+        assert RankedList() == RankedList.from_columns([], np.empty(0))
+
+    def test_positional_constructor_keeps_entries_as_given(self):
+        # Run files may hold ranks that do not count from 1; the entry form keeps them.
+        ranked = RankedList([RankedEntry("x", 3.0, 7), RankedEntry("y", 1.0, 9)], "t")
+        assert [e.rank for e in ranked] == [7, 9]
+        assert ranked.tag == "t"
+        ids, scores = ranked.columns()
+        assert ids == ["x", "y"] and scores.dtype == np.float64 and scores.tolist() == [3.0, 1.0]
+
+
+# Few distinct scores and short ids over a small alphabet force long tie runs.
+scores_and_ids = st.dictionaries(
+    st.text("abé", min_size=1, max_size=4),
+    st.sampled_from([0.0, -0.0, 1.0, 1.5, -2.0, 5e-324]) | st.floats(-3, 3, allow_nan=False),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores_and_ids)
+def test_score_order_matches_from_scores(scored):
+    ids = list(scored)
+    order = score_order(np.array([scored[d] for d in ids]), ids)
+    expected = RankedList.from_scores(scored.items())
+    assert [ids[i] for i in order.tolist()] == expected.docids()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores_and_ids, st.integers(1, 35))
+def test_top_k_column_form_matches_from_scores(scored, k):
+    ids = list(scored)
+    rows = np.arange(len(ids))
+    got = top_k(rows, np.array([scored[d] for d in ids]), ids, id_ranks(ids), k, "t")
+    expected = RankedList.from_scores(scored.items(), "t", k=k)
+    assert got == expected
+    assert [(e.docid, e.score.hex(), e.rank) for e in got] == [
+        (e.docid, e.score.hex(), e.rank) for e in expected
+    ]

@@ -1,18 +1,24 @@
 """Weak labels, triplet sampling, losses, gradients, and the training loop."""
 
 import math
+import os
 import re
+import tempfile
 import warnings
 from collections import Counter
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_recall
 from cqe.core import Session, Turn, token_norm_report
-from cqe.corpus import Corpus, Passage, tokenize
+from cqe.corpus import WHITESPACE, Corpus, Passage, tokenize
 from cqe.sparse import bm25_score, build_index, search_sparse
 from cqe.trainer import (
+    UNK_TOKEN,
     CosineTeacher,
     HashingTextEmbedder,
     TableTeacher,
@@ -666,3 +672,29 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
+
+
+# The vocab file holds one token per line, so tokens may hold any character but whitespace.
+vocab_tokens = st.text(st.characters(codec="utf-8"), max_size=6).filter(
+    lambda s: s != UNK_TOKEN and not WHITESPACE.search(s)
+)
+f32_values = st.floats(width=32, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(vocab_tokens, max_size=6, unique=True), st.integers(1, 4), st.data())
+def test_encoder_round_trip_keeps_vocab_and_parameter_bytes(tokens, dim, data):
+    tokens = [UNK_TOKEN, *tokens]
+    vocab = dict(zip(tokens, data.draw(st.permutations(range(len(tokens))))))
+    # float64 parameters that float32 holds exactly survive the f32 files bit for bit
+    embedding = data.draw(hnp.arrays(np.float32, (len(tokens), dim), elements=f32_values))
+    projection = data.draw(hnp.arrays(np.float32, (dim, dim), elements=f32_values))
+    encoder = ToyQueryEncoder(vocab, embedding.astype(np.float64), projection.astype(np.float64))
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = os.path.join(tmp, "encoder.json")
+        encoder.save(manifest)
+        loaded = ToyQueryEncoder.load(manifest)
+    assert loaded.vocab == vocab
+    assert loaded.embedding.dtype == np.float64 and loaded.projection.dtype == np.float64
+    assert loaded.embedding.tobytes() == encoder.embedding.tobytes()
+    assert loaded.projection.tobytes() == encoder.projection.tobytes()
