@@ -24,7 +24,7 @@ from .core import (
     pool,
     token_norm_report,
 )
-from .corpus import check_id, load_corpus, read_jsonl, str_fields, tokenize, unique
+from .corpus import check_id, load_corpus, read_jsonl, str_fields, tokenize, unique, write_jsonl
 from .dense import load_embeddings, search_dense
 from .evaluation import ndcg, paired_t_test, read_qrels, read_run, recall_at, win_tie, write_run
 from .fusion import FusionConfig, hybrid_search, rrf
@@ -212,11 +212,8 @@ def _cmd_rewrite(args) -> int:
     matrices = _query_matrices(args, cfg)
     rewrite = _merge(cfg.rewrite, args)
     out = _output_path(args.output, None, "rewrites")
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for qid, matrix in matrices.items():
-            bag = decontextualize(matrix, rewrite)
-            fh.write(json.dumps({"qid": qid, "text": " ".join(bag)}, ensure_ascii=False))
-            fh.write("\n")
+    rows = ({"qid": qid, "text": " ".join(decontextualize(m, rewrite))} for qid, m in matrices.items())
+    write_jsonl(out, rows)
     print(f"rewrote {len(matrices)} queries (gamma={rewrite.gamma}) -> {out}")
     return 0
 

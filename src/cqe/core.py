@@ -11,14 +11,13 @@ conversational query into a stand-alone bag of words.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import check_id, read_jsonl, str_fields, tokenize, unique
+from .corpus import check_id, read_jsonl, str_fields, str_lists, tokenize, unique, write_jsonl
 
 # Marker tokens from embedding dumps; never emitted in rewritten queries.
 SPECIAL_TOKENS = frozenset(
@@ -238,17 +237,8 @@ def load_sessions(path: str) -> list[Session]:
 
 
 def save_sessions(sessions: list[Session], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in sessions:
-            obj = {
-                "session_id": s.session_id,
-                "turns": [
-                    {"raw_utterance": t.raw_utterance, "manual_rewrite": t.manual_rewrite}
-                    for t in s.turns
-                ],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False))
-            fh.write("\n")
+    """Write sessions as JSON-lines in the layout :func:`load_sessions` reads."""
+    write_jsonl(path, map(asdict, sessions))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +253,8 @@ def load_token_matrices(path: str) -> dict[str, TokenEmbeddingMatrix]:
     def record(obj: dict) -> tuple[str, TokenEmbeddingMatrix]:
         (qid,) = str_fields(obj, "qid")
         check_id(qid, "qid")
-        tokens, context_len = obj["tokens"], obj["context_len"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise TypeError("a matrix needs a list of string 'tokens'")
+        (tokens,) = str_lists(obj, "tokens")
+        context_len = obj["context_len"]
         if type(context_len) is not int:
             raise TypeError(f"'context_len' must be an integer, got {context_len!r}")
         vectors = np.asarray(obj["vectors"], dtype=np.float64)
@@ -275,13 +264,8 @@ def load_token_matrices(path: str) -> dict[str, TokenEmbeddingMatrix]:
 
 
 def save_token_matrices(matrices: Mapping[str, TokenEmbeddingMatrix], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for qid, m in matrices.items():
-            obj = {
-                "qid": qid,
-                "tokens": m.tokens,
-                "context_len": m.context_len,
-                "vectors": [[float(x) for x in row] for row in m.vectors],
-            }
-            fh.write(json.dumps(obj))
-            fh.write("\n")
+    rows = (
+        {"qid": qid, "tokens": m.tokens, "context_len": m.context_len, "vectors": m.vectors.tolist()}
+        for qid, m in matrices.items()
+    )
+    write_jsonl(path, rows)

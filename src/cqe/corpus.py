@@ -21,6 +21,13 @@ def check_id(value: str, what: str) -> str:
     return value
 
 
+def check_ids(ids: list[str], what: str) -> None:
+    """ValueError naming the first empty or whitespace id; one scan of all ids when there is none."""
+    if "" in ids or WHITESPACE.search("\0".join(ids)):
+        bad = next(value for value in ids if not value or WHITESPACE.search(value))
+        raise ValueError(f"{what} {bad!r} is empty or contains whitespace")
+
+
 def tokenize(text: str) -> list[str]:
     """Split text into lowercase tokens.
 
@@ -76,9 +83,6 @@ class Corpus:
         except KeyError:
             raise KeyError(f"unknown passage id {passage_id!r}") from None
 
-    def get(self, passage_id: str) -> Passage | None:
-        return self._by_id.get(passage_id)
-
 
 def read_jsonl(path: str, record: Callable[[dict], T]) -> list[T]:
     """``record(obj)`` for each line of a JSON-lines file, one JSON object per line.
@@ -100,6 +104,14 @@ def read_jsonl(path: str, record: Callable[[dict], T]) -> list[T]:
     return out
 
 
+def write_jsonl(path: str, objects: Iterable[dict]) -> None:
+    """Write one JSON object per line: UTF-8, LF endings, non-ASCII characters as they are."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, ensure_ascii=False))
+            fh.write("\n")
+
+
 def str_fields(obj: dict, *names: str) -> tuple[str, ...]:
     """The values of ``names`` in ``obj``; TypeError unless each is a string."""
     values = tuple(obj[name] for name in names)
@@ -107,6 +119,14 @@ def str_fields(obj: dict, *names: str) -> tuple[str, ...]:
         if not isinstance(value, str):
             raise TypeError(f"{name!r} must be a string, got {type(value).__name__}")
     return values
+
+
+def str_lists(obj: dict, *names: str) -> tuple[list[str], ...]:
+    """The values of ``names`` in ``obj``; TypeError unless each is a list of strings."""
+    for name in names:
+        if not isinstance(obj[name], list) or not all(isinstance(v, str) for v in obj[name]):
+            raise TypeError(f"{name!r} must be a list of strings")
+    return tuple(obj[name] for name in names)
 
 
 def unique(key: Hashable, seen: set, what: str) -> Hashable:
@@ -134,7 +154,4 @@ def load_corpus(path: str) -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus as UTF-8 JSON-lines with LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in corpus:
-            fh.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, ({"id": p.id, "text": p.text} for p in corpus))

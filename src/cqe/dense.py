@@ -7,12 +7,12 @@ exact brute force over all stored rows.
 
 from __future__ import annotations
 
-import json
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .corpus import WHITESPACE
+from .corpus import check_ids, read_jsonl, write_jsonl
 from .ranking import RankedList, id_ranks, top_k
 
 
@@ -32,10 +32,7 @@ class PassageEmbeddingStore:
         self._row = {pid: i for i, pid in enumerate(ids)}
         if len(self._row) != len(ids):
             raise ValueError("passage ids must be unique")
-        # One scan of all ids; the per-id search only runs to name the offender.
-        if "" in self._row or WHITESPACE.search("\0".join(ids)):
-            bad = next(pid for pid in ids if not pid or WHITESPACE.search(pid))
-            raise ValueError(f"passage id {bad!r} is empty or contains whitespace")
+        check_ids(ids, "passage id")
         self.ids = list(ids)
         self.vectors = vectors
 
@@ -69,51 +66,74 @@ class PassageEmbeddingStore:
             raise KeyError(f"unknown passage id {passage_id!r}") from None
 
 
-def _companion_paths(manifest_path: str) -> tuple[str, str]:
-    base = manifest_path[:-5] if manifest_path.endswith(".json") else manifest_path
-    return base + ".f32", base + ".ids"
+# Store and encoder files: a manifest, one JSON line {<size>: int, ..., "dtype": "f32le"}, and
+# sidecars named by the manifest path without ".json": f32 little-endian blobs and UTF-8 line files.
+
+
+def sidecar_base(manifest_path: str) -> str:
+    return manifest_path[:-5] if manifest_path.endswith(".json") else manifest_path
+
+
+def write_manifest(path: str, **sizes: int) -> None:
+    write_jsonl(path, [{**sizes, "dtype": "f32le"}])
+
+
+def read_manifest(path: str, *names: str) -> tuple[int, ...]:
+    """The sizes ``names`` of a manifest; ValueError naming ``path`` unless it is well formed."""
+
+    def record(obj: dict) -> tuple[int, ...]:
+        if obj.get("dtype") != "f32le":
+            raise ValueError(f"unsupported dtype {obj.get('dtype')!r}")
+        sizes = tuple(obj[name] for name in names)
+        for name, size in zip(names, sizes):
+            if type(size) is not int or size < 0:
+                raise ValueError(f"invalid {name} {size!r}")
+        return sizes
+
+    manifests = read_jsonl(path, record)
+    if len(manifests) != 1:
+        raise ValueError(f"{path}: expected one manifest line, got {len(manifests)}")
+    return manifests[0]
+
+
+def read_f32(path: str, *shape: int) -> np.ndarray:
+    """A little-endian f32 blob as a float32 array of ``shape``, its size checked."""
+    raw = np.fromfile(path, dtype="<f4")
+    if raw.size != math.prod(shape):
+        raise ValueError(f"{path}: holds {raw.size} floats, manifest declares {'x'.join(map(str, shape))}")
+    return raw.reshape(shape)
+
+
+def write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def read_lines(path: str, count: int, what: str) -> list[str]:
+    """The lines of a UTF-8 line file, which must hold ``count`` ``what``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if len(lines) != count:
+        raise ValueError(f"{path}: {len(lines)} {what} != declared count {count}")
+    return lines
 
 
 def save_embeddings(store: PassageEmbeddingStore, manifest_path: str) -> None:
     """Write manifest JSON plus <base>.f32 vector and <base>.ids id files."""
-    vec_path, ids_path = _companion_paths(manifest_path)
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"dim": store.dim, "count": store.count, "dtype": "f32le"}, fh)
-        fh.write("\n")
-    with open(vec_path, "wb") as fh:
-        fh.write(store.vectors.astype("<f4").tobytes())
-    with open(ids_path, "w", encoding="utf-8", newline="\n") as fh:
-        for pid in store.ids:
-            fh.write(pid)
-            fh.write("\n")
+    base = sidecar_base(manifest_path)
+    write_manifest(manifest_path, dim=store.dim, count=store.count)
+    store.vectors.astype("<f4").tofile(base + ".f32")
+    write_lines(base + ".ids", store.ids)
 
 
 def load_embeddings(manifest_path: str) -> PassageEmbeddingStore:
     """Load a store saved by :func:`save_embeddings`; round-trips byte-exactly."""
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    dim = manifest.get("dim")
-    count = manifest.get("count")
-    dtype = manifest.get("dtype")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"{manifest_path}: invalid dim {dim!r}")
-    if not isinstance(count, int) or count < 0:
-        raise ValueError(f"{manifest_path}: invalid count {count!r}")
-    if dtype != "f32le":
-        raise ValueError(f"{manifest_path}: unsupported dtype {dtype!r}")
-
-    vec_path, ids_path = _companion_paths(manifest_path)
-    raw = np.fromfile(vec_path, dtype="<f4")
-    if raw.size != count * dim:
-        raise ValueError(
-            f"{vec_path}: holds {raw.size} floats, manifest declares {count}x{dim}"
-        )
-    with open(ids_path, encoding="utf-8") as fh:
-        ids = fh.read().splitlines()
-    if len(ids) != count:
-        raise ValueError(f"{ids_path}: {len(ids)} ids != declared count {count}")
+    dim, count = read_manifest(manifest_path, "dim", "count")
+    base = sidecar_base(manifest_path)
+    vectors = read_f32(base + ".f32", count, dim)
+    ids = read_lines(base + ".ids", count, "ids")
     try:
-        return PassageEmbeddingStore(ids, raw.reshape(count, dim))
+        return PassageEmbeddingStore(ids, vectors)
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
 

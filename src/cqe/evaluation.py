@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .ranking import RankedEntry, RankedList
 
@@ -66,7 +65,7 @@ def ndcg(
         judged = qrels[qid]
         if sum(judged.values()) == 0:
             continue
-        gains = [judged.get(e.docid, 0) for e in run[qid].entries[:cutoff]]
+        gains = [judged.get(d, 0) for d in run[qid].head(cutoff).docids()]
         ideal = sorted(judged.values(), reverse=True)[:cutoff]
         per_query[qid] = _dcg(gains) / _dcg(ideal)
     return MetricReport("ndcg", cutoff, per_query)
@@ -86,7 +85,7 @@ def recall_at(
         positives = {d for d, g in qrels[qid].items() if g >= min_grade}
         if not positives:
             continue
-        retrieved = {e.docid for e in run[qid].entries[:cutoff]}
+        retrieved = set(run[qid].head(cutoff).docids())
         per_query[qid] = len(retrieved & positives) / len(positives)
     return MetricReport("recall", cutoff, per_query)
 
@@ -129,6 +128,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
         if mean == 0.0:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
+    from scipy.special import betainc  # imported here: scipy takes most of the CLI's start-up
     t = mean / (sd / math.sqrt(n))
     dof = n - 1
     p = float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
@@ -207,7 +207,10 @@ def read_qrels(path: str) -> Qrels:
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             qid, _, docid, grade = fields
-            g = int(grade)
+            try:
+                g = int(grade)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad grade {grade!r}") from None
             if not (0 <= g <= MAX_GRADE):
                 raise ValueError(f"{path}:{lineno}: grade {g} outside 0..{MAX_GRADE}")
             if docid in qrels.get(qid, {}):

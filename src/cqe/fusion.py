@@ -31,7 +31,7 @@ def hybrid_combine(
     """Combine sparse and dense lists as alpha * sparse score + dense score.
 
     A document missing from one list takes that list's minimum observed
-    score as a substitute. The output, in column form, covers the full
+    score as a substitute. The output, built from columns, covers the full
     union of both lists in :meth:`RankedList.from_scores` order; callers
     cut it to the depth they need with :meth:`RankedList.head`.
     """

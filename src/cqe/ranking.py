@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,76 +19,63 @@ class RankedList:
     Ties are broken by ascending docid so runs are reproducible. Lists
     built through :meth:`from_scores` always satisfy the invariants.
 
-    A list holds either its entries, as given to the constructor, or two
-    columns, ids in rank order and their float64 scores
-    (:meth:`from_columns`), whose entries, ranked 1..n, are built on
-    first access and then replace the columns, so a list keeps one copy
-    of its results. Both forms read and compare alike.
+    A list is three columns: ids in rank order, their float64 scores and
+    their ranks, as given to the constructor (run files may number ranks
+    freely) or 1..n from :meth:`from_columns` and :meth:`from_scores`.
+    :attr:`entries` and iteration build :class:`RankedEntry` tuples from
+    the columns on each read.
     """
 
     def __init__(self, entries: Iterable[RankedEntry] = (), tag: str = "run"):
-        self._entries: list[RankedEntry] | None = list(entries)
-        self._columns: tuple[list[str], np.ndarray] | None = None
+        entries = list(entries)
+        self._ids = [e.docid for e in entries]
+        self._scores = np.array([e.score for e in entries], dtype=np.float64)
+        self._ranks: Sequence[int] = [e.rank for e in entries]
         self.tag = tag
 
     @classmethod
     def from_columns(cls, ids: list[str], scores: np.ndarray, tag: str = "run") -> RankedList:
-        """``ids`` in rank order with their float64 ``scores``; entries are built on first access."""
+        """``ids`` in rank order with their float64 ``scores``, ranked 1..n; both are kept, not copied."""
         ranked = cls((), tag)
-        ranked._entries, ranked._columns = None, (ids, scores)
+        ranked._ids, ranked._scores, ranked._ranks = ids, scores, range(1, len(ids) + 1)
         return ranked
 
     @classmethod
     def from_scores(
-        cls,
-        scored: Iterable[tuple[str, float]],
-        tag: str = "run",
-        k: int | None = None,
+        cls, scored: Collection[tuple[str, float]], tag: str = "run", k: int | None = None
     ) -> RankedList:
-        """Sort (docid, score) pairs by descending score, ascending docid; keep the first ``k``."""
+        """Order (docid, score) pairs by descending score, ascending docid; keep the first ``k``."""
         if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        items = sorted(scored, key=lambda it: (-it[1], it[0]))
-        if len({d for d, _ in items}) != len(items):
+        ids, scores = zip(*scored) if len(scored) else ((), ())
+        if len(set(ids)) != len(ids):
             raise ValueError("duplicate docids in scored results")
-        if k is not None:
-            items = items[:k]
-        entries = [RankedEntry(d, float(s), r) for r, (d, s) in enumerate(items, start=1)]
-        return cls(entries, tag)
+        scores = np.array(scores, dtype=np.float64)
+        order = score_order(scores, ids)[:k]
+        return cls.from_columns([ids[i] for i in order.tolist()], scores[order], tag)
 
     @property
     def entries(self) -> list[RankedEntry]:
-        if self._entries is None:
-            ids, scores = self._columns
-            self._entries = list(map(RankedEntry, ids, scores.tolist(), range(1, len(ids) + 1)))
-            self._columns = None
-        return self._entries
+        return list(map(RankedEntry, self._ids, self._scores.tolist(), self._ranks))
 
     def columns(self) -> tuple[list[str], np.ndarray]:
-        """(ids in rank order, float64 scores); a column-form list returns its own, not copies."""
-        if self._columns is None:
-            return self.docids(), np.array([e.score for e in self._entries], dtype=np.float64)
-        return self._columns
+        """(ids in rank order, float64 scores): the list's own columns, not copies."""
+        return self._ids, self._scores
 
     def head(self, k: int, tag: str | None = None) -> RankedList:
-        """The first ``k`` results in the same form, tagged ``tag`` (default: this list's tag)."""
-        tag = self.tag if tag is None else tag
-        if self._columns is None:
-            return RankedList(self._entries[:k], tag)
-        ids, scores = self._columns
-        return RankedList.from_columns(ids[:k], scores[:k], tag)
+        """The first ``k`` results, each column cut, tagged ``tag`` (default: this list's tag)."""
+        ranked = RankedList((), self.tag if tag is None else tag)
+        ranked._ids, ranked._scores, ranked._ranks = self._ids[:k], self._scores[:k], self._ranks[:k]
+        return ranked
 
     def docids(self) -> list[str]:
-        return [e.docid for e in self._entries] if self._columns is None else list(self._columns[0])
+        return list(self._ids)
 
     def scores(self) -> dict[str, float]:
-        if self._columns is None:
-            return {e.docid: e.score for e in self._entries}
-        ids, scores = self._columns
-        return dict(zip(ids, scores.tolist()))
+        return dict(zip(self._ids, self._scores.tolist()))
 
     def __len__(self) -> int:
-        return len(self._entries) if self._columns is None else len(self._columns[0])
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[RankedEntry]:
         return iter(self.entries)
@@ -114,7 +101,7 @@ def score_order(scores: np.ndarray, ids: Sequence[str]) -> np.ndarray:
 
     One stable sort orders the scores; only the ids inside runs of equal
     scores are ranked (:func:`id_ranks`) and re-sorted, so the order
-    equals :meth:`RankedList.from_scores` without sorting every id.
+    equals a full sort by (-score, id) without sorting every id.
     """
     order = np.argsort(-scores, kind="stable")
     ordered = scores[order]
@@ -138,9 +125,8 @@ def top_k(
     (their :func:`id_ranks`) are indexed by row. A partial selection
     finds the k-th best score and every candidate tied with it is kept,
     so only that small set is fully sorted and the ascending-id rule
-    still decides which tied rows make the cut. The result, in column
-    form, equals :meth:`RankedList.from_scores` over all candidates, cut
-    at ``k``.
+    still decides which tied rows make the cut. The result equals
+    :meth:`RankedList.from_scores` over all candidates, cut at ``k``.
     """
     if len(rows) > k:
         cut = len(rows) - k

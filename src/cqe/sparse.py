@@ -12,12 +12,11 @@ import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import Corpus, tokenize
+from .corpus import Corpus, check_ids, tokenize
 from .ranking import RankedList, id_ranks, top_k
 
 MAGIC = b"CQESPIDX"
@@ -69,13 +68,6 @@ class InvertedIndex:
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """(ordinals, term frequencies) of ``term``, or None when it is not indexed."""
         return self._postings.get(term)
-
-    @cached_property
-    def postings(self) -> Mapping[str, list[tuple[int, int]]]:
-        """Read-only term -> [(ordinal, tf)] view, built on first access; search does not use it."""
-        return MappingProxyType(
-            {term: list(zip(o.tolist(), t.tolist())) for term, (o, t) in self._postings.items()}
-        )
 
     @cached_property
     def _ordinal(self) -> dict[str, int]:
@@ -358,6 +350,10 @@ def load_index(path: str) -> InvertedIndex:
     idmp.finish()
     if len(set(ids)) != count:
         raise idmp.error("duplicate passage ids")
+    try:
+        check_ids(ids, "passage id")
+    except ValueError as exc:
+        raise idmp.error(str(exc)) from None
 
     dlen = _Reader(path, "DLEN", sections[b"DLEN"])
     count_l = dlen.count(4)

@@ -13,7 +13,6 @@ reproducible for a fixed seed.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,9 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Passage, read_jsonl, str_fields, tokenize, unique
+from .corpus import Corpus, Passage, read_jsonl, str_fields, str_lists, tokenize, unique, write_jsonl
 from .core import Session, TokenEmbeddingMatrix
-from .dense import PassageEmbeddingStore
+from .dense import PassageEmbeddingStore, read_f32, read_lines, read_manifest, sidecar_base
+from .dense import write_lines, write_manifest
+from .ranking import RankedList
 from .sparse import InvertedIndex, search_sparse
 
 UNK_TOKEN = "<unk>"
@@ -182,45 +183,41 @@ def build_weak_labels(
                     f"skipping turn {qid!r}: only {len(candidates)} retrievable candidates"
                 )
                 continue
-            rescored = sorted(
-                (
-                    (e.docid, float(teacher.score(turn.manual_rewrite, corpus[e.docid])))
-                    for e in candidates
-                ),
-                key=lambda it: (-it[1], it[0]),
+            ids = candidates.docids()
+            rescored = RankedList.from_scores(
+                [(d, float(teacher.score(turn.manual_rewrite, corpus[d]))) for d in ids]
             )
             turns.append(
                 TurnLabels(
                     qid=qid,
                     rewrite=turn.manual_rewrite,
-                    positives=[d for d, _ in rescored[:3]],
-                    bm25_pool=candidates.docids()[:pool_size],
-                    teacher_pool=rescored[:pool_size],
+                    positives=rescored.head(3).docids(),
+                    bm25_pool=ids[:pool_size],
+                    teacher_pool=[(e.docid, e.score) for e in rescored.head(pool_size)],
                 )
             )
     return WeakLabelSet(turns)
 
 
 def save_weak_labels(labels: WeakLabelSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in labels:
-            obj = {
-                "qid": t.qid,
-                "rewrite": t.rewrite,
-                "positives": t.positives,
-                "bm25_pool": t.bm25_pool,
-                "teacher_pool": [{"id": d, "score": s} for d, s in t.teacher_pool],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False))
-            fh.write("\n")
+    rows = (
+        {"qid": t.qid, "rewrite": t.rewrite, "positives": t.positives, "bm25_pool": t.bm25_pool,
+         "teacher_pool": [{"id": d, "score": s} for d, s in t.teacher_pool]}
+        for t in labels
+    )
+    write_jsonl(path, rows)
 
 
 def load_weak_labels(path: str) -> WeakLabelSet:
+    """Read :func:`save_weak_labels` JSON-lines; qids are unique, id lists are lists of strings."""
+    seen: set[str] = set()
+
     def record(obj: dict) -> TurnLabels:
+        qid, rewrite = str_fields(obj, "qid", "rewrite")
         return TurnLabels(
-            *str_fields(obj, "qid", "rewrite"),
-            positives=list(obj["positives"]),
-            bm25_pool=list(obj["bm25_pool"]),
+            unique(qid, seen, "qid"),
+            rewrite,
+            *str_lists(obj, "positives", "bm25_pool"),
             teacher_pool=[(r["id"], float(r["score"])) for r in obj["teacher_pool"]],
         )
 
@@ -410,6 +407,8 @@ class ToyQueryEncoder:
             raise ValueError(f"vocabulary must include {UNK_TOKEN!r}")
         if sorted(vocab.values()) != list(range(embedding.shape[0])):
             raise ValueError("vocabulary indices must cover the embedding rows exactly")
+        if not (np.isfinite(embedding).all() and np.isfinite(projection).all()):
+            raise ValueError("parameters contain non-finite values")
         self.vocab = dict(vocab)
         self.embedding = embedding
         self.projection = projection
@@ -445,45 +444,26 @@ class ToyQueryEncoder:
 
     def save(self, manifest_path: str) -> None:
         """Manifest JSON plus f32 parameter blobs and a vocab line file."""
-        base = manifest_path[:-5] if manifest_path.endswith(".json") else manifest_path
-        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"dim": self.dim, "vocab_size": len(self.vocab), "dtype": "f32le"}, fh)
-            fh.write("\n")
-        with open(base + ".emb.f32", "wb") as fh:
-            fh.write(self.embedding.astype("<f4").tobytes())
-        with open(base + ".proj.f32", "wb") as fh:
-            fh.write(self.projection.astype("<f4").tobytes())
-        by_index = sorted(self.vocab, key=self.vocab.get)
-        with open(base + ".vocab", "w", encoding="utf-8", newline="\n") as fh:
-            for token in by_index:
-                fh.write(token)
-                fh.write("\n")
+        base = sidecar_base(manifest_path)
+        write_manifest(manifest_path, dim=self.dim, vocab_size=len(self.vocab))
+        self.embedding.astype("<f4").tofile(base + ".emb.f32")
+        self.projection.astype("<f4").tofile(base + ".proj.f32")
+        write_lines(base + ".vocab", sorted(self.vocab, key=self.vocab.get))
 
     @classmethod
     def load(cls, manifest_path: str) -> ToyQueryEncoder:
-        base = manifest_path[:-5] if manifest_path.endswith(".json") else manifest_path
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        dim = manifest["dim"]
-        vocab_size = manifest["vocab_size"]
-        if manifest.get("dtype") != "f32le":
-            raise ValueError(f"{manifest_path}: unsupported dtype {manifest.get('dtype')!r}")
-        embedding = np.fromfile(base + ".emb.f32", dtype="<f4")
-        if embedding.size != vocab_size * dim:
-            raise ValueError(f"{base}.emb.f32: size does not match {vocab_size}x{dim}")
-        projection = np.fromfile(base + ".proj.f32", dtype="<f4")
-        if projection.size != dim * dim:
-            raise ValueError(f"{base}.proj.f32: size does not match {dim}x{dim}")
-        with open(base + ".vocab", encoding="utf-8") as fh:
-            tokens = fh.read().splitlines()
-        if len(tokens) != vocab_size:
-            raise ValueError(f"{base}.vocab: {len(tokens)} tokens != declared {vocab_size}")
+        dim, vocab_size = read_manifest(manifest_path, "dim", "vocab_size")
+        base = sidecar_base(manifest_path)
+        embedding = read_f32(base + ".emb.f32", vocab_size, dim)
+        projection = read_f32(base + ".proj.f32", dim, dim)
+        tokens = read_lines(base + ".vocab", vocab_size, "tokens")
         vocab = {t: i for i, t in enumerate(tokens)}
-        return cls(
-            vocab,
-            embedding.astype(np.float64).reshape(vocab_size, dim),
-            projection.astype(np.float64).reshape(dim, dim),
-        )
+        if len(vocab) != vocab_size:
+            raise ValueError(f"{base}.vocab: duplicate tokens")
+        try:
+            return cls(vocab, embedding.astype(np.float64), projection.astype(np.float64))
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +569,9 @@ def train(
 ) -> TrainResult:
     """Gradient-descent fine-tuning of the query encoder; passages stay frozen.
 
-    Batches cycle through the labeled turns in order; each full pass is an
-    epoch and resets the no-replacement negative pools. Soft-label runs
+    Batches cycle through the labeled turns in order; each pass samples
+    every turn once, then resets the sampler, so its no-replacement queue
+    acts only for direct :class:`TripletSampler` callers. Soft-label runs
     need a teacher and the corpus so every in-batch query-passage pair can
     be scored. Fully deterministic for a fixed seed.
     """

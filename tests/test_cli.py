@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,9 +13,11 @@ import pytest
 
 from cqe import cli
 from cqe.core import TokenEmbeddingMatrix, save_token_matrices
+from cqe.corpus import Corpus, Passage
 from cqe.evaluation import read_run, write_qrels, write_run
 from cqe.fusion import FusionConfig, rrf
 from cqe.ranking import RankedList
+from cqe.sparse import InvertedIndex, build_index, save_index
 from cqe.synth import write_planted_dataset
 from cqe.trainer import load_weak_labels, save_weak_labels, WeakLabelSet
 
@@ -125,6 +131,20 @@ class TestIndexAndSearch:
         assert run_cli(search) == 0
 
 
+    @pytest.mark.parametrize("bad_id", ["a b", "", "tab\there"])
+    def test_index_with_empty_or_whitespace_id_is_refused(self, bad_id, tmp_path, capsys):
+        good = build_index(Corpus([Passage("p0", "red fox"), Passage("p1", "blue fox")]))
+        postings = {t: good.term_postings(t) for t in ("red", "blue", "fox")}
+        index = str(tmp_path / "index.bin")
+        save_index(InvertedIndex(["p0", bad_id], good.doc_lengths, postings, good.config), index)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"qid": "q", "text": "fox"}) + "\n")
+        capsys.readouterr()
+        argv = ["search-sparse", "--index", index, "--queries", str(queries), "--output", str(tmp_path / "run.txt")]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {index}: section IDMP: passage id {bad_id!r}")
+
+
 class TestHybridConsistency:
     def test_alpha_zero_matches_dense(self, workspace, tmp_path):
         dense_out = str(tmp_path / "dense.txt")
@@ -218,6 +238,16 @@ class TestEval:
                      "--metric", "recall", "--cutoff", "10"]) == 0
         )
         assert "mean recall@10 0.500" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grade", ["x", "2.5"])
+    def test_bad_grade_names_file_and_line(self, grade, tmp_path, capsys):
+        qrels_path = tmp_path / "qrels.txt"
+        qrels_path.write_text(f"q1 0 a 1\nq1 0 b {grade}\n")
+        run_path = str(tmp_path / "run.txt")
+        write_run(run_path, {"q1": RankedList.from_scores([("a", 1.0)], "t")})
+        capsys.readouterr()
+        assert run_cli(["eval", "--run", run_path, "--qrels", str(qrels_path)]) == 1
+        assert capsys.readouterr().err == f"error: {qrels_path}:2: bad grade {grade!r}\n"
 
     def test_missing_run_errors(self, tmp_path, capsys):
         qrels_path = str(tmp_path / "qrels.txt")
@@ -456,6 +486,9 @@ BAD_LINES = [
     ("queries", json.dumps({"qid": "q 1", "text": "fox"})),
     ("labels", json.dumps(["s_1"])),
     ("labels", json.dumps({**GOOD_LINES["labels"], "teacher_pool": ["p0"]})),
+    ("labels", json.dumps(GOOD_LINES["labels"])),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "positives": "P00C0"})),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "bm25_pool": ["p0", 1]})),
     ("teacher", json.dumps([1])),
     ("teacher", json.dumps({"query": "fox", "id": "p0", "score": 2.0})),
     ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "high"})),
@@ -604,3 +637,77 @@ class TestLabellingInputs:
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert "pool_size -1" in capsys.readouterr().err
+
+
+# Store and encoder manifests with their sidecar files; each case corrupts
+# one file and returns the path the error must start with.
+SIZE_FIELD = {"store": "count", "encoder": "vocab_size"}
+BLOB = {"store": ".f32", "encoder": ".emb.f32"}  # the encoder's first row is <unk>
+LINE_FILE = {"store": ".ids", "encoder": ".vocab"}
+
+
+def rewrite_manifest(manifest, text):
+    with open(manifest, "w") as fh:
+        fh.write(text + "\n")
+    return f"{manifest}:1: "
+
+
+def corrupt_manifest(case, kind, manifest):
+    base = manifest[: -len(".json")]
+    with open(manifest) as fh:
+        declared = json.load(fh)
+    if case == "non-object":
+        return rewrite_manifest(manifest, "[1]")
+    if case == "bad json":
+        return rewrite_manifest(manifest, "{broken")
+    if case == "missing size":
+        del declared[SIZE_FIELD[kind]]
+        return rewrite_manifest(manifest, json.dumps(declared))
+    if case == "string size":
+        return rewrite_manifest(manifest, json.dumps({**declared, "dim": str(declared["dim"])}))
+    if case == "nan blob":
+        blob = np.fromfile(base + BLOB[kind], dtype="<f4")
+        blob[0] = np.nan
+        blob.tofile(base + BLOB[kind])
+        return f"{manifest}: "
+    assert case == "duplicate line"
+    with open(base + LINE_FILE[kind]) as fh:
+        lines = fh.read().splitlines()
+    lines[1] = lines[0]
+    with open(base + LINE_FILE[kind], "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return f"{manifest}: " if kind == "store" else f"{base}.vocab: "
+
+
+class TestManifestErrors:
+    @pytest.mark.parametrize("kind", ["store", "encoder"])
+    @pytest.mark.parametrize(
+        "case", ["non-object", "bad json", "missing size", "string size", "nan blob", "duplicate line"]
+    )
+    def test_error_names_the_file(self, case, kind, workspace, tmp_path, capsys):
+        copies = {}
+        for name in ("store", "encoder"):
+            base = workspace[name][: -len(".json")]
+            for suffix in (".json", ".f32", ".ids", ".emb.f32", ".proj.f32", ".vocab"):
+                if os.path.exists(base + suffix):
+                    shutil.copy(base + suffix, tmp_path)
+            copies[name] = str(tmp_path / os.path.basename(workspace[name]))
+        expected = corrupt_manifest(case, kind, copies[kind])
+        argv = ["search-dense", "--store", copies["store"], "--encoder", copies["encoder"],
+                "--sessions", workspace["sessions"], "--output", str(tmp_path / "run.txt")]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {expected}")
+        assert not os.path.exists(tmp_path / "run.txt")
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only `compare`; importing it costs every other command most of its start-up.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, cqe.cli; print('scipy.special' in sys.modules, 'scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -262,6 +262,15 @@ class TestMatrixIO:
             assert loaded[qid].context_len == m.context_len
             assert np.array_equal(loaded[qid].vectors, m.vectors)
 
+    def test_non_ascii_tokens_round_trip_as_raw_utf8(self, tmp_path):
+        m = TokenEmbeddingMatrix(["café", "東京", "naïve"], np.arange(6.0).reshape(3, 2) - 2.5, 1)
+        path = tmp_path / "matrices.jsonl"
+        save_token_matrices({"q1": m}, str(path))
+        assert "café" in path.read_text(encoding="utf-8") and "\\u" not in path.read_text(encoding="utf-8")
+        loaded = load_token_matrices(str(path))["q1"]
+        assert loaded.tokens == m.tokens and loaded.context_len == 1
+        assert loaded.vectors.tobytes() == m.vectors.tobytes()
+
     def test_duplicate_qid_rejected(self, tmp_path):
         rng = np.random.default_rng(31)
         m = random_matrix(rng, 2, 2, context_len=0)

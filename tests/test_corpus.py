@@ -6,7 +6,7 @@ import string
 import numpy as np
 import pytest
 
-from cqe.corpus import Corpus, Passage, load_corpus, save_corpus, tokenize
+from cqe.corpus import Corpus, Passage, load_corpus, read_jsonl, save_corpus, tokenize, write_jsonl
 
 
 class TestTokenize:
@@ -110,3 +110,11 @@ class TestLoadCorpus:
         save_corpus(original, path)
         loaded = load_corpus(path)
         assert [(p.id, p.text) for p in loaded] == [(p.id, p.text) for p in original]
+
+
+def test_write_jsonl_writes_utf8_lines_that_read_back(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"id": "é1", "text": "東京\n"}, {"id": "b", "n": [1, 2.5, -0.0]}]
+    write_jsonl(str(path), iter(rows))
+    assert path.read_bytes() == '{"id": "é1", "text": "東京\\n"}\n{"id": "b", "n": [1, 2.5, -0.0]}\n'.encode()
+    assert read_jsonl(str(path), dict) == rows

@@ -102,3 +102,24 @@ def test_top_k_column_form_matches_from_scores(scored, k):
     assert [(e.docid, e.score.hex(), e.rank) for e in got] == [
         (e.docid, e.score.hex(), e.rank) for e in expected
     ]
+
+
+def reference_from_scores(scored, k=None):
+    """from_scores as a Python sort by (-score, id), the rule score_order must reproduce."""
+    items = sorted(scored, key=lambda it: (-it[1], it[0]))[:k]
+    return [(d, float(s).hex(), r) for r, (d, s) in enumerate(items, start=1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores_and_ids)
+def test_from_scores_matches_reference_sort_bit_for_bit(scored):
+    items = list(scored.items())
+    for k in [None, *range(1, len(items) + 2)]:
+        got = RankedList.from_scores(items, "t", k=k)
+        assert [(e.docid, e.score.hex(), e.rank) for e in got] == reference_from_scores(items, k)
+        assert got.tag == "t" and all(type(e.score) is float for e in got)
+
+
+def test_from_scores_refuses_duplicate_ids():
+    with pytest.raises(ValueError, match="duplicate docids"):
+        RankedList.from_scores([("a", 1.0), ("b", 0.5), ("a", 2.0)])

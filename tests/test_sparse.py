@@ -69,11 +69,17 @@ class TestBM25Config:
             BM25Config(b=1.5)
 
 
+def pairs(index, term):
+    """The (ordinal, tf) postings of ``term``, as Python ints."""
+    ordinals, tfs = index.term_postings(term)
+    return list(zip(ordinals.tolist(), tfs.tolist()))
+
+
 class TestBuildIndex:
     def test_single_passage_counts(self):
         index = build_index(make_corpus(["a a b"]))
-        assert index.postings["a"] == [(0, 2)]
-        assert index.postings["b"] == [(0, 1)]
+        assert pairs(index, "a") == [(0, 2)]
+        assert pairs(index, "b") == [(0, 1)]
         assert index.avg_doc_length == 3.0
 
     def test_average_length(self):
@@ -89,7 +95,8 @@ class TestBuildIndex:
         for i, text in enumerate(texts):
             for term, tf in Counter(tokenize(text)).items():
                 expected.setdefault(term, []).append((i, tf))
-        assert index.postings == expected
+        assert {term: pairs(index, term) for term in expected} == expected
+        assert index.term_count == len(expected)
         assert index.doc_lengths == [len(tokenize(t)) for t in texts]
 
     def test_empty_corpus_rejected(self):
@@ -248,7 +255,9 @@ class TestPersistence:
         loaded = load_index(path)
         assert loaded.ids == index.ids
         assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.postings == index.postings
+        terms = {t for p in corpus for t in tokenize(p.text)}
+        assert loaded.term_count == index.term_count == len(terms)
+        assert all(pairs(loaded, t) == pairs(index, t) for t in terms)
         assert loaded.config == index.config
         assert loaded.avg_doc_length == pytest.approx(index.avg_doc_length, rel=1e-12)
         query = ["w2", "w3", "w3"]

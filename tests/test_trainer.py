@@ -678,7 +678,7 @@ class TestTrainConfig:
 vocab_tokens = st.text(st.characters(codec="utf-8"), max_size=6).filter(
     lambda s: s != UNK_TOKEN and not WHITESPACE.search(s)
 )
-f32_values = st.floats(width=32, allow_nan=False)
+f32_values = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -698,3 +698,12 @@ def test_encoder_round_trip_keeps_vocab_and_parameter_bytes(tokens, dim, data):
     assert loaded.embedding.dtype == np.float64 and loaded.projection.dtype == np.float64
     assert loaded.embedding.tobytes() == encoder.embedding.tobytes()
     assert loaded.projection.tobytes() == encoder.projection.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("param", ["embedding", "projection"])
+def test_encoder_refuses_non_finite_parameters(param, bad):
+    encoder = ToyQueryEncoder.create(["a", "b"], dim=3)
+    getattr(encoder, param)[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ToyQueryEncoder(encoder.vocab, encoder.embedding, encoder.projection)
