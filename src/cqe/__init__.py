@@ -57,7 +57,6 @@ from .trainer import (
     TrainingInstance,
     TripletSampler,
     TurnLabels,
-    WeakLabelSet,
     batch_gradients,
     build_weak_labels,
     contrastive_loss,

@@ -111,8 +111,11 @@ def write_lines(path: str, lines: list[str]) -> None:
 
 def read_lines(path: str, count: int, what: str) -> list[str]:
     """The lines of a UTF-8 line file, which must hold ``count`` ``what``."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     if len(lines) != count:
         raise ValueError(f"{path}: {len(lines)} {what} != declared count {count}")
     return lines

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -141,17 +141,6 @@ class TurnLabels:
     teacher_pool: list[tuple[str, float]]
 
 
-@dataclass
-class WeakLabelSet:
-    turns: list[TurnLabels] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.turns)
-
-    def __iter__(self):
-        return iter(self.turns)
-
-
 def build_weak_labels(
     corpus: Corpus,
     sessions: Sequence[Session],
@@ -159,7 +148,7 @@ def build_weak_labels(
     teacher,
     candidate_depth: int = 1000,
     pool_size: int = 200,
-) -> WeakLabelSet:
+) -> list[TurnLabels]:
     """Label every rewritten turn with teacher-picked positives.
 
     Per turn: retrieve BM25 candidates for the rewrite (up to
@@ -196,10 +185,10 @@ def build_weak_labels(
                     teacher_pool=[(e.docid, e.score) for e in rescored.head(pool_size)],
                 )
             )
-    return WeakLabelSet(turns)
+    return turns
 
 
-def save_weak_labels(labels: WeakLabelSet, path: str) -> None:
+def save_weak_labels(labels: Sequence[TurnLabels], path: str) -> None:
     rows = (
         {"qid": t.qid, "rewrite": t.rewrite, "positives": t.positives, "bm25_pool": t.bm25_pool,
          "teacher_pool": [{"id": d, "score": s} for d, s in t.teacher_pool]}
@@ -208,20 +197,30 @@ def save_weak_labels(labels: WeakLabelSet, path: str) -> None:
     write_jsonl(path, rows)
 
 
-def load_weak_labels(path: str) -> WeakLabelSet:
-    """Read :func:`save_weak_labels` JSON-lines; qids are unique, id lists are lists of strings."""
+def _pool_entry(entry) -> tuple[str, float]:
+    if not isinstance(entry, dict):
+        raise TypeError("'teacher_pool' entries must be objects")
+    (pid,) = str_fields(entry, "id")
+    score = entry["score"]
+    if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+        raise ValueError(f"teacher score of {pid!r} must be a finite number, got {score!r}")
+    return pid, float(score)
+
+
+def load_weak_labels(path: str) -> list[TurnLabels]:
+    """Read :func:`save_weak_labels` JSON-lines; qids are unique, id lists are lists of strings,
+    ``positives`` is not empty and each ``teacher_pool`` entry is {"id": string, "score": finite number}."""
     seen: set[str] = set()
 
     def record(obj: dict) -> TurnLabels:
         qid, rewrite = str_fields(obj, "qid", "rewrite")
-        return TurnLabels(
-            unique(qid, seen, "qid"),
-            rewrite,
-            *str_lists(obj, "positives", "bm25_pool"),
-            teacher_pool=[(r["id"], float(r["score"])) for r in obj["teacher_pool"]],
-        )
+        positives, bm25_pool = str_lists(obj, "positives", "bm25_pool")
+        if not positives:
+            raise ValueError(f"turn {qid!r} has no positives")
+        teacher_pool = [_pool_entry(entry) for entry in obj["teacher_pool"]]
+        return TurnLabels(unique(qid, seen, "qid"), rewrite, positives, bm25_pool, teacher_pool)
 
-    return WeakLabelSet(read_jsonl(path, record))
+    return read_jsonl(path, record)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,6 @@ class TrainingInstance:
     rewrite: str
     positive_id: str
     negative_id: str
-    teacher_scores: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.positive_id == self.negative_id:
@@ -247,64 +245,44 @@ class TrainingInstance:
 
 
 class TripletSampler:
-    """Samples triplets: uniform positives, per-epoch no-replacement negatives.
+    """Samples triplets: a uniform positive and a uniform eligible negative per call.
 
     Negatives come from the BM25 pool, or from the teacher-reranked pool
-    when hard negatives are enabled, always excluding the positives. Each
-    turn's negatives are consumed without replacement; :meth:`reset`
-    starts a new epoch, and an exhausted pool restarts with a warning.
+    when hard negatives are enabled, always excluding the positives. Every
+    call draws both with replacement; :func:`train` samples each turn once
+    per pass over the labels.
     """
 
     def __init__(
         self,
-        labels: WeakLabelSet,
+        labels: Sequence[TurnLabels],
         sessions: Sequence[Session],
         rng: np.random.Generator,
         use_hard_negatives: bool = False,
     ):
-        self._labels = {t.qid: t for t in labels.turns}
         turns = {s.qid(i): (s, i) for s in sessions for i in range(len(s.turns))}
-        # (context tokens, query tokens) per labelled turn, tokenized once
-        self._tokens: dict[str, tuple[list[str], list[str]]] = {}
-        for qid in self._labels:
-            if qid not in turns:
-                raise ValueError(f"labels refer to unknown turn {qid!r}")
-            session, turn_index = turns[qid]
-            self._tokens[qid] = session.tokens_for_turn(turn_index)
+        # per labelled turn: its labels, (context, query) tokens and eligible negatives
+        self._turns: dict[str, tuple[TurnLabels, tuple[list[str], list[str]], list[str]]] = {}
+        for lab in labels:
+            if lab.qid not in turns:
+                raise ValueError(f"labels refer to unknown turn {lab.qid!r}")
+            session, turn_index = turns[lab.qid]
+            pool = [d for d, _ in lab.teacher_pool] if use_hard_negatives else lab.bm25_pool
+            positives = set(lab.positives)
+            eligible = [d for d in pool if d not in positives]
+            self._turns[lab.qid] = (lab, session.tokens_for_turn(turn_index), eligible)
         self._rng = rng
-        self._hard = use_hard_negatives
-        self._eligible: dict[str, list[str]] = {}  # pool minus positives, built on first use
-        self._queues: dict[str, list[int]] = {}  # indices into eligible, drawn from the end
-        self._filled: set[str] = set()
-
-    def reset(self) -> None:
-        """Start a new epoch: all negative pools are replenished."""
-        self._queues.clear()
-        self._filled.clear()
 
     def sample(self, qid: str) -> TrainingInstance:
         try:
-            lab = self._labels[qid]
+            lab, (context_tokens, query_tokens), eligible = self._turns[qid]
         except KeyError:
             raise ValueError(f"no labels for turn {qid!r}") from None
         positive = lab.positives[int(self._rng.integers(len(lab.positives)))]
-
-        eligible = self._eligible.get(qid)
-        if eligible is None:
-            pool = [d for d, _ in lab.teacher_pool] if self._hard else lab.bm25_pool
-            positives = set(lab.positives)
-            eligible = self._eligible[qid] = [d for d in pool if d not in positives]
-        queue = self._queues.get(qid)
-        if not queue:
-            if not eligible:
-                raise ValueError(f"turn {qid!r} has no eligible negatives")
-            if qid in self._filled:
-                warnings.warn(f"negative pool for turn {qid!r} exhausted; restarting")
-            queue = self._queues[qid] = self._rng.permutation(len(eligible)).tolist()
-            self._filled.add(qid)
-        negative = eligible[queue.pop()]
-
-        context_tokens, query_tokens = self._tokens[qid]
+        if not eligible:
+            raise ValueError(f"turn {qid!r} has no eligible negatives")
+        # a full permutation, not integers(): it keeps the random stream, so encoders keep their bytes
+        negative = eligible[int(self._rng.permutation(len(eligible))[-1])]
         return TrainingInstance(
             qid=qid,
             context_tokens=list(context_tokens),
@@ -506,20 +484,24 @@ def batch_gradients(
     pool_ids: Sequence[str],
     passage_vecs: np.ndarray,
     tau: float,
-    use_soft_labels: bool = False,
+    teacher_scores: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss and parameter gradients for one batch against fixed passages.
 
     Query vectors are the pooled encoder rows for each instance's
     context+query tokens; gradients flow back through the pooling mean and
-    the shared projection into the embedding table. With soft labels the
-    objective is the mean distillation loss over per-query score vectors
-    (teacher scores must be attached to each instance); otherwise it is
-    the in-batch softmax loss.
+    the shared projection into the embedding table. With
+    ``teacher_scores``, a ``len(instances) x len(pool_ids)`` array whose
+    row i scores instance i against every pool passage, the objective is
+    the mean distillation loss over per-query score vectors; otherwise it
+    is the in-batch softmax loss.
     """
-    index_of = {pid: i for i, pid in enumerate(pool_ids)}
-    passage_vecs = np.asarray(passage_vecs, dtype=np.float64)
     n_queries = len(instances)
+    if teacher_scores is not None:
+        teacher_scores = np.asarray(teacher_scores, dtype=np.float64)
+        if teacher_scores.shape != (n_queries, len(pool_ids)):
+            raise ValueError(f"teacher scores are {teacher_scores.shape}, need {(n_queries, len(pool_ids))}")
+    passage_vecs = np.asarray(passage_vecs, dtype=np.float64)
 
     token_idx = []
     query_vecs = np.empty((n_queries, encoder.dim))
@@ -532,20 +514,17 @@ def batch_gradients(
         # same anchored mean as core.pool; the gradient is 1/n per row either way
         query_vecs[i] = rows[0] + (rows - rows[0]).mean(axis=0)
 
-    if use_soft_labels:
+    if teacher_scores is not None:
         total = 0.0
         grad_q = np.empty_like(query_vecs)
-        for i, inst in enumerate(instances):
-            if inst.teacher_scores is None:
-                raise ValueError(f"instance {inst.qid!r} lacks teacher scores")
-            student = query_vecs[i] @ passage_vecs.T
-            teacher = np.array([inst.teacher_scores[pid] for pid in pool_ids])
-            item_loss, grad_s = distill_loss(student, teacher, tau)
+        for i in range(n_queries):
+            item_loss, grad_s = distill_loss(query_vecs[i] @ passage_vecs.T, teacher_scores[i], tau)
             total += item_loss
             grad_q[i] = grad_s @ passage_vecs
         loss = total / n_queries
         grad_q /= n_queries
     else:
+        index_of = {pid: i for i, pid in enumerate(pool_ids)}
         positives = [index_of[inst.positive_id] for inst in instances]
         loss, grad_q = contrastive_loss(query_vecs, passage_vecs, positives, tau)
 
@@ -560,7 +539,7 @@ def batch_gradients(
 
 def train(
     encoder: ToyQueryEncoder,
-    labels: WeakLabelSet,
+    labels: Sequence[TurnLabels],
     sessions: Sequence[Session],
     store: PassageEmbeddingStore,
     config: TrainConfig,
@@ -569,20 +548,19 @@ def train(
 ) -> TrainResult:
     """Gradient-descent fine-tuning of the query encoder; passages stay frozen.
 
-    Batches cycle through the labeled turns in order; each pass samples
-    every turn once, then resets the sampler, so its no-replacement queue
-    acts only for direct :class:`TripletSampler` callers. Soft-label runs
-    need a teacher and the corpus so every in-batch query-passage pair can
-    be scored. Fully deterministic for a fixed seed.
+    Batches cycle through the labeled turns in order, so each pass samples
+    every turn once. Soft-label runs need a teacher and the corpus: every
+    in-batch (query, passage) pair is scored into one teacher matrix per
+    batch. Fully deterministic for a fixed seed.
     """
     if config.use_soft_labels and (teacher is None or corpus is None):
         raise ValueError("soft-label training requires a teacher and the corpus")
-    order = [t.qid for t in labels.turns]
+    order = [t.qid for t in labels]
     if not order:
         raise ValueError("no labeled turns to train on")
     missing = sorted(
-        {pid for t in labels.turns for pid in t.positives + t.bm25_pool if pid not in store}
-        | {pid for t in labels.turns for pid, _ in t.teacher_pool if pid not in store}
+        {pid for t in labels for pid in t.positives + t.bm25_pool if pid not in store}
+        | {pid for t in labels for pid, _ in t.teacher_pool if pid not in store}
     )
     if missing:
         raise ValueError(f"passage store is missing labeled ids: {missing[:5]}")
@@ -590,33 +568,19 @@ def train(
     rng = np.random.default_rng(config.seed)
     sampler = TripletSampler(labels, sessions, rng, config.use_hard_negatives)
     losses: list[float] = []
-    cursor = 0
     for step in range(config.steps):
-        batch = []
-        for _ in range(config.batch_size):
-            if cursor == len(order):
-                cursor = 0
-                sampler.reset()
-            batch.append(sampler.sample(order[cursor]))
-            cursor += 1
-
-        pool_ids: list[str] = []
-        seen: set[str] = set()
-        for inst in batch:
-            for pid in (inst.positive_id, inst.negative_id):
-                if pid not in seen:
-                    seen.add(pid)
-                    pool_ids.append(pid)
+        first = step * config.batch_size
+        batch = [sampler.sample(order[i % len(order)]) for i in range(first, first + config.batch_size)]
+        # positives and negatives in first-seen order
+        pool_ids = list(dict.fromkeys(pid for inst in batch for pid in (inst.positive_id, inst.negative_id)))
         passage_vecs = np.stack([store.vector(pid).astype(np.float64) for pid in pool_ids])
-
+        teacher_scores = None
         if config.use_soft_labels:
-            for inst in batch:
-                inst.teacher_scores = {
-                    pid: float(teacher.score(inst.rewrite, corpus[pid])) for pid in pool_ids
-                }
-
+            teacher_scores = np.array(
+                [[float(teacher.score(inst.rewrite, corpus[pid])) for pid in pool_ids] for inst in batch]
+            )
         loss, grad_emb, grad_proj = batch_gradients(
-            encoder, batch, pool_ids, passage_vecs, config.tau, config.use_soft_labels
+            encoder, batch, pool_ids, passage_vecs, config.tau, teacher_scores
         )
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {step}")

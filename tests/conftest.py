@@ -14,7 +14,7 @@ from cqe.dense import search_dense
 from cqe.evaluation import recall_at
 from cqe.sparse import build_index
 from cqe.synth import make_planted_dataset
-from cqe.trainer import ToyQueryEncoder, TrainConfig, WeakLabelSet, build_weak_labels, train
+from cqe.trainer import ToyQueryEncoder, TrainConfig, build_weak_labels, train
 
 
 @pytest.fixture(scope="session")
@@ -52,7 +52,7 @@ def dense_recall(encoder, dataset, qids, cutoff=10):
 def planted_training(planted, planted_labels):
     """(untrained encoder, trained result, training-label subset)."""
     held = set(planted.held_out_qids)
-    train_labels = WeakLabelSet([t for t in planted_labels.turns if t.qid not in held])
+    train_labels = [t for t in planted_labels if t.qid not in held]
     encoder = ToyQueryEncoder.create(session_vocab(planted.sessions), dim=planted.store.dim, seed=0)
     untrained = encoder.copy()
     result = train(encoder, train_labels, planted.sessions, planted.store, TrainConfig(seed=0))

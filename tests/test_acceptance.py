@@ -40,7 +40,6 @@ from cqe.trainer import (
     ToyQueryEncoder,
     TrainConfig,
     TrainingInstance,
-    WeakLabelSet,
     batch_gradients,
     train,
 )
@@ -91,18 +90,17 @@ def _random_gradcheck_batch(rng, soft):
     pool_ids = [f"p{i}" for i in range(n_pool)]
     passage_vecs = rng.standard_normal((n_pool, dim))
     instances = []
+    teacher_rows = []
     for q in range(int(rng.integers(1, 5))):
         ctx = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 4))]
         qry = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(1, 4))]
         pos, neg = (int(i) for i in rng.choice(n_pool, size=2, replace=False))
-        instances.append(
-            TrainingInstance(
-                f"q{q}", ctx, qry, "rw", pool_ids[pos], pool_ids[neg],
-                teacher_scores={p: float(rng.standard_normal()) for p in pool_ids} if soft else None,
-            )
-        )
+        instances.append(TrainingInstance(f"q{q}", ctx, qry, "rw", pool_ids[pos], pool_ids[neg]))
+        if soft:
+            teacher_rows.append([float(rng.standard_normal()) for _ in pool_ids])
     tau = float(rng.uniform(0.5, 2.0))
-    return encoder, instances, pool_ids, passage_vecs, tau
+    teacher = np.array(teacher_rows) if soft else None
+    return encoder, instances, pool_ids, passage_vecs, teacher, tau
 
 
 def _fd(loss_fn, param, eps=1e-5):
@@ -125,13 +123,13 @@ def test_criterion_2_gradient_oracle():
     ok = True
     for batch_index in range(100):
         soft = batch_index % 2 == 1
-        encoder, instances, pool_ids, passage_vecs, tau = _random_gradcheck_batch(rng, soft)
+        encoder, instances, pool_ids, passage_vecs, teacher, tau = _random_gradcheck_batch(rng, soft)
 
         def loss_fn():
-            return batch_gradients(encoder, instances, pool_ids, passage_vecs, tau, soft)[0]
+            return batch_gradients(encoder, instances, pool_ids, passage_vecs, tau, teacher)[0]
 
         _, grad_emb, grad_proj = batch_gradients(
-            encoder, instances, pool_ids, passage_vecs, tau, soft
+            encoder, instances, pool_ids, passage_vecs, tau, teacher
         )
         for analytic, param in ((grad_emb, encoder.embedding), (grad_proj, encoder.projection)):
             numeric = _fd(loss_fn, param)
@@ -283,7 +281,7 @@ def test_criterion_5_metric_fidelity():
 @pytest.fixture(scope="module")
 def acceptance_training(planted, planted_labels):
     held = set(planted.held_out_qids)
-    train_labels = WeakLabelSet([t for t in planted_labels.turns if t.qid not in held])
+    train_labels = [t for t in planted_labels if t.qid not in held]
     encoder = ToyQueryEncoder.create(session_vocab(planted.sessions), dim=planted.store.dim, seed=0)
     untrained = encoder.copy()
     start = time.monotonic()

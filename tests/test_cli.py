@@ -19,7 +19,7 @@ from cqe.fusion import FusionConfig, rrf
 from cqe.ranking import RankedList
 from cqe.sparse import InvertedIndex, build_index, save_index
 from cqe.synth import write_planted_dataset
-from cqe.trainer import load_weak_labels, save_weak_labels, WeakLabelSet
+from cqe.trainer import load_weak_labels, save_weak_labels
 
 
 @pytest.fixture(scope="session")
@@ -48,9 +48,7 @@ def workspace(tmp_path_factory, planted):
     held = set(planted.held_out_qids)
     all_labels = load_weak_labels(paths["labels"])
     paths["labels_train"] = str(root / "labels_train.jsonl")
-    save_weak_labels(
-        WeakLabelSet([t for t in all_labels.turns if t.qid not in held]), paths["labels_train"]
-    )
+    save_weak_labels([t for t in all_labels if t.qid not in held], paths["labels_train"])
 
     common = [
         "--labels", paths["labels_train"],
@@ -464,7 +462,7 @@ GOOD_LINES = {
     "sessions": {"session_id": "s", "turns": [{"raw_utterance": "red fox"}]},
     "matrices": {"qid": "q", "tokens": ["fox"], "context_len": 0, "vectors": [[1.0, 2.0]]},
     "queries": {"qid": "q", "text": "fox"},
-    "labels": {"qid": "s_1", "rewrite": "fox", "positives": [], "bm25_pool": [], "teacher_pool": []},
+    "labels": {"qid": "s_1", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], "teacher_pool": []},
     "teacher": {"query": "fox", "id": "p0", "score": 1.0},
 }
 
@@ -489,6 +487,13 @@ BAD_LINES = [
     ("labels", json.dumps(GOOD_LINES["labels"])),
     ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "positives": "P00C0"})),
     ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "bm25_pool": ["p0", 1]})),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "positives": []})),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": 5, "score": 1.0}]})),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": "p0", "score": "nan"}]})),
+    ("labels", '{"qid": "s_2", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], '
+               '"teacher_pool": [{"id": "p0", "score": 1e999}]}'),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": "p0", "score": True}]})),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [["p0", 1.0]]})),
     ("teacher", json.dumps([1])),
     ("teacher", json.dumps({"query": "fox", "id": "p0", "score": 2.0})),
     ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "high"})),
@@ -670,6 +675,13 @@ def corrupt_manifest(case, kind, manifest):
         blob[0] = np.nan
         blob.tofile(base + BLOB[kind])
         return f"{manifest}: "
+    if case == "bad utf-8":
+        with open(base + LINE_FILE[kind], "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[1] = b"\xff"
+        with open(base + LINE_FILE[kind], "wb") as fh:
+            fh.write(b"\n".join(lines))
+        return f"{base}{LINE_FILE[kind]}: invalid UTF-8"
     assert case == "duplicate line"
     with open(base + LINE_FILE[kind]) as fh:
         lines = fh.read().splitlines()
@@ -682,7 +694,8 @@ def corrupt_manifest(case, kind, manifest):
 class TestManifestErrors:
     @pytest.mark.parametrize("kind", ["store", "encoder"])
     @pytest.mark.parametrize(
-        "case", ["non-object", "bad json", "missing size", "string size", "nan blob", "duplicate line"]
+        "case",
+        ["non-object", "bad json", "missing size", "string size", "nan blob", "bad utf-8", "duplicate line"],
     )
     def test_error_names_the_file(self, case, kind, workspace, tmp_path, capsys):
         copies = {}

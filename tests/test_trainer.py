@@ -4,7 +4,6 @@ import math
 import os
 import re
 import tempfile
-import warnings
 from collections import Counter
 
 import hypothesis.extra.numpy as hnp
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import dense_recall
 from cqe.core import Session, Turn, token_norm_report
@@ -27,7 +27,6 @@ from cqe.trainer import (
     TrainingInstance,
     TripletSampler,
     TurnLabels,
-    WeakLabelSet,
     batch_gradients,
     build_weak_labels,
     contrastive_loss,
@@ -192,7 +191,7 @@ class TestBuildWeakLabels:
                 return self.order[passage.id]
 
         labels = build_weak_labels(corpus, sessions, index, Preferring())
-        assert labels.turns[0].positives == ["p2", "p3", "p1"]
+        assert labels[0].positives == ["p2", "p3", "p1"]
 
     def test_bm25_teacher_reproduces_bm25_top3(self, planted, planted_index):
         teacher = _BM25Teacher(planted_index)
@@ -250,20 +249,16 @@ class TestBuildWeakLabels:
 
 
 def single_turn_labels(n_negatives, positives=("g1", "g2", "g3")):
-    from cqe.trainer import TurnLabels
-
     pool = list(positives) + [f"n{i}" for i in range(n_negatives)]
-    labels = WeakLabelSet(
-        [
-            TurnLabels(
-                qid="s_1",
-                rewrite="query text",
-                positives=list(positives),
-                bm25_pool=pool,
-                teacher_pool=[(d, float(-i)) for i, d in enumerate(pool)],
-            )
-        ]
-    )
+    labels = [
+        TurnLabels(
+            qid="s_1",
+            rewrite="query text",
+            positives=list(positives),
+            bm25_pool=pool,
+            teacher_pool=[(d, float(-i)) for i, d in enumerate(pool)],
+        )
+    ]
     sessions = [Session("s", [Turn("query text", "query text")])]
     return labels, sessions
 
@@ -275,15 +270,13 @@ def multi_turn_labels():
     ]
     ids = [f"p{j}" for j in range(8)]
     qids = [s.qid(i) for s in sessions for i in range(2)]
-    labels = WeakLabelSet(
-        [
-            TurnLabels(
-                qid, f"rewrite {n}", ids[n : n + 3], list(ids),
-                [(d, -float(j)) for j, d in enumerate(reversed(ids))],
-            )
-            for n, qid in enumerate(qids)
-        ]
-    )
+    labels = [
+        TurnLabels(
+            qid, f"rewrite {n}", ids[n : n + 3], list(ids),
+            [(d, -float(j)) for j, d in enumerate(reversed(ids))],
+        )
+        for n, qid in enumerate(qids)
+    ]
     return labels, sessions, qids
 
 
@@ -309,7 +302,6 @@ class TestTripletSampler:
         by_qid = {s.qid(i): (s, i) for s in sessions for i in range(len(s.turns))}
         draws = []
         for _ in range(3):
-            sampler.reset()
             for qid in qids:
                 inst = sampler.sample(qid)
                 session, i = by_qid[qid]
@@ -328,75 +320,41 @@ class TestTripletSampler:
     def test_same_seed_gives_same_sequence(self):
         labels, sessions = single_turn_labels(20)
         seqs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # 30 draws from 20 restarts once
-            for _ in range(2):
-                sampler = TripletSampler(labels, sessions, np.random.default_rng(99))
-                seqs.append(
-                    [(i.positive_id, i.negative_id) for i in (sampler.sample("s_1") for _ in range(30))]
-                )
+        for _ in range(2):
+            sampler = TripletSampler(labels, sessions, np.random.default_rng(99))
+            seqs.append([(i.positive_id, i.negative_id) for i in (sampler.sample("s_1") for _ in range(30))])
         assert seqs[0] == seqs[1]
 
     def test_negative_frequencies_near_uniform(self):
         labels, sessions = single_turn_labels(50)
         sampler = TripletSampler(labels, sessions, np.random.default_rng(7))
-        counts = Counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # expected pool restarts
-            for _ in range(10000):
-                counts[sampler.sample("s_1").negative_id] += 1
-        expected = 10000 / 50
-        sigma = math.sqrt(10000 * (1 / 50) * (49 / 50))
-        assert len(counts) == 50
-        for negative, count in counts.items():
-            assert abs(count - expected) <= 3 * sigma, (negative, count)
+        counts = Counter(sampler.sample("s_1").negative_id for _ in range(10000))
+        assert sorted(counts) == sorted(f"n{i}" for i in range(50))
+        # one goodness-of-fit test over all 50 cells, not a 3-sigma bound per cell
+        assert stats.chisquare(list(counts.values())).pvalue >= 0.001
 
     def test_positive_frequencies_near_uniform(self):
         labels, sessions = single_turn_labels(10)
         sampler = TripletSampler(labels, sessions, np.random.default_rng(8))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # expected pool restarts
-            counts = Counter(sampler.sample("s_1").positive_id for _ in range(9000))
+        counts = Counter(sampler.sample("s_1").positive_id for _ in range(9000))
         sigma = math.sqrt(9000 * (1 / 3) * (2 / 3))
         for positive in ("g1", "g2", "g3"):
             assert abs(counts[positive] - 3000) <= 3 * sigma
 
-    def test_exhaustion_warns_and_restarts(self):
-        labels, sessions = single_turn_labels(2)
-        sampler = TripletSampler(labels, sessions, np.random.default_rng(1))
-        sampler.sample("s_1")
-        sampler.sample("s_1")
-        with pytest.warns(UserWarning, match="exhausted"):
-            sampler.sample("s_1")
-
-    def test_reset_replenishes_silently(self):
-        labels, sessions = single_turn_labels(2)
-        sampler = TripletSampler(labels, sessions, np.random.default_rng(2))
-        sampler.sample("s_1")
-        sampler.sample("s_1")
-        sampler.reset()
-        sampler.sample("s_1")  # no warning expected
-
     def test_hard_negatives_use_teacher_pool(self):
-        # single hard negative: every draw after the first restarts the pool
-        from cqe.trainer import TurnLabels
-
-        labels = WeakLabelSet(
-            [
-                TurnLabels(
-                    qid="s_1",
-                    rewrite="q",
-                    positives=["g1", "g2", "g3"],
-                    bm25_pool=["g1", "g2", "g3", "easy1", "easy2"],
-                    teacher_pool=[(d, 0.0) for d in ["g1", "g2", "g3", "hard1"]],
-                )
-            ]
-        )
+        # a single hard negative: every draw takes it
+        labels = [
+            TurnLabels(
+                qid="s_1",
+                rewrite="q",
+                positives=["g1", "g2", "g3"],
+                bm25_pool=["g1", "g2", "g3", "easy1", "easy2"],
+                teacher_pool=[(d, 0.0) for d in ["g1", "g2", "g3", "hard1"]],
+            )
+        ]
         sessions = [Session("s", [Turn("q", "q")])]
         sampler = TripletSampler(labels, sessions, np.random.default_rng(3), use_hard_negatives=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            assert {sampler.sample("s_1").negative_id for _ in range(5)} == {"hard1"}
+        assert {sampler.sample("s_1").negative_id for _ in range(5)} == {"hard1"}
 
 
 class TestContrastiveLoss:
@@ -509,18 +467,47 @@ def random_training_batch(rng, n_queries=3, n_pool=6, dim=5, vocab_size=12):
     pool_ids = [f"p{i}" for i in range(n_pool)]
     passage_vecs = rng.standard_normal((n_pool, dim))
     instances = []
+    teacher_rows = []
     for q in range(n_queries):
         n_ctx = int(rng.integers(0, 4))
         n_qry = int(rng.integers(1, 4))
         ctx = [tokens[i] for i in rng.integers(0, vocab_size, size=n_ctx)]
         qry = [tokens[i] for i in rng.integers(0, vocab_size, size=n_qry)]
         pos, neg = (int(i) for i in rng.choice(n_pool, size=2, replace=False))
-        inst = TrainingInstance(
-            f"q{q}", ctx, qry, "rewrite", pool_ids[pos], pool_ids[neg],
-            teacher_scores={pid: float(rng.standard_normal()) for pid in pool_ids},
-        )
-        instances.append(inst)
-    return encoder, instances, pool_ids, passage_vecs
+        instances.append(TrainingInstance(f"q{q}", ctx, qry, "rewrite", pool_ids[pos], pool_ids[neg]))
+        teacher_rows.append([float(rng.standard_normal()) for _ in pool_ids])
+    return encoder, instances, pool_ids, passage_vecs, np.array(teacher_rows)
+
+
+def reference_soft_gradients(encoder, instances, pool_ids, passage_vecs, tau, teacher_scores):
+    """Soft-label batch_gradients as it was written with one teacher dict per instance."""
+    teacher_dicts = [dict(zip(pool_ids, map(float, row))) for row in teacher_scores]
+    passage_vecs = np.asarray(passage_vecs, dtype=np.float64)
+    n_queries = len(instances)
+    token_idx = []
+    query_vecs = np.empty((n_queries, encoder.dim))
+    for i, inst in enumerate(instances):
+        idx = encoder.token_indices(list(inst.context_tokens) + list(inst.query_tokens))
+        token_idx.append(idx)
+        rows = encoder.embedding[idx] @ encoder.projection
+        query_vecs[i] = rows[0] + (rows - rows[0]).mean(axis=0)
+    total = 0.0
+    grad_q = np.empty_like(query_vecs)
+    for i in range(n_queries):
+        student = query_vecs[i] @ passage_vecs.T
+        teacher = np.array([teacher_dicts[i][pid] for pid in pool_ids])
+        item_loss, grad_s = distill_loss(student, teacher, tau)
+        total += item_loss
+        grad_q[i] = grad_s @ passage_vecs
+    loss = total / n_queries
+    grad_q /= n_queries
+    grad_embedding = np.zeros_like(encoder.embedding)
+    grad_projection = np.zeros_like(encoder.projection)
+    for i, idx in enumerate(token_idx):
+        per_row = grad_q[i] / idx.size
+        grad_projection += np.outer(encoder.embedding[idx].sum(axis=0), per_row)
+        np.add.at(grad_embedding, idx, per_row @ encoder.projection.T)
+    return loss, grad_embedding, grad_projection
 
 
 class TestBatchGradients:
@@ -528,14 +515,15 @@ class TestBatchGradients:
     def test_parameter_gradients_match_finite_differences(self, soft):
         rng = np.random.default_rng(65)
         for _ in range(5):
-            encoder, instances, pool_ids, passage_vecs = random_training_batch(rng)
+            encoder, instances, pool_ids, passage_vecs, teacher = random_training_batch(rng)
+            teacher = teacher if soft else None
             tau = float(rng.uniform(0.5, 2.0))
 
             def loss_fn():
-                return batch_gradients(encoder, instances, pool_ids, passage_vecs, tau, soft)[0]
+                return batch_gradients(encoder, instances, pool_ids, passage_vecs, tau, teacher)[0]
 
             _, grad_emb, grad_proj = batch_gradients(
-                encoder, instances, pool_ids, passage_vecs, tau, soft
+                encoder, instances, pool_ids, passage_vecs, tau, teacher
             )
             np.testing.assert_allclose(
                 grad_emb, finite_difference(loss_fn, encoder.embedding), rtol=1e-4, atol=1e-8
@@ -543,6 +531,26 @@ class TestBatchGradients:
             np.testing.assert_allclose(
                 grad_proj, finite_difference(loss_fn, encoder.projection), rtol=1e-4, atol=1e-8
             )
+
+    def test_teacher_matrix_matches_per_instance_dicts_bit_for_bit(self):
+        rng = np.random.default_rng(66)
+        for _ in range(50):
+            n_queries, n_pool = int(rng.integers(1, 8)), int(rng.integers(2, 12))
+            encoder, instances, pool_ids, passage_vecs, teacher = random_training_batch(rng, n_queries, n_pool)
+            tau = float(rng.uniform(0.2, 3.0))
+            loss, grad_emb, grad_proj = batch_gradients(encoder, instances, pool_ids, passage_vecs, tau, teacher)
+            ref_loss, ref_emb, ref_proj = reference_soft_gradients(
+                encoder, instances, pool_ids, passage_vecs, tau, teacher
+            )
+            assert loss.hex() == ref_loss.hex()
+            assert grad_emb.tobytes() == ref_emb.tobytes()
+            assert grad_proj.tobytes() == ref_proj.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 6), (3, 6, 1), (18,)])
+    def test_teacher_matrix_of_wrong_shape_is_refused(self, shape):
+        encoder, instances, pool_ids, passage_vecs, _ = random_training_batch(np.random.default_rng(67))
+        with pytest.raises(ValueError, match="teacher scores"):
+            batch_gradients(encoder, instances, pool_ids, passage_vecs, 1.0, np.zeros(shape))
 
 
 class TestToyQueryEncoder:
@@ -588,7 +596,7 @@ class TestTrain:
 
     def test_single_instance_descends(self, planted, planted_training):
         untrained, _, train_labels = planted_training
-        one = WeakLabelSet([train_labels.turns[0]])
+        one = [train_labels[0]]
         encoder = untrained.copy()
         cfg = TrainConfig(steps=200, learning_rate=0.1, batch_size=1, seed=0)
         result = train(encoder, one, planted.sessions, planted.store, cfg)
