@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -101,17 +102,16 @@ def _merge(base, args):
     return replace(base, **{name: value for name, value in given.items() if value is not None})
 
 
-def _load_config(args) -> EngineConfig:
-    path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
-    if path:
-        if not os.path.exists(path):
-            raise ValueError(f"config file {path!r} does not exist")
-        return EngineConfig.from_file(path)
-    return EngineConfig()
+def _resolve(args) -> EngineConfig:
+    """The config file (``--config``, ``$CQE_CONFIG`` or the defaults) with every given flag merged in."""
+    path = args.config or os.environ.get(ENV_CONFIG)
+    if path and not os.path.exists(path):
+        raise ValueError(f"config file {path!r} does not exist")
+    cfg = _merge(EngineConfig.from_file(path) if path else EngineConfig(), args)
+    return replace(cfg, **{name: _merge(getattr(cfg, name), args) for name in _SECTIONS})
 
 
-def _input_path(value: str | None, fallback: str | None, name: str) -> str:
-    path = value or fallback
+def _input_path(path: str | None, name: str) -> str:
     if not path:
         raise ValueError(f"no {name} path given (flag or config)")
     if not os.path.exists(path):
@@ -119,8 +119,7 @@ def _input_path(value: str | None, fallback: str | None, name: str) -> str:
     return path
 
 
-def _output_path(value: str | None, fallback: str | None, name: str) -> str:
-    path = value or fallback
+def _output_path(path: str | None, name: str) -> str:
     if not path:
         raise ValueError(f"no {name} output path given")
     return path
@@ -139,139 +138,114 @@ def _load_text_queries(path: str) -> dict[str, str]:
 
 def _query_matrices(args, cfg: EngineConfig) -> dict[str, TokenEmbeddingMatrix]:
     """Token matrices either from a file or from an encoder over sessions."""
-    if getattr(args, "encoder", None):
-        encoder = ToyQueryEncoder.load(_input_path(args.encoder, None, "encoder"))
-        sessions = load_sessions(_input_path(getattr(args, "sessions", None), None, "sessions"))
-        matrices: dict[str, TokenEmbeddingMatrix] = {}
-        for session in sessions:
-            for i in range(len(session.turns)):
-                context, query = session.tokens_for_turn(i)
-                if not query:
-                    continue
+    if not args.encoder:
+        return load_token_matrices(_input_path(cfg.query_matrices, "query matrices"))
+    encoder = ToyQueryEncoder.load(_input_path(args.encoder, "encoder"))
+    matrices: dict[str, TokenEmbeddingMatrix] = {}
+    for session in load_sessions(_input_path(args.sessions, "sessions")):
+        for i in range(len(session.turns)):
+            context, query = session.tokens_for_turn(i)
+            if query:
                 matrices[session.qid(i)] = encoder.encode(context, query)
-        return matrices
-    path = _input_path(getattr(args, "matrices", None), cfg.query_matrices, "query matrices")
-    return load_token_matrices(path)
+    return matrices
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed flags and the config they resolve to
 # ---------------------------------------------------------------------------
 
 
-def _cmd_index_sparse(args) -> int:
-    cfg = _load_config(args)
-    corpus = load_corpus(_input_path(args.corpus, cfg.corpus, "corpus"))
-    index = build_index(corpus, _merge(cfg.bm25, args))
-    out = _output_path(args.output, cfg.sparse_index, "index")
+def _cmd_index_sparse(args, cfg: EngineConfig) -> int:
+    index = build_index(load_corpus(_input_path(cfg.corpus, "corpus")), cfg.bm25)
+    out = _output_path(cfg.sparse_index, "index")
     save_index(index, out)
     print(f"indexed {index.doc_count} passages, {index.term_count} terms -> {out}")
     return 0
 
 
-def _cmd_search_sparse(args) -> int:
-    cfg = _load_config(args)
-    index = load_index(_input_path(args.index, cfg.sparse_index, "index"))
-    queries = _load_text_queries(_input_path(args.queries, None, "queries"))
-    runs = {qid: search_sparse(index, tokenize(text), args.k) for qid, text in queries.items()}
-    out = _output_path(args.output, None, "run")
+def _write_runs(args, runs: dict) -> int:
+    out = _output_path(args.output, "run")
     write_run(out, runs, tag=args.tag)
     print(f"wrote {sum(len(r) for r in runs.values())} results for {len(runs)} queries -> {out}")
     return 0
 
 
-def _cmd_search_dense(args) -> int:
-    cfg = _load_config(args)
-    store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))
+def _cmd_search_sparse(args, cfg: EngineConfig) -> int:
+    index = load_index(_input_path(cfg.sparse_index, "index"))
+    queries = _load_text_queries(_input_path(args.queries, "queries"))
+    runs = {qid: search_sparse(index, tokenize(text), args.k) for qid, text in queries.items()}
+    return _write_runs(args, runs)
+
+
+def _cmd_search_dense(args, cfg: EngineConfig) -> int:
+    store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
     matrices = _query_matrices(args, cfg)
     runs = {qid: search_dense(store, pool(m), args.k) for qid, m in matrices.items()}
-    out = _output_path(args.output, None, "run")
-    write_run(out, runs, tag=args.tag)
-    print(f"wrote {sum(len(r) for r in runs.values())} results for {len(runs)} queries -> {out}")
-    return 0
+    return _write_runs(args, runs)
 
 
-def _cmd_search_hybrid(args) -> int:
-    cfg = _load_config(args)
-    index = load_index(_input_path(args.index, cfg.sparse_index, "index"))
-    store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))
+def _cmd_search_hybrid(args, cfg: EngineConfig) -> int:
+    index = load_index(_input_path(cfg.sparse_index, "index"))
+    store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
     matrices = _query_matrices(args, cfg)
-    rewrite, fusion = _merge(cfg.hybrid_rewrite, args), _merge(cfg.fusion, args)
     runs = {
-        qid: hybrid_search(index, store, m, rewrite, fusion, args.depth, args.k)
+        qid: hybrid_search(index, store, m, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k)
         for qid, m in matrices.items()
     }
-    out = _output_path(args.output, None, "run")
-    write_run(out, runs, tag=args.tag)
-    print(f"wrote {sum(len(r) for r in runs.values())} results for {len(runs)} queries -> {out}")
-    return 0
+    return _write_runs(args, runs)
 
 
-def _cmd_rewrite(args) -> int:
-    cfg = _load_config(args)
+def _cmd_rewrite(args, cfg: EngineConfig) -> int:
     matrices = _query_matrices(args, cfg)
-    rewrite = _merge(cfg.rewrite, args)
-    out = _output_path(args.output, None, "rewrites")
-    rows = ({"qid": qid, "text": " ".join(decontextualize(m, rewrite))} for qid, m in matrices.items())
+    out = _output_path(args.output, "rewrites")
+    rows = ({"qid": qid, "text": " ".join(decontextualize(m, cfg.rewrite))} for qid, m in matrices.items())
     write_jsonl(out, rows)
-    print(f"rewrote {len(matrices)} queries (gamma={rewrite.gamma}) -> {out}")
+    print(f"rewrote {len(matrices)} queries (gamma={cfg.rewrite.gamma}) -> {out}")
     return 0
 
 
-def _cmd_fuse_rrf(args) -> int:
-    cfg = _load_config(args)
-    run_files = [read_run(_input_path(p, None, "run")) for p in args.runs]
-    config = _merge(cfg.fusion, args)
+def _cmd_fuse_rrf(args, cfg: EngineConfig) -> int:
+    run_files = [read_run(_input_path(p, "run")) for p in args.runs]
     qids = sorted({qid for run in run_files for qid in run})
-    fused = {qid: rrf([run[qid] for run in run_files if qid in run], config, args.k) for qid in qids}
-    out = _output_path(args.output, None, "run")
+    fused = {qid: rrf([run[qid] for run in run_files if qid in run], cfg.fusion, args.k) for qid in qids}
+    out = _output_path(args.output, "run")
     write_run(out, fused, tag=args.tag)
     print(f"fused {len(run_files)} runs over {len(qids)} queries -> {out}")
     return 0
 
 
-def _cmd_build_weak_labels(args) -> int:
-    cfg = _load_config(args)
-    corpus = load_corpus(_input_path(args.corpus, cfg.corpus, "corpus"))
-    index = load_index(_input_path(args.index, cfg.sparse_index, "index"))
-    sessions = load_sessions(_input_path(args.sessions, None, "sessions"))
+def _cmd_build_weak_labels(args, cfg: EngineConfig) -> int:
+    corpus = load_corpus(_input_path(cfg.corpus, "corpus"))
+    index = load_index(_input_path(cfg.sparse_index, "index"))
+    sessions = load_sessions(_input_path(args.sessions, "sessions"))
     if args.teacher_scores:
-        teacher = TableTeacher.from_file(_input_path(args.teacher_scores, None, "teacher scores"))
+        teacher = TableTeacher.from_file(_input_path(args.teacher_scores, "teacher scores"))
     else:
-        store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))
-        teacher = CosineTeacher(store)
+        teacher = CosineTeacher(load_embeddings(_input_path(cfg.dense_store, "dense store")))
     labels = build_weak_labels(
         corpus, sessions, index, teacher, candidate_depth=args.depth, pool_size=args.pool_size
     )
-    out = _output_path(args.output, None, "labels")
+    out = _output_path(args.output, "labels")
     save_weak_labels(labels, out)
     print(f"labeled {len(labels)} turns -> {out}")
     return 0
 
 
-def _cmd_train_toy(args) -> int:
-    cfg = _load_config(args)
-    labels = load_weak_labels(_input_path(args.labels, None, "labels"))
-    sessions = load_sessions(_input_path(args.sessions, None, "sessions"))
-    corpus = load_corpus(_input_path(args.corpus, cfg.corpus, "corpus"))
-    store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))
-    train_cfg = _merge(cfg.train, args)
-    vocab_tokens = [
-        tok
-        for session in sessions
-        for turn in session.turns
-        for tok in tokenize(turn.raw_utterance)
-    ]
-    encoder = ToyQueryEncoder.create(vocab_tokens, dim=store.dim, seed=train_cfg.seed)
-    teacher = CosineTeacher(store) if train_cfg.use_soft_labels else None
-    result = train(encoder, labels, sessions, store, train_cfg, teacher=teacher, corpus=corpus)
-    out = _output_path(args.output, None, "encoder checkpoint")
+def _cmd_train_toy(args, cfg: EngineConfig) -> int:
+    labels = load_weak_labels(_input_path(args.labels, "labels"))
+    sessions = load_sessions(_input_path(args.sessions, "sessions"))
+    corpus = load_corpus(_input_path(cfg.corpus, "corpus"))
+    store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
+    vocab_tokens = [tok for s in sessions for turn in s.turns for tok in tokenize(turn.raw_utterance)]
+    encoder = ToyQueryEncoder.create(vocab_tokens, dim=store.dim, seed=cfg.train.seed)
+    teacher = CosineTeacher(store) if cfg.train.use_soft_labels else None
+    result = train(encoder, labels, sessions, store, cfg.train, teacher=teacher, corpus=corpus)
+    out = _output_path(args.output, "encoder checkpoint")
     result.encoder.save(out)
-    first = result.losses[0] if result.losses else float("nan")
-    last = result.losses[-1] if result.losses else float("nan")
+    first, last = (result.losses[0], result.losses[-1]) if result.losses else (math.nan, math.nan)
     print(
-        f"trained {train_cfg.steps} steps (batch {train_cfg.batch_size}, "
-        f"lr {train_cfg.learning_rate}): loss {first:.4f} -> {last:.4f}; saved {out}"
+        f"trained {cfg.train.steps} steps (batch {cfg.train.batch_size}, "
+        f"lr {cfg.train.learning_rate}): loss {first:.4f} -> {last:.4f}; saved {out}"
     )
     return 0
 
@@ -279,29 +253,18 @@ def _cmd_train_toy(args) -> int:
 _METRICS = ("ndcg", "ndcg@3", "recall")
 
 
-def _evaluate(run_path: str, qrels_path: str, metric: str, cutoff: int | None, min_grade: int):
-    run = read_run(run_path)
-    qrels = read_qrels(qrels_path)
-    if metric == "ndcg":
-        report = ndcg(run, qrels, cutoff or 1000)
-        label = "nDCG" if cutoff is None else f"nDCG@{cutoff}"
-    elif metric == "ndcg@3":
-        report = ndcg(run, qrels, 3)
-        label = "nDCG@3"
-    elif metric == "recall":
-        c = cutoff or 1000
-        report = recall_at(run, qrels, cutoff=c, min_grade=min_grade)
-        label = f"recall@{c}"
-    else:
-        raise ValueError(f"unknown metric {metric!r} (choose from {', '.join(_METRICS)})")
-    return report, label
+def _evaluate(args, qrels_path: str, run_path: str):
+    """(report, label) for one run under ``args.metric``; ``ndcg@3`` is nDCG at cutoff 3."""
+    run, qrels = read_run(run_path), read_qrels(qrels_path)
+    cutoff = 3 if args.metric == "ndcg@3" else args.cutoff
+    if args.metric == "recall":
+        return recall_at(run, qrels, cutoff or 1000, args.min_grade), f"recall@{cutoff or 1000}"
+    return ndcg(run, qrels, cutoff or 1000), "nDCG" if cutoff is None else f"nDCG@{cutoff}"
 
 
-def _cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    qrels_path = _input_path(args.qrels, cfg.qrels, "qrels")
-    run_path = _input_path(args.run, None, "run")
-    report, label = _evaluate(run_path, qrels_path, args.metric, args.cutoff, args.min_grade)
+def _cmd_eval(args, cfg: EngineConfig) -> int:
+    qrels_path = _input_path(cfg.qrels, "qrels")
+    report, label = _evaluate(args, qrels_path, _input_path(args.run, "run"))
     if args.per_query:
         for qid in sorted(report.per_query):
             print(f"{qid} {report.per_query[qid]:.4f}")
@@ -310,19 +273,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    qrels_path = _input_path(args.qrels, cfg.qrels, "qrels")
-    system, label = _evaluate(
-        _input_path(args.run, None, "run"), qrels_path, args.metric, args.cutoff, args.min_grade
-    )
-    baseline, _ = _evaluate(
-        _input_path(args.baseline, None, "baseline run"),
-        qrels_path,
-        args.metric,
-        args.cutoff,
-        args.min_grade,
-    )
+def _cmd_compare(args, cfg: EngineConfig) -> int:
+    qrels_path = _input_path(cfg.qrels, "qrels")
+    system, label = _evaluate(args, qrels_path, _input_path(args.run, "run"))
+    baseline, _ = _evaluate(args, qrels_path, _input_path(args.baseline, "baseline run"))
     wins, ties = win_tie(system, baseline)
     qids = sorted(system.per_query)
     t, p = paired_t_test(
@@ -335,23 +289,18 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_converse(args) -> int:
+def _cmd_converse(args, cfg: EngineConfig) -> int:
     # Checked here, not per turn, so a bad value fails before any output.
     for name, value in (("k", args.k), ("depth", args.depth)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    cfg = _load_config(args)
-    index = load_index(_input_path(args.index, cfg.sparse_index, "index"))
-    store = load_embeddings(_input_path(args.store, cfg.dense_store, "dense store"))
-    encoder = None
-    matrices = None
+    index = load_index(_input_path(cfg.sparse_index, "index"))
+    store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
+    encoder = matrices = None
     if args.encoder:
-        encoder = ToyQueryEncoder.load(_input_path(args.encoder, None, "encoder"))
+        encoder = ToyQueryEncoder.load(_input_path(args.encoder, "encoder"))
     else:
-        matrices = load_token_matrices(
-            _input_path(args.matrices, cfg.query_matrices, "query matrices")
-        )
-    rewrite, fusion = _merge(cfg.hybrid_rewrite, args), _merge(cfg.fusion, args)
+        matrices = load_token_matrices(_input_path(cfg.query_matrices, "query matrices"))
 
     history: list[str] = []
     for line in sys.stdin:
@@ -380,7 +329,7 @@ def _cmd_converse(args) -> int:
         history.append(utterance)
 
         print(f"turn {turn_number} ({len(context)} context tokens)")
-        print(f"rewrite: {' '.join(decontextualize(matrix, rewrite))}")
+        print(f"rewrite: {' '.join(decontextualize(matrix, cfg.hybrid_rewrite))}")
         print("token norms (l2, normalized by context mean):")
         for row, is_context in zip(
             token_norm_report(matrix),
@@ -390,7 +339,7 @@ def _cmd_converse(args) -> int:
             normalized = f"{row.normalized_norm:.4f}" if row.normalized_norm is not None else "-"
             print(f"  [{kind}] {row.token} {row.l2_norm:.4f} {normalized}")
         print("results:")
-        for e in hybrid_search(index, store, matrix, rewrite, fusion, args.depth, args.k):
+        for e in hybrid_search(index, store, matrix, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k):
             print(f"  {e.rank}. {e.docid} {e.score:.6f}")
     return 0
 
@@ -401,51 +350,56 @@ def _cmd_converse(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Each subcommand gets only the flags it reads. Parents share their
-    # action objects, so per-command defaults (--k) are set per subparser.
+    # Each subcommand gets only the flags it reads. A flag that overrides a
+    # config path or setting has that field's name as its dest and None (not
+    # given) as its default, so _resolve merges it. Parents share their action
+    # objects, so per-command defaults (--k) are set per subparser.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"JSON config file (or ${ENV_CONFIG})")
     writes = argparse.ArgumentParser(add_help=False, parents=[common])
     writes.add_argument("--output", help="output file path")
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--store", dest="dense_store", metavar="STORE")
+    matrix_source = argparse.ArgumentParser(add_help=False)
+    matrix_source.add_argument(
+        "--matrices", dest="query_matrices", metavar="MATRICES", help="token-matrix JSON-lines file"
+    )
+    matrix_source.add_argument("--encoder", help="toy encoder checkpoint manifest")
+    hybrid = argparse.ArgumentParser(add_help=False, parents=[store])
+    hybrid.add_argument("--index", dest="sparse_index", metavar="INDEX")
+    hybrid.add_argument("--alpha", type=float)
+    hybrid.add_argument("--gamma", type=float)
+    hybrid.add_argument("--depth", type=int, default=1000)
     k_help = "result depth"
 
     parser = argparse.ArgumentParser(prog="cqe", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("index-sparse", parents=[writes], help="build and save the inverted index")
+    p = sub.add_parser("index-sparse", parents=[common], help="build and save the inverted index")
+    p.add_argument("--output", dest="sparse_index", metavar="OUTPUT", help="output file path")
     p.add_argument("--corpus")
     p.add_argument("--k1", type=float)
     p.add_argument("--b", type=float)
     p.set_defaults(func=_cmd_index_sparse)
 
     p = sub.add_parser("search-sparse", parents=[writes], help="BM25 retrieval for text queries")
-    p.add_argument("--index")
+    p.add_argument("--index", dest="sparse_index", metavar="INDEX")
     p.add_argument("--queries", help='JSON-lines {"qid", "text"}')
     p.add_argument("--k", type=int, default=1000, help=k_help)
     p.add_argument("--tag", default="sparse")
     p.set_defaults(func=_cmd_search_sparse)
 
-    for name, help_text, func in (
-        ("search-dense", "inner-product retrieval for query matrices", _cmd_search_dense),
-        ("search-hybrid", "combined sparse+dense retrieval", _cmd_search_hybrid),
+    for name, help_text, func, group in (
+        ("search-dense", "inner-product retrieval for query matrices", _cmd_search_dense, store),
+        ("search-hybrid", "combined sparse+dense retrieval", _cmd_search_hybrid, hybrid),
     ):
-        p = sub.add_parser(name, parents=[writes], help=help_text)
-        p.add_argument("--store")
-        p.add_argument("--matrices", help="token-matrix JSON-lines file")
-        p.add_argument("--encoder", help="toy encoder checkpoint manifest")
+        p = sub.add_parser(name, parents=[writes, matrix_source, group], help=help_text)
         p.add_argument("--sessions", help="sessions file (with --encoder)")
         p.add_argument("--k", type=int, default=1000, help=k_help)
         p.add_argument("--tag", default=name.split("-", 1)[1])
-        if name == "search-hybrid":
-            p.add_argument("--index")
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--gamma", type=float)
-            p.add_argument("--depth", type=int, default=1000)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("rewrite", parents=[writes], help="emit decontextualized text queries")
-    p.add_argument("--matrices")
-    p.add_argument("--encoder")
+    p = sub.add_parser("rewrite", parents=[writes, matrix_source], help="emit decontextualized text queries")
     p.add_argument("--sessions")
     p.add_argument("--gamma", type=float)
     p.set_defaults(func=_cmd_rewrite)
@@ -457,22 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", default="rrf")
     p.set_defaults(func=_cmd_fuse_rrf)
 
-    p = sub.add_parser("build-weak-labels", parents=[writes], help="pseudo-label session turns")
+    p = sub.add_parser("build-weak-labels", parents=[writes, store], help="pseudo-label session turns")
     p.add_argument("--corpus")
-    p.add_argument("--index")
-    p.add_argument("--store")
+    p.add_argument("--index", dest="sparse_index", metavar="INDEX")
     p.add_argument("--sessions")
     p.add_argument("--teacher-scores", dest="teacher_scores", help="file-backed teacher table")
     p.add_argument("--depth", type=int, default=1000)
     p.add_argument("--pool-size", type=int, default=200, dest="pool_size")
     p.set_defaults(func=_cmd_build_weak_labels)
 
-    # Flag dests equal TrainConfig field names; None (not given) keeps the config value.
-    p = sub.add_parser("train-toy", parents=[writes], help="train the toy query encoder")
+    p = sub.add_parser("train-toy", parents=[writes, store], help="train the toy query encoder")
     p.add_argument("--labels")
     p.add_argument("--sessions")
     p.add_argument("--corpus")
-    p.add_argument("--store")
     p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--steps", type=int)
     p.add_argument("--learning-rate", "--lr", type=float, dest="learning_rate")
@@ -500,15 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-grade", type=int, default=2, dest="min_grade")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("converse", parents=[common], help="interactive multi-turn retrieval")
-    p.add_argument("--index")
-    p.add_argument("--store")
-    p.add_argument("--encoder")
-    p.add_argument("--matrices")
+    p = sub.add_parser(
+        "converse", parents=[common, matrix_source, hybrid], help="interactive multi-turn retrieval"
+    )
     p.add_argument("--qid-prefix", default="turn_", dest="qid_prefix")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--depth", type=int, default=1000)
     p.add_argument("--k", type=int, default=10, help=k_help)
     p.set_defaults(func=_cmd_converse)
 
@@ -522,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -207,8 +207,7 @@ class Session:
     turns: list[Turn] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.session_id or any(c.isspace() for c in self.session_id):
-            raise ValueError(f"invalid session id {self.session_id!r}")
+        check_id(self.session_id, "session id")
         if not self.turns:
             raise ValueError(f"session {self.session_id!r} has no turns")
 
@@ -224,14 +223,16 @@ class Session:
 
 
 def load_sessions(path: str) -> list[Session]:
-    """Read sessions from JSON-lines: {"session_id", "turns": [...]} per line."""
+    """Read sessions from JSON-lines: {"session_id", "turns": [...]} per line; ids are unique."""
+    seen: set[str] = set()
 
     def record(obj: dict) -> Session:
         turns = [
             Turn(*str_fields(t, "raw_utterance"), t.get("manual_rewrite"))
             for t in obj.get("turns", [])
         ]
-        return Session(*str_fields(obj, "session_id"), turns)
+        (session_id,) = str_fields(obj, "session_id")
+        return Session(unique(session_id, seen, "session id"), turns)
 
     return read_jsonl(path, record)
 

@@ -84,23 +84,34 @@ class Corpus:
             raise KeyError(f"unknown passage id {passage_id!r}") from None
 
 
+def text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(1-based number, text) of each line of a UTF-8 file, decoded one line at a time."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+            yield lineno, line
+
+
 def read_jsonl(path: str, record: Callable[[dict], T]) -> list[T]:
     """``record(obj)`` for each line of a JSON-lines file, one JSON object per line.
 
-    Bad JSON, a line that is not an object, and any KeyError, TypeError or
-    ValueError raised by ``record`` become ``ValueError("<path>:<line>: ...")``.
+    Invalid UTF-8, bad JSON, a line that is not an object, and any KeyError,
+    TypeError or ValueError raised by ``record`` become
+    ``ValueError("<path>:<line>: ...")``.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                out.append(record(obj))
-            except (KeyError, TypeError, ValueError) as exc:
-                problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{path}:{lineno}: {problem}") from None
+    for lineno, line in text_lines(path):
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+            out.append(record(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}:{lineno}: {problem}") from None
     return out
 
 

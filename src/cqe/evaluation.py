@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import check_id, text_lines
 from .ranking import RankedEntry, RankedList
 
 Qrels = dict[str, dict[str, int]]
@@ -142,12 +143,15 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 
 
 def write_run(path: str, runs: Mapping[str, RankedList], tag: str | None = None) -> None:
+    """Write ``runs`` tagged ``tag`` (None: each list's own tag); every tag is checked first,
+    since an empty one or one with whitespace gives lines that :func:`read_run` refuses."""
+    tags = {qid: ranked.tag if tag is None else tag for qid, ranked in runs.items()}
+    for line_tag in set(tags.values()):
+        check_id(line_tag, "run tag")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(runs):
-            ranked = runs[qid]
-            line_tag = tag or ranked.tag
-            for e in ranked:
-                fh.write(f"{qid} Q0 {e.docid} {e.rank} {float(e.score)!r} {line_tag}\n")
+            for e in runs[qid]:
+                fh.write(f"{qid} Q0 {e.docid} {e.rank} {float(e.score)!r} {tags[qid]}\n")
 
 
 def read_run(path: str) -> dict[str, RankedList]:
@@ -158,22 +162,21 @@ def read_run(path: str) -> dict[str, RankedList]:
     """
     grouped: dict[str, list[RankedEntry]] = {}
     tags: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-            qid, _, docid, rank, score, tag = fields
-            try:
-                entry = RankedEntry(docid, float(score), int(rank))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad rank {rank!r} or score {score!r}") from None
-            if not math.isfinite(entry.score):
-                raise ValueError(f"{path}:{lineno}: non-finite score {score!r}")
-            grouped.setdefault(qid, []).append(entry)
-            tags[qid] = tag
+    for lineno, line in text_lines(path):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+        qid, _, docid, rank, score, tag = fields
+        try:
+            entry = RankedEntry(docid, float(score), int(rank))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad rank {rank!r} or score {score!r}") from None
+        if not math.isfinite(entry.score):
+            raise ValueError(f"{path}:{lineno}: non-finite score {score!r}")
+        grouped.setdefault(qid, []).append(entry)
+        tags[qid] = tag
 
     runs: dict[str, RankedList] = {}
     for qid, entries in grouped.items():
@@ -199,21 +202,20 @@ def write_qrels(qrels: Mapping[str, Mapping[str, int]], path: str) -> None:
 
 def read_qrels(path: str) -> Qrels:
     qrels: Qrels = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-            qid, _, docid, grade = fields
-            try:
-                g = int(grade)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad grade {grade!r}") from None
-            if not (0 <= g <= MAX_GRADE):
-                raise ValueError(f"{path}:{lineno}: grade {g} outside 0..{MAX_GRADE}")
-            if docid in qrels.get(qid, {}):
-                raise ValueError(f"{path}:{lineno}: duplicate judgment for {qid!r}/{docid!r}")
-            qrels.setdefault(qid, {})[docid] = g
+    for lineno, line in text_lines(path):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+        qid, _, docid, grade = fields
+        try:
+            g = int(grade)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad grade {grade!r}") from None
+        if not (0 <= g <= MAX_GRADE):
+            raise ValueError(f"{path}:{lineno}: grade {g} outside 0..{MAX_GRADE}")
+        if docid in qrels.get(qid, {}):
+            raise ValueError(f"{path}:{lineno}: duplicate judgment for {qid!r}/{docid!r}")
+        qrels.setdefault(qid, {})[docid] = g
     return qrels

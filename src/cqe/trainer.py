@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,6 +97,13 @@ class CosineTeacher:
         return score
 
 
+def _finite_score(value, what: str) -> float:
+    """``value`` as a float; ValueError unless it is a number (not a bool) that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 class TableTeacher:
     """File-backed score table keyed by (query text, passage id)."""
 
@@ -109,10 +117,7 @@ class TableTeacher:
 
         def record(obj: dict) -> tuple[tuple[str, str], float]:
             key = unique(str_fields(obj, "query", "id"), seen, "(query, id)")
-            score = float(obj["score"])
-            if not math.isfinite(score):
-                raise ValueError(f"non-finite score {score}")
-            return key, score
+            return key, _finite_score(obj["score"], f"teacher score of {key[1]!r}")
 
         return cls(dict(read_jsonl(path, record)))
 
@@ -201,10 +206,7 @@ def _pool_entry(entry) -> tuple[str, float]:
     if not isinstance(entry, dict):
         raise TypeError("'teacher_pool' entries must be objects")
     (pid,) = str_fields(entry, "id")
-    score = entry["score"]
-    if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
-        raise ValueError(f"teacher score of {pid!r} must be a finite number, got {score!r}")
-    return pid, float(score)
+    return pid, _finite_score(entry["score"], f"teacher score of {pid!r}")
 
 
 def load_weak_labels(path: str) -> list[TurnLabels]:

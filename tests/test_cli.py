@@ -1,5 +1,6 @@
 """Command-line workflows over the planted dataset."""
 
+import argparse
 import io
 import json
 import os
@@ -14,12 +15,12 @@ import pytest
 from cqe import cli
 from cqe.core import TokenEmbeddingMatrix, save_token_matrices
 from cqe.corpus import Corpus, Passage
-from cqe.evaluation import read_run, write_qrels, write_run
+from cqe.evaluation import read_qrels, read_run, write_qrels, write_run
 from cqe.fusion import FusionConfig, rrf
 from cqe.ranking import RankedList
 from cqe.sparse import InvertedIndex, build_index, save_index
 from cqe.synth import write_planted_dataset
-from cqe.trainer import load_weak_labels, save_weak_labels
+from cqe.trainer import ToyQueryEncoder, load_weak_labels, save_weak_labels
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +142,21 @@ class TestIndexAndSearch:
         argv = ["search-sparse", "--index", index, "--queries", str(queries), "--output", str(tmp_path / "run.txt")]
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {index}: section IDMP: passage id {bad_id!r}")
+
+    @pytest.mark.parametrize("command", ["search-sparse", "fuse-rrf"])
+    @pytest.mark.parametrize("tag", ["my run", "", "tab\there"])
+    def test_bad_run_tag_is_refused_before_writing(self, command, tag, workspace, tmp_path, capsys):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"qid": "q", "text": "topic0"}) + "\n")
+        run = str(tmp_path / "in.txt")
+        write_run(run, {"q": RankedList.from_scores([("a", 1.0)], "t")})
+        out = tmp_path / "run.txt"
+        inputs = {"search-sparse": ["--index", workspace["index"], "--queries", str(queries)],
+                  "fuse-rrf": ["--runs", run]}[command]
+        capsys.readouterr()
+        assert run_cli([command, *inputs, "--tag", tag, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: run tag ")
+        assert not out.exists()
 
 
 class TestHybridConsistency:
@@ -385,6 +401,83 @@ class TestConfig:
         assert "indexed 100 passages" in capsys.readouterr().out
 
 
+# The config field each path flag overrides; index-sparse's --output names the index it writes.
+PATH_FLAGS = {"corpus": "--corpus", "sparse_index": "--index", "dense_store": "--store",
+              "query_matrices": "--matrices", "qrels": "--qrels"}
+CONFIG_PATHS = [
+    ("index-sparse", "corpus"), ("index-sparse", "sparse_index"),
+    ("search-sparse", "sparse_index"),
+    ("search-dense", "dense_store"), ("search-dense", "query_matrices"),
+    ("search-hybrid", "sparse_index"), ("search-hybrid", "dense_store"), ("search-hybrid", "query_matrices"),
+    ("rewrite", "query_matrices"),
+    ("build-weak-labels", "corpus"), ("build-weak-labels", "sparse_index"), ("build-weak-labels", "dense_store"),
+    ("train-toy", "corpus"), ("train-toy", "dense_store"),
+    ("eval", "qrels"), ("compare", "qrels"),
+    ("converse", "sparse_index"), ("converse", "dense_store"), ("converse", "query_matrices"),
+]
+CONVERSE_SCRIPT = "topic0 filler overview\nwhy did it change\nexit\n"
+
+
+@pytest.fixture(scope="module")
+def path_inputs(workspace, tmp_path_factory):
+    """The workspace plus token matrices, text queries and two run files over the planted qrels."""
+    root = tmp_path_factory.mktemp("config_paths")
+    files = dict(workspace)
+    encoder = ToyQueryEncoder.load(workspace["encoder"])
+    files["matrices"] = str(root / "matrices.jsonl")
+    save_token_matrices({"turn_1": encoder.encode([], ["topic0", "filler", "overview"]),
+                         "turn_2": encoder.encode(["topic0", "filler", "overview"], ["why", "did", "it", "change"])},
+                        files["matrices"])
+    files["queries"] = str(root / "queries.jsonl")
+    with open(files["queries"], "w") as fh:
+        fh.write(json.dumps({"qid": "q1", "text": "topic0 overview"}) + "\n")
+    qrels = read_qrels(workspace["qrels"])
+    for name, sign in (("run_a", 1.0), ("run_b", -1.0)):
+        files[name] = str(root / f"{name}.txt")
+        write_run(files[name], {q: RankedList.from_scores([(d, sign * g) for d, g in judged.items()], name)
+                                for q, judged in qrels.items()})
+    return files
+
+
+def path_flags(command, files, out):
+    """(flag, value) pairs of a complete ``command`` invocation."""
+    index, store, matrices = ("--index", files["index"]), ("--store", files["store"]), ("--matrices", files["matrices"])
+    corpus, sessions, output = ("--corpus", files["corpus"]), ("--sessions", files["sessions"]), ("--output", out)
+    return {
+        "index-sparse": [corpus, output],
+        "search-sparse": [index, ("--queries", files["queries"]), output],
+        "search-dense": [store, matrices, output],
+        "search-hybrid": [index, store, matrices, ("--depth", "50"), output],
+        "rewrite": [matrices, output],
+        "build-weak-labels": [corpus, index, store, sessions, ("--depth", "20"), ("--pool-size", "10"), output],
+        "train-toy": [("--labels", files["labels_train"]), sessions, corpus, store, ("--steps", "3"), output],
+        "eval": [("--run", files["run_a"]), ("--qrels", files["qrels"])],
+        "compare": [("--run", files["run_a"]), ("--baseline", files["run_b"]), ("--qrels", files["qrels"])],
+        "converse": [index, store, matrices, ("--k", "3")],
+    }[command]
+
+
+class TestPathsFromConfig:
+    @pytest.mark.parametrize("command,field", CONFIG_PATHS)
+    def test_config_path_acts_as_its_flag(self, command, field, path_inputs, tmp_path, monkeypatch, capsys):
+        """The flag beats a config path that does not exist; the config path alone does what the flag did."""
+        out = str(tmp_path / "out.json")
+        pairs = path_flags(command, path_inputs, out)
+        flag = "--output" if command == "index-sparse" and field == "sparse_index" else PATH_FLAGS[field]
+        (value,) = [v for f, v in pairs if f == flag]
+        config = tmp_path / "config.json"
+        results = []
+        for path, kept in ((str(tmp_path / "absent"), pairs), (value, [(f, v) for f, v in pairs if f != flag])):
+            config.write_text(json.dumps({"paths": {field: path}}))
+            monkeypatch.setattr("sys.stdin", io.StringIO(CONVERSE_SCRIPT))
+            assert run_cli([command, "--config", str(config), *[a for pair in kept for a in pair]]) == 0
+            written = open(out, "rb").read() if os.path.exists(out) else None
+            if written is not None:
+                os.remove(out)
+            results.append((capsys.readouterr().out, written))
+        assert results[0][0] and results[0] == results[1]
+
+
 class TestFileBackedMatrices:
     def matrices_for(self, planted, encoder_path, tmp_path, qids):
         from cqe.trainer import ToyQueryEncoder
@@ -498,6 +591,14 @@ BAD_LINES = [
     ("teacher", json.dumps({"query": "fox", "id": "p0", "score": 2.0})),
     ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "high"})),
     ("teacher", '{"query": "fox", "id": "p1", "score": NaN}'),
+    ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "0.5"})),
+    ("teacher", json.dumps({"query": "fox", "id": "p1", "score": True})),
+    pytest.param("teacher", '{"query": "fox", "id": "p1", "score": 1' + "0" * 400 + "}", id="teacher-huge-int"),
+    pytest.param("labels", '{"qid": "s_2", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], '
+                 '"teacher_pool": [{"id": "p0", "score": 1' + "0" * 400 + "}]}", id="labels-huge-int"),
+    ("sessions", json.dumps(GOOD_LINES["sessions"])),
+    ("corpus", '{"id": "p1", "text": "red \udcff fox"}'),  # written as the invalid UTF-8 byte 0xff
+    *((reader, "\udcff") for reader in GOOD_LINES),
 ]
 
 
@@ -520,7 +621,7 @@ class TestMalformedJsonLines:
     @pytest.mark.parametrize("reader,bad", BAD_LINES)
     def test_error_names_path_and_line(self, reader, bad, workspace, tmp_path, capsys):
         path = str(tmp_path / f"{reader}.jsonl")
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(json.dumps(GOOD_LINES[reader]) + "\n" + bad + "\n")
         capsys.readouterr()
         assert run_cli(reader_argv(reader, path, workspace, tmp_path)) == 1
@@ -562,6 +663,31 @@ class TestConfigErrors:
         assert cfg.fusion.rrf_k == 30 and cfg.rewrite.gamma == 3
 
 
+# Each subcommand's options: "flags[:type][=default][ nargs=N][ choices=[...]][ required]".
+METRICS = "choices=['ndcg', 'ndcg@3', 'recall']"
+COMMAND_OPTIONS = {
+    "index-sparse": ["--b:float", "--config", "--corpus", "--k1:float", "--output"],
+    "search-sparse": ["--config", "--index", "--k:int=1000", "--output", "--queries", "--tag='sparse'"],
+    "search-dense": ["--config", "--encoder", "--k:int=1000", "--matrices", "--output", "--sessions", "--store",
+                     "--tag='dense'"],
+    "search-hybrid": ["--alpha:float", "--config", "--depth:int=1000", "--encoder", "--gamma:float", "--index",
+                      "--k:int=1000", "--matrices", "--output", "--sessions", "--store", "--tag='hybrid'"],
+    "rewrite": ["--config", "--encoder", "--gamma:float", "--matrices", "--output", "--sessions"],
+    "fuse-rrf": ["--config", "--k:int", "--output", "--rrf-k:float", "--runs nargs=+ required", "--tag='rrf'"],
+    "build-weak-labels": ["--config", "--corpus", "--depth:int=1000", "--index", "--output", "--pool-size:int=200",
+                          "--sessions", "--store", "--teacher-scores"],
+    "train-toy": ["--batch-size:int", "--config", "--corpus", "--hard-negatives nargs=0", "--labels",
+                  "--learning-rate --lr:float", "--output", "--seed:int", "--sessions", "--soft-labels nargs=0",
+                  "--steps:int", "--store", "--tau:float"],
+    "eval": ["--config", "--cutoff:int", f"--metric='ndcg' {METRICS}", "--min-grade:int=2",
+             "--per-query=False nargs=0", "--qrels", "--run"],
+    "compare": ["--baseline", "--config", "--cutoff:int", f"--metric='ndcg@3' {METRICS}", "--min-grade:int=2",
+                "--qrels", "--run"],
+    "converse": ["--alpha:float", "--config", "--depth:int=1000", "--encoder", "--gamma:float", "--index",
+                 "--k:int=10", "--matrices", "--qid-prefix='turn_'", "--store"],
+}
+
+
 class TestFlagMerge:
     def train_configs(self, workspace, tmp_path, monkeypatch, config, flags):
         """The TrainConfig that train-toy hands to train()."""
@@ -601,6 +727,22 @@ class TestFlagMerge:
         assert parser.parse_args(["search-dense"]).k == 1000
         assert parser.parse_args(["search-sparse"]).k == 1000
         assert parser.parse_args(["fuse-rrf", "--runs", "a"]).k is None
+
+    def test_every_command_keeps_its_options(self):
+        def describe(action):
+            spec = " ".join(action.option_strings)
+            spec += f":{action.type.__name__}" if action.type else ""
+            spec += f"={action.default!r}" if action.default is not None else ""
+            spec += f" nargs={action.nargs}" if action.nargs is not None else ""
+            spec += f" choices={list(action.choices)}" if action.choices else ""
+            return spec + (" required" if action.required else "")
+
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: sorted(describe(a) for a in p._actions if not isinstance(a, argparse._HelpAction))
+            for name, p in sub.choices.items()
+        }
+        assert got == COMMAND_OPTIONS
 
     @pytest.mark.parametrize("argv", [["eval", "--k", "5"], ["eval", "--seed", "1"], ["converse", "--output", "x"]])
     def test_flags_a_command_does_not_read_are_refused(self, argv, capsys):

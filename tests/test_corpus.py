@@ -102,6 +102,23 @@ class TestLoadCorpus:
         with pytest.raises(FileNotFoundError):
             load_corpus(str(tmp_path / "absent.jsonl"))
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "p0", "text": "a"}\n{"id": "p1", "text": "\xff"}\n')
+        with pytest.raises(ValueError, match=f"^{path}:2: invalid UTF-8 at byte 22: invalid start byte$"):
+            load_corpus(str(path))
+
+    def test_utf16_is_refused_not_guessed(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes('{"id": "p0", "text": "a"}\n'.encode("utf-16-be"))
+        with pytest.raises(ValueError, match=f"^{path}:1: "):
+            load_corpus(str(path))
+
+    def test_crlf_lines_parse(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "p0", "text": "a"}\r\n{"id": "p1", "text": "b"}\r\n')
+        assert [(p.id, p.text) for p in load_corpus(str(path))] == [("p0", "a"), ("p1", "b")]
+
     def test_round_trip(self, tmp_path):
         original = Corpus(
             [Passage("p1", "some text"), Passage("p2", "unicode éè"), Passage("p3", "")]

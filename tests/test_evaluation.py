@@ -280,6 +280,27 @@ class TestRunIO:
         with pytest.warns(UserWarning, match="non-increasing"):
             read_run(str(path))
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_bytes(b"q1 Q0 d1 1 2.0 t\nq1 Q0 d\xff 2 1.0 t\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: invalid UTF-8 at byte 7")):
+            read_run(str(path))
+
+    def test_crlf_lines_parse(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_bytes(b"q1 Q0 d1 1 2.0 t\r\nq1 Q0 d2 2 1.0 t\r\n")
+        assert read_run(str(path))["q1"] == RankedList.from_scores([("d1", 2.0), ("d2", 1.0)], "t")
+
+    @pytest.mark.parametrize("tag", ["", "my run", "tab\there"])
+    def test_bad_tag_refused_before_writing(self, tmp_path, tag):
+        path = tmp_path / "run.txt"
+        runs = {"q1": RankedList.from_scores([("d1", 1.0)], "sys")}
+        with pytest.raises(ValueError, match="^run tag "):
+            write_run(str(path), runs, tag=tag)
+        with pytest.raises(ValueError, match="^run tag "):
+            write_run(str(path), {"q1": runs["q1"].head(1, tag=tag)})
+        assert not path.exists()
+
 
 class TestQrelsIO:
     def test_round_trip(self, tmp_path):
@@ -293,6 +314,17 @@ class TestQrelsIO:
         path.write_text("q1 0 d1 7\n")
         with pytest.raises(ValueError, match="grade"):
             read_qrels(str(path))
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_bytes(b"q1 0 d1 2\nq\xff 0 d2 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: invalid UTF-8 at byte 1")):
+            read_qrels(str(path))
+
+    def test_crlf_lines_parse(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_bytes(b"q1 0 d1 2\r\nq1 0 d2 1\r\n")
+        assert read_qrels(str(path)) == {"q1": {"d1": 2, "d2": 1}}
 
 
 # Run and qrels lines are whitespace-separated, so ids may hold any other
