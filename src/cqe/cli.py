@@ -88,12 +88,20 @@ def _known(values, names, what: str) -> dict:
 
 
 def _section(base, values, name: str):
-    """``base`` with one config-file section's settings, each of its default's type."""
+    """``base`` with one config-file section's settings, each of its default's type.
+
+    An integer is taken for a float setting and converted, so one too large
+    for a float is refused here, not where the setting is first used."""
+    settings = {}
     for key, value in _known(values, [f.name for f in fields(base)], f"{name} settings").items():
         want = type(getattr(base, key))
         if type(value) is not want and not (want is float and type(value) is int):
             raise TypeError(f"{name}.{key} must be {want.__name__}, got {value!r}")
-    return replace(base, **values)
+        try:
+            settings[key] = want(value)
+        except OverflowError:
+            raise ValueError(f"{name}.{key} is too large for a float") from None
+    return replace(base, **settings)
 
 
 def _merge(base, args):

@@ -99,8 +99,8 @@ def read_jsonl(path: str, record: Callable[[dict], T]) -> list[T]:
     """``record(obj)`` for each line of a JSON-lines file, one JSON object per line.
 
     Invalid UTF-8, bad JSON, a line that is not an object, and any KeyError,
-    TypeError or ValueError raised by ``record`` become
-    ``ValueError("<path>:<line>: ...")``.
+    TypeError, ValueError or OverflowError (an integer too large for a
+    float) raised by ``record`` become ``ValueError("<path>:<line>: ...")``.
     """
     out = []
     for lineno, line in text_lines(path):
@@ -109,7 +109,7 @@ def read_jsonl(path: str, record: Callable[[dict], T]) -> list[T]:
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
             out.append(record(obj))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}:{lineno}: {problem}") from None
     return out

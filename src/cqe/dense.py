@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -60,10 +61,14 @@ class PassageEmbeddingStore:
         return passage_id in self._row
 
     def vector(self, passage_id: str) -> np.ndarray:
+        return self.vectors[self.rows([passage_id])[0]]
+
+    def rows(self, passage_ids: Sequence[str]) -> np.ndarray:
+        """The row of each of ``passage_ids``; KeyError naming the first unknown id."""
         try:
-            return self.vectors[self._row[passage_id]]
-        except KeyError:
-            raise KeyError(f"unknown passage id {passage_id!r}") from None
+            return np.fromiter(map(self._row.__getitem__, passage_ids), np.intp, len(passage_ids))
+        except KeyError as exc:
+            raise KeyError(f"unknown passage id {exc.args[0]!r}") from None
 
 
 # Store and encoder files: a manifest, one JSON line {<size>: int, ..., "dtype": "f32le"}, and

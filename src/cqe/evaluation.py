@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import check_id, text_lines
-from .ranking import RankedEntry, RankedList
+from .ranking import RankedList
 
 Qrels = dict[str, dict[str, int]]
 
@@ -150,17 +150,21 @@ def write_run(path: str, runs: Mapping[str, RankedList], tag: str | None = None)
         check_id(line_tag, "run tag")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(runs):
-            for e in runs[qid]:
-                fh.write(f"{qid} Q0 {e.docid} {e.rank} {float(e.score)!r} {tags[qid]}\n")
+            ranked, line_tag = runs[qid], tags[qid]
+            ids, scores = ranked.columns()
+            fh.writelines(
+                f"{qid} Q0 {docid} {rank} {score!r} {line_tag}\n"
+                for docid, rank, score in zip(ids, ranked.ranks(), scores.tolist())
+            )
 
 
 def read_run(path: str) -> dict[str, RankedList]:
-    """Parse a TREC run file into per-query ranked lists.
+    """Parse a TREC run file into per-query ranked lists that keep the file's ranks.
 
     Score-order or rank-numbering violations produce warnings; duplicate
     documents within a query are errors.
     """
-    grouped: dict[str, list[RankedEntry]] = {}
+    grouped: dict[str, tuple[list[str], list[float], list[int]]] = {}
     tags: dict[str, str] = {}
     for lineno, line in text_lines(path):
         fields = line.split()
@@ -170,26 +174,30 @@ def read_run(path: str) -> dict[str, RankedList]:
             raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
         qid, _, docid, rank, score, tag = fields
         try:
-            entry = RankedEntry(docid, float(score), int(rank))
+            value, position = float(score), int(rank)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad rank {rank!r} or score {score!r}") from None
-        if not math.isfinite(entry.score):
+        if not math.isfinite(value):
             raise ValueError(f"{path}:{lineno}: non-finite score {score!r}")
-        grouped.setdefault(qid, []).append(entry)
+        columns = grouped.get(qid)
+        if columns is None:
+            columns = grouped[qid] = ([], [], [])
+        columns[0].append(docid)
+        columns[1].append(value)
+        columns[2].append(position)
         tags[qid] = tag
 
     runs: dict[str, RankedList] = {}
-    for qid, entries in grouped.items():
-        docids = [e.docid for e in entries]
+    for qid, (docids, values, ranks) in grouped.items():
         if len(set(docids)) != len(docids):
             raise ValueError(f"{path}: duplicate docid for query {qid!r}")
-        for i, e in enumerate(entries):
-            if e.rank != i + 1:
-                warnings.warn(f"{path}: query {qid!r} rank {e.rank} at position {i + 1}")
-                break
-        if any(entries[i].score < entries[i + 1].score for i in range(len(entries) - 1)):
+        if ranks != list(range(1, len(ranks) + 1)):
+            i = next(i for i, r in enumerate(ranks) if r != i + 1)
+            warnings.warn(f"{path}: query {qid!r} rank {ranks[i]} at position {i + 1}")
+        scores = np.array(values, dtype=np.float64)
+        if (scores[:-1] < scores[1:]).any():
             warnings.warn(f"{path}: query {qid!r} scores are not non-increasing")
-        runs[qid] = RankedList(entries, tags[qid])
+        runs[qid] = RankedList.from_columns(docids, scores, tags[qid], ranks)
     return runs
 
 

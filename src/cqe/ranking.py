@@ -20,8 +20,8 @@ class RankedList:
     built through :meth:`from_scores` always satisfy the invariants.
 
     A list is three columns: ids in rank order, their float64 scores and
-    their ranks, as given to the constructor (run files may number ranks
-    freely) or 1..n from :meth:`from_columns` and :meth:`from_scores`.
+    their ranks, as given to the constructor or to :meth:`from_columns`
+    (run files may number ranks freely), else 1..n.
     :attr:`entries` and iteration build :class:`RankedEntry` tuples from
     the columns on each read.
     """
@@ -34,10 +34,13 @@ class RankedList:
         self.tag = tag
 
     @classmethod
-    def from_columns(cls, ids: list[str], scores: np.ndarray, tag: str = "run") -> RankedList:
-        """``ids`` in rank order with their float64 ``scores``, ranked 1..n; both are kept, not copied."""
+    def from_columns(
+        cls, ids: list[str], scores: np.ndarray, tag: str = "run", ranks: Sequence[int] | None = None
+    ) -> RankedList:
+        """``ids`` in rank order, their float64 ``scores`` and ``ranks`` (default 1..n); kept, not copied."""
         ranked = cls((), tag)
-        ranked._ids, ranked._scores, ranked._ranks = ids, scores, range(1, len(ids) + 1)
+        ranked._ids, ranked._scores = ids, scores
+        ranked._ranks = range(1, len(ids) + 1) if ranks is None else ranks
         return ranked
 
     @classmethod
@@ -61,6 +64,10 @@ class RankedList:
     def columns(self) -> tuple[list[str], np.ndarray]:
         """(ids in rank order, float64 scores): the list's own columns, not copies."""
         return self._ids, self._scores
+
+    def ranks(self) -> Sequence[int]:
+        """The rank column, in rank order; not a copy."""
+        return self._ranks
 
     def head(self, k: int, tag: str | None = None) -> RankedList:
         """The first ``k`` results, each column cut, tagged ``tag`` (default: this list's tag)."""

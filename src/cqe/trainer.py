@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Passage, read_jsonl, str_fields, str_lists, tokenize, unique, write_jsonl
+from .corpus import Corpus, read_jsonl, str_fields, str_lists, tokenize, unique, write_jsonl
 from .core import Session, TokenEmbeddingMatrix
 from .dense import PassageEmbeddingStore, read_f32, read_lines, read_manifest, sidecar_base
 from .dense import write_lines, write_manifest
@@ -66,11 +66,12 @@ class HashingTextEmbedder:
 
 
 class CosineTeacher:
-    """Scores a passage by cosine between its stored vector and the embedded query.
+    """Scores passages by cosine between their stored vectors and the embedded query.
 
-    Each query text is embedded once and each (text, passage id) pair is
-    scored once; later calls return the stored float. Every score is one
-    1-D dot product, so it does not depend on what else was scored.
+    Each query text is embedded once and each store row's norm is computed
+    once, on first use. Every score is one 1-D dot product divided by the
+    two norms, so a pair scores the same float whatever else shares the
+    call: a matrix product would round differently.
     """
 
     def __init__(self, store: PassageEmbeddingStore, embedder: HashingTextEmbedder | None = None):
@@ -79,22 +80,27 @@ class CosineTeacher:
         if self._embedder.dim != store.dim:
             raise ValueError("embedder and store dimensions differ")
         self._queries: dict[str, tuple[np.ndarray, np.floating]] = {}
-        self._scores: dict[tuple[str, str], float] = {}
+        self._norms = np.full(store.count, np.nan)  # per store row; NaN until first scored
 
-    def score(self, query_text: str, passage: Passage) -> float:
-        key = (query_text, passage.id)
-        score = self._scores.get(key)
-        if score is None:
-            query = self._queries.get(query_text)
+    def scores(self, texts: Sequence[str], ids: Sequence[str]) -> np.ndarray:
+        """float64 ``len(texts) x len(ids)`` cosines; 0.0 where either vector is zero."""
+        rows = self._store.rows(ids)
+        vecs = self._store.vectors[rows].astype(np.float64)
+        norms = self._norms[rows]
+        for j in np.flatnonzero(np.isnan(norms)).tolist():
+            v = vecs[j]
+            norms[j] = self._norms[rows[j]] = math.sqrt(v.dot(v))  # np.linalg.norm's formula for a 1-D array
+        out = np.zeros((len(texts), len(ids)))
+        for i, text in enumerate(texts):
+            query = self._queries.get(text)
             if query is None:
-                q = self._embedder.embed(query_text)
-                query = self._queries[query_text] = (q, np.linalg.norm(q))
+                q = self._embedder.embed(text)
+                query = self._queries[text] = (q, np.linalg.norm(q))
             q, nq = query
-            v = self._store.vector(passage.id).astype(np.float64)
-            nv = np.linalg.norm(v)
-            score = 0.0 if nq == 0.0 or nv == 0.0 else float(q @ v / (nq * nv))
-            self._scores[key] = score
-        return score
+            if nq != 0.0:
+                dots = np.fromiter(map(q.dot, vecs), np.float64, len(ids))  # one 1-D dot (ddot) per passage
+                np.divide(dots, nq * norms, out=out[i], where=norms != 0.0)
+        return out
 
 
 def _finite_score(value, what: str) -> float:
@@ -121,13 +127,14 @@ class TableTeacher:
 
         return cls(dict(read_jsonl(path, record)))
 
-    def score(self, query_text: str, passage: Passage) -> float:
+    def scores(self, texts: Sequence[str], ids: Sequence[str]) -> np.ndarray:
+        """float64 ``len(texts) x len(ids)`` table scores; ValueError naming the first missing pair."""
         try:
-            return self._table[(query_text, passage.id)]
-        except KeyError:
-            raise ValueError(
-                f"no teacher score for query {query_text!r} and passage {passage.id!r}"
-            ) from None
+            rows = [[self._table[(text, pid)] for pid in ids] for text in texts]
+        except KeyError as exc:
+            text, pid = exc.args[0]
+            raise ValueError(f"no teacher score for query {text!r} and passage {pid!r}") from None
+        return np.array(rows, dtype=np.float64).reshape(len(texts), len(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +164,15 @@ def build_weak_labels(
     """Label every rewritten turn with teacher-picked positives.
 
     Per turn: retrieve BM25 candidates for the rewrite (up to
-    candidate_depth, capped at the corpus size), rescore the pool with the
-    teacher, keep the teacher's top 3 as positives, and record the top
-    pool_size ids of both orderings. Turns with fewer than 3 candidates
-    are skipped with a warning.
+    candidate_depth, capped at the corpus size), rescore them with one
+    ``teacher.scores([rewrite], ids)`` call, keep the teacher's top 3 as
+    positives, and record the top pool_size ids of both orderings. Turns
+    with fewer than 3 candidates are skipped with a warning. Every index id
+    must be in the corpus.
     """
     if min(candidate_depth, pool_size) < 1:
         raise ValueError(f"candidate_depth {candidate_depth} and pool_size {pool_size} must be >= 1")
+    _require_ids(index.ids, corpus, "corpus is missing indexed ids")
     turns = []
     for session in sessions:
         for i, turn in enumerate(session.turns):
@@ -178,19 +187,26 @@ def build_weak_labels(
                 )
                 continue
             ids = candidates.docids()
-            rescored = RankedList.from_scores(
-                [(d, float(teacher.score(turn.manual_rewrite, corpus[d]))) for d in ids]
-            )
+            scores = np.asarray(teacher.scores([turn.manual_rewrite], ids), dtype=np.float64)
+            rescored = RankedList.from_scores(list(zip(ids, scores[0].tolist())))
+            pool_ids, pool_scores = rescored.head(pool_size).columns()
             turns.append(
                 TurnLabels(
                     qid=qid,
                     rewrite=turn.manual_rewrite,
                     positives=rescored.head(3).docids(),
                     bm25_pool=ids[:pool_size],
-                    teacher_pool=[(e.docid, e.score) for e in rescored.head(pool_size)],
+                    teacher_pool=list(zip(pool_ids, pool_scores.tolist())),
                 )
             )
     return turns
+
+
+def _require_ids(ids, holder, problem: str) -> None:
+    """ValueError ``problem: [...]`` naming up to 5 of ``ids`` (sorted) that ``holder`` lacks."""
+    missing = sorted(pid for pid in ids if pid not in holder)
+    if missing:
+        raise ValueError(f"{problem}: {missing[:5]}")
 
 
 def save_weak_labels(labels: Sequence[TurnLabels], path: str) -> None:
@@ -344,21 +360,28 @@ def distill_loss(
     is KL(teacher || student). Returns the loss and its gradient with
     respect to the student scores.
     """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
     student = np.asarray(student_scores, dtype=np.float64)
     teacher = np.asarray(teacher_scores, dtype=np.float64)
     if student.shape != teacher.shape or student.ndim != 1:
         raise ValueError("student and teacher score lists must have equal length")
-    if student.shape[0] < 2:
-        raise ValueError("distillation needs at least 2 scores")
+    losses, grad = _distill_rows(student, teacher, tau)
+    return float(losses), grad
 
+
+def _distill_rows(student: np.ndarray, teacher: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`distill_loss` along the last axis: each row's loss and its gradient in the student scores.
+
+    A row of a matrix gets the same bits as that row alone: every reduction
+    runs along the contiguous last axis.
+    """
+    if tau <= 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    if student.shape[-1] < 2:
+        raise ValueError("distillation needs at least 2 scores")
     log_s = _log_softmax(student / tau)
     log_t = _log_softmax(teacher / tau)
     p_t = np.exp(log_t)
-    loss = float(np.sum(p_t * (log_t - log_s)))
-    grad = (np.exp(log_s) - p_t) / tau
-    return loss, grad
+    return np.sum(p_t * (log_t - log_s), axis=-1), (np.exp(log_s) - p_t) / tau
 
 
 # ---------------------------------------------------------------------------
@@ -504,38 +527,54 @@ def batch_gradients(
         if teacher_scores.shape != (n_queries, len(pool_ids)):
             raise ValueError(f"teacher scores are {teacher_scores.shape}, need {(n_queries, len(pool_ids))}")
     passage_vecs = np.asarray(passage_vecs, dtype=np.float64)
+    embedding, projection = encoder.embedding, encoder.projection
 
-    token_idx = []
+    sizes = [len(inst.context_tokens) + len(inst.query_tokens) for inst in instances]
+    token_idx = encoder.token_indices(
+        [t for inst in instances for tokens in (inst.context_tokens, inst.query_tokens) for t in tokens]
+    )
+    token_rows = embedding[token_idx]
+    # Per instance: its own GEMM, pooled by the same anchored mean as core.pool (the
+    # gradient is 1/n per row either way), and the row sum the projection gradient needs.
+    # One GEMM over all instances, or sums cut from one reduction, round differently.
     query_vecs = np.empty((n_queries, encoder.dim))
-    for i, inst in enumerate(instances):
-        idx = encoder.token_indices(list(inst.context_tokens) + list(inst.query_tokens))
-        if idx.size == 0:
-            raise ValueError(f"turn {inst.qid!r} has no tokens to encode")
-        token_idx.append(idx)
-        rows = encoder.embedding[idx] @ encoder.projection
-        # same anchored mean as core.pool; the gradient is 1/n per row either way
+    row_sums = np.empty((n_queries, encoder.dim))
+    stop = 0
+    for i, size in enumerate(sizes):
+        if size == 0:
+            raise ValueError(f"turn {instances[i].qid!r} has no tokens to encode")
+        start, stop = stop, stop + size
+        emb = token_rows[start:stop]
+        rows = emb @ projection
         query_vecs[i] = rows[0] + (rows - rows[0]).mean(axis=0)
+        row_sums[i] = emb.sum(axis=0)
 
     if teacher_scores is not None:
+        passage_t = passage_vecs.T
+        student = np.array([q @ passage_t for q in query_vecs])
+        item_losses, grad_s = _distill_rows(student, teacher_scores, tau)
         total = 0.0
-        grad_q = np.empty_like(query_vecs)
-        for i in range(n_queries):
-            item_loss, grad_s = distill_loss(query_vecs[i] @ passage_vecs.T, teacher_scores[i], tau)
+        for item_loss in item_losses.tolist():
             total += item_loss
-            grad_q[i] = grad_s @ passage_vecs
         loss = total / n_queries
-        grad_q /= n_queries
+        grad_q = np.array([g @ passage_vecs for g in grad_s]) / n_queries
     else:
         index_of = {pid: i for i, pid in enumerate(pool_ids)}
         positives = [index_of[inst.positive_id] for inst in instances]
         loss, grad_q = contrastive_loss(query_vecs, passage_vecs, positives, tau)
 
-    grad_embedding = np.zeros_like(encoder.embedding)
-    grad_projection = np.zeros_like(encoder.projection)
-    for i, idx in enumerate(token_idx):
-        per_row = grad_q[i] / idx.size
-        grad_projection += np.outer(encoder.embedding[idx].sum(axis=0), per_row)
-        np.add.at(grad_embedding, idx, per_row @ encoder.projection.T)
+    per_row = grad_q / np.array(sizes)[:, None]
+    # The outer products are added one by one in instance order; a reduction over
+    # all of them may sum pairwise.
+    grad_projection = np.zeros_like(projection)
+    outer = np.empty_like(projection)
+    for row_sum, row_grad in zip(row_sums[:, :, None], per_row):
+        grad_projection += np.multiply(row_sum, row_grad, out=outer)
+    # Each token's row gradient, added into its embedding row in token order from 0.0:
+    # the additions np.add.at makes, done by one bincount over flat (row, column) cells.
+    grad_rows = np.repeat([g @ projection.T for g in per_row], sizes, axis=0)
+    cells = (token_idx[:, None] * encoder.dim + np.arange(encoder.dim)).ravel()
+    grad_embedding = np.bincount(cells, grad_rows.ravel(), embedding.size).reshape(embedding.shape)
     return loss, grad_embedding, grad_projection
 
 
@@ -551,21 +590,20 @@ def train(
     """Gradient-descent fine-tuning of the query encoder; passages stay frozen.
 
     Batches cycle through the labeled turns in order, so each pass samples
-    every turn once. Soft-label runs need a teacher and the corpus: every
-    in-batch (query, passage) pair is scored into one teacher matrix per
-    batch. Fully deterministic for a fixed seed.
+    every turn once. Soft-label runs need a teacher and the corpus, which
+    must hold every labeled id: one ``teacher.scores`` call per batch scores
+    every in-batch (query, passage) pair. Fully deterministic for a fixed seed.
     """
     if config.use_soft_labels and (teacher is None or corpus is None):
         raise ValueError("soft-label training requires a teacher and the corpus")
     order = [t.qid for t in labels]
     if not order:
         raise ValueError("no labeled turns to train on")
-    missing = sorted(
-        {pid for t in labels for pid in t.positives + t.bm25_pool if pid not in store}
-        | {pid for t in labels for pid, _ in t.teacher_pool if pid not in store}
-    )
-    if missing:
-        raise ValueError(f"passage store is missing labeled ids: {missing[:5]}")
+    labeled = {pid for t in labels for pid in t.positives + t.bm25_pool}
+    labeled.update(pid for t in labels for pid, _ in t.teacher_pool)
+    _require_ids(labeled, store, "passage store is missing labeled ids")
+    if config.use_soft_labels:
+        _require_ids(labeled, corpus, "corpus is missing labeled ids")
 
     rng = np.random.default_rng(config.seed)
     sampler = TripletSampler(labels, sessions, rng, config.use_hard_negatives)
@@ -575,12 +613,10 @@ def train(
         batch = [sampler.sample(order[i % len(order)]) for i in range(first, first + config.batch_size)]
         # positives and negatives in first-seen order
         pool_ids = list(dict.fromkeys(pid for inst in batch for pid in (inst.positive_id, inst.negative_id)))
-        passage_vecs = np.stack([store.vector(pid).astype(np.float64) for pid in pool_ids])
+        passage_vecs = store.vectors[store.rows(pool_ids)].astype(np.float64)
         teacher_scores = None
         if config.use_soft_labels:
-            teacher_scores = np.array(
-                [[float(teacher.score(inst.rewrite, corpus[pid])) for pid in pool_ids] for inst in batch]
-            )
+            teacher_scores = teacher.scores([inst.rewrite for inst in batch], pool_ids)
         loss, grad_emb, grad_proj = batch_gradients(
             encoder, batch, pool_ids, passage_vecs, config.tau, teacher_scores
         )

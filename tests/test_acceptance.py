@@ -364,7 +364,8 @@ def test_criterion_8_rewrite_behavior(tmp_path):
 
 
 def _run_pipeline(planted, directory: str) -> dict[str, str]:
-    """index -> label -> train -> search -> eval; returns sha256 per artifact."""
+    """index -> label -> train (plain, and soft labels with hard negatives) -> search -> eval;
+    returns sha256 per artifact."""
     paths = write_planted_dataset(planted, directory)
     paths["index"] = f"{directory}/index.bin"
     paths["labels"] = f"{directory}/labels.jsonl"
@@ -388,6 +389,12 @@ def _run_pipeline(planted, directory: str) -> dict[str, str]:
          "--corpus", paths["corpus"], "--store", paths["store"], "--seed", "0",
          "--steps", "300", "--output", paths["encoder"]]
     )
+    # the mode the benchmark pipeline trains in: the teacher scores every batch
+    cli_run(
+        ["train-toy", "--labels", paths["labels"], "--sessions", paths["sessions"],
+         "--corpus", paths["corpus"], "--store", paths["store"], "--seed", "0",
+         "--steps", "100", "--soft-labels", "--hard-negatives", "--output", f"{directory}/soft.json"]
+    )
     cli_run(
         ["search-hybrid", "--index", paths["index"], "--store", paths["store"],
          "--encoder", paths["encoder"], "--sessions", paths["sessions"],
@@ -406,6 +413,8 @@ def _run_pipeline(planted, directory: str) -> dict[str, str]:
         "encoder.emb": f"{directory}/encoder.emb.f32",
         "encoder.proj": f"{directory}/encoder.proj.f32",
         "encoder.vocab": f"{directory}/encoder.vocab",
+        "soft.emb": f"{directory}/soft.emb.f32",
+        "soft.proj": f"{directory}/soft.proj.f32",
         "run": paths["run"],
     }
     digests = {

@@ -199,6 +199,14 @@ class TestRewrite:
         record = json.loads(open(out).read())
         assert record == {"qid": "q1", "text": "why that history"}
 
+    def test_matrix_value_too_large_for_a_float_is_refused(self, tmp_path, capsys):
+        path = self.matrices_file(tmp_path)
+        with open(path, "a") as fh:
+            fh.write('{"qid": "q2", "tokens": ["a"], "context_len": 0, "vectors": [[1' + "0" * 400 + ", 0, 0]]}\n")
+        capsys.readouterr()
+        assert run_cli(["rewrite", "--matrices", path, "--output", str(tmp_path / "out.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
     def test_gamma_zero_keeps_all(self, workspace, tmp_path):
         matrices = self.matrices_file(tmp_path)
         out = str(tmp_path / "rewritten.jsonl")
@@ -655,6 +663,18 @@ class TestConfigErrors:
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
 
+    def test_integer_too_large_for_a_float_is_refused(self, tmp_path, capsys):
+        config_path = str(tmp_path / "config.json")
+        with open(config_path, "w") as fh:
+            fh.write('{"fusion": {"rrf_k": 1' + "0" * 400 + "}}")
+        run_path = str(tmp_path / "run.txt")
+        write_run(run_path, {"q1": RankedList.from_scores([("d1", 1.0), ("d2", 0.5)])})
+        capsys.readouterr()
+        argv = ["fuse-rrf", "--config", config_path, "--runs", run_path, run_path,
+                "--output", str(tmp_path / "fused.txt")]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {config_path}: fusion.rrf_k is too large for a float\n"
+
     def test_integer_accepted_for_float_setting(self, tmp_path):
         config_path = str(tmp_path / "config.json")
         with open(config_path, "w") as fh:
@@ -784,6 +804,35 @@ class TestLabellingInputs:
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert "pool_size -1" in capsys.readouterr().err
+
+    def corpus_without_labeled_passage(self, workspace, tmp_path):
+        """A copy of the corpus without the first positive of the training labels, and that id."""
+        dropped = load_weak_labels(workspace["labels_train"])[0].positives[0]
+        path = str(tmp_path / "corpus.jsonl")
+        with open(workspace["corpus"]) as src, open(path, "w") as dst:
+            dst.writelines(line for line in src if json.loads(line)["id"] != dropped)
+        return path, dropped
+
+    def test_passage_absent_from_corpus_ends_labelling(self, workspace, tmp_path, capsys):
+        corpus, dropped = self.corpus_without_labeled_passage(workspace, tmp_path)
+        argv = ["build-weak-labels", "--corpus", corpus, "--index", workspace["index"],
+                "--store", workspace["store"], "--sessions", workspace["sessions"],
+                "--output", str(tmp_path / "labels.jsonl")]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(dropped) in err
+
+    def test_passage_absent_from_corpus_ends_soft_label_training(self, workspace, tmp_path, capsys):
+        corpus, dropped = self.corpus_without_labeled_passage(workspace, tmp_path)
+        argv = ["train-toy", "--labels", workspace["labels_train"], "--sessions", workspace["sessions"],
+                "--corpus", corpus, "--store", workspace["store"], "--steps", "2", "--soft-labels",
+                "--output", str(tmp_path / "encoder.json")]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(dropped) in err
+        assert run_cli([*argv[:-3], "--output", str(tmp_path / "plain.json")]) == 0  # only the teacher needs it
 
 
 # Store and encoder manifests with their sidecar files; each case corrupts

@@ -280,6 +280,18 @@ class TestRunIO:
         with pytest.warns(UserWarning, match="non-increasing"):
             read_run(str(path))
 
+    def test_file_ranks_are_kept_and_warned_about(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 0 3.0 t\nq1 Q0 d2 5 2.0 t\nq1 Q0 d3 5 1.0 t\nq2 Q0 d1 1 1.0 t\n")
+        with pytest.warns(UserWarning) as caught:
+            runs = read_run(str(path))
+        assert [str(w.message) for w in caught] == [f"{path}: query 'q1' rank 0 at position 1"]
+        assert [(e.docid, e.score, e.rank) for e in runs["q1"]] == [("d1", 3.0, 0), ("d2", 2.0, 5), ("d3", 1.0, 5)]
+        assert runs["q1"].head(2).entries == runs["q1"].entries[:2]
+        out = tmp_path / "again.txt"
+        write_run(str(out), runs)
+        assert out.read_text() == path.read_text()
+
     def test_invalid_utf8_names_line(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_bytes(b"q1 Q0 d1 1 2.0 t\nq1 Q0 d\xff 2 1.0 t\n")

@@ -71,17 +71,31 @@ class TestHashingTextEmbedder:
 class TestTeachers:
     def test_cosine_teacher_self_similarity(self, planted):
         passage = planted.corpus.passages[0]
-        self_score = planted.teacher.score(passage.text, passage)
-        other = planted.teacher.score("unrelated nonsense zz", passage)
+        (self_score,), (other,) = planted.teacher.scores([passage.text, "unrelated nonsense zz"], [passage.id])
         assert -1.0 - 1e-9 <= other <= self_score <= 1.0 + 1e-9
 
     def test_table_teacher_round_trip(self, tmp_path):
         path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"query": "q text", "id": "p1", "score": 0.75}\n'
+            '{"query": "q text", "id": "p3", "score": -2}\n'
+            '{"query": "other", "id": "p1", "score": 0.5}\n'
+        )
+        teacher = TableTeacher.from_file(str(path))
+        scores = teacher.scores(["q text", "other"], ["p1"])
+        assert scores.dtype == np.float64 and scores.tolist() == [[0.75], [0.5]]
+        assert teacher.scores(["q text"], ["p3", "p1"]).tolist() == [[-2.0, 0.75]]
+        assert teacher.scores([], ["p1"]).shape == (0, 1)
+        assert teacher.scores(["q text"], []).shape == (1, 0)
+
+    def test_table_teacher_missing_pair_names_query_and_passage(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
         path.write_text('{"query": "q text", "id": "p1", "score": 0.75}\n')
         teacher = TableTeacher.from_file(str(path))
-        assert teacher.score("q text", Passage("p1", "whatever")) == 0.75
-        with pytest.raises(ValueError, match="p2"):
-            teacher.score("q text", Passage("p2", "other"))
+        with pytest.raises(ValueError, match="no teacher score for query 'q text' and passage 'p2'"):
+            teacher.scores(["q text"], ["p1", "p2"])
+        with pytest.raises(ValueError, match="no teacher score for query 'other' and passage 'p1'"):
+            teacher.scores(["q text", "other"], ["p1"])
 
     def test_table_teacher_rejects_duplicate_keys(self, tmp_path):
         path = tmp_path / "scores.jsonl"
@@ -95,20 +109,23 @@ class TestTeachers:
 
 
 class _ReferenceCosineTeacher:
-    """Recomputes every cosine score from scratch, as CosineTeacher did before memoising."""
+    """Recomputes every cosine score from scratch, one pair at a time, with no cache of any kind."""
 
     def __init__(self, store, embedder=None):
         self.store = store
         self.embedder = embedder or HashingTextEmbedder(store.dim)
 
-    def score(self, query_text, passage):
+    def score(self, query_text, passage_id):
         q = self.embedder.embed(query_text)
-        v = self.store.vector(passage.id).astype(np.float64)
+        v = self.store.vector(passage_id).astype(np.float64)
         nq = np.linalg.norm(q)
         nv = np.linalg.norm(v)
         if nq == 0.0 or nv == 0.0:
             return 0.0
         return float(q @ v / (nq * nv))
+
+    def scores(self, texts, ids):
+        return np.array([[self.score(text, pid) for pid in ids] for text in texts]).reshape(len(texts), len(ids))
 
 
 class _CountingEmbedder(HashingTextEmbedder):
@@ -121,8 +138,18 @@ class _CountingEmbedder(HashingTextEmbedder):
         return super().embed(text)
 
 
+def _store_with_zero_row(planted):
+    """The planted store with its fourth vector zeroed, and that passage's id."""
+    from cqe.dense import PassageEmbeddingStore
+
+    vectors = planted.store.vectors.copy()
+    vectors[3] = 0.0
+    return PassageEmbeddingStore(planted.store.ids, vectors), planted.store.ids[3]
+
+
 class TestCosineTeacherMemo:
-    """The memo returns exactly the floats the unmemoised formula gives."""
+    """With its text memo and norm cache, CosineTeacher.scores returns exactly the floats the
+    uncached per-pair formula gives."""
 
     def test_weak_labels_equal_reference(self, planted, planted_index):
         got = build_weak_labels(planted.corpus, planted.sessions, planted_index, CosineTeacher(planted.store))
@@ -149,18 +176,46 @@ class TestCosineTeacherMemo:
         assert np.array_equal(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
 
+    def test_zero_norm_query_and_zero_store_row_match_reference(self, planted):
+        store, zero_id = _store_with_zero_row(planted)
+        texts = ["...", planted.sessions[0].turns[0].manual_rewrite, "unrelated nonsense zz"]
+        ids = [zero_id, *planted.store.ids[4:10], zero_id]
+        got = CosineTeacher(store).scores(texts, ids)
+        want = _ReferenceCosineTeacher(store).scores(texts, ids)
+        assert got.dtype == np.float64 and got.shape == (3, 8)
+        assert got.tobytes() == want.tobytes()
+        assert not got[0].any() and not got[:, 0].any() and got[1:, 1:-1].all()
+
+    def test_pair_score_does_not_depend_on_the_call(self, planted):
+        """Whatever ids share the call, in whatever order, and whatever the norm cache holds."""
+        text = planted.sessions[1].turns[0].manual_rewrite
+        ids = planted.store.ids
+        want = _ReferenceCosineTeacher(planted.store).scores([text], ids)[0]
+        rng = np.random.default_rng(11)
+        teacher = CosineTeacher(planted.store)
+        for _ in range(20):
+            picked = rng.choice(len(ids), size=int(rng.integers(1, 12)))
+            got = teacher.scores([text, "other words"], [ids[i] for i in picked])[0]
+            assert got.tobytes() == want[picked].tobytes()
+        fresh = CosineTeacher(planted.store).scores([text], ids)[0]  # no cached norm yet
+        assert fresh.tobytes() == want.tobytes()
+        assert teacher.scores([text], ids)[0].tobytes() == want.tobytes()  # some norms cached
+
     def test_each_text_embedded_once(self, planted, planted_index):
         embedder = _CountingEmbedder(planted.store.dim)
         teacher = CosineTeacher(planted.store, embedder)
         labels = build_weak_labels(planted.corpus, planted.sessions, planted_index, teacher)
         for turn in labels:
-            for pid, score in turn.teacher_pool:
-                assert teacher.score(turn.rewrite, planted.corpus[pid]) == score
+            ids, scores = zip(*turn.teacher_pool)
+            assert teacher.scores([turn.rewrite], ids)[0].tolist() == list(scores)
         assert embedder.texts == Counter({t.manual_rewrite: 1 for s in planted.sessions for t in s.turns})
 
     def test_zero_query_scores_zero(self, planted):
-        passage = planted.corpus.passages[0]
-        assert CosineTeacher(planted.store).score("...", passage) == 0.0
+        assert CosineTeacher(planted.store).scores(["..."], planted.store.ids[:3]).tolist() == [[0.0] * 3]
+
+    def test_unknown_passage_id_is_refused(self, planted):
+        with pytest.raises(KeyError, match="unknown passage id 'nope'"):
+            CosineTeacher(planted.store).scores(["a"], [planted.store.ids[0], "nope"])
 
 
 class _BM25Teacher:
@@ -169,8 +224,8 @@ class _BM25Teacher:
     def __init__(self, index):
         self.index = index
 
-    def score(self, query_text, passage):
-        return bm25_score(self.index, tokenize(query_text), passage.id)
+    def scores(self, texts, ids):
+        return [[bm25_score(self.index, tokenize(text), pid) for pid in ids] for text in texts]
 
 
 class TestBuildWeakLabels:
@@ -187,8 +242,8 @@ class TestBuildWeakLabels:
         class Preferring:
             order = {"p2": 3.0, "p3": 2.0, "p1": 1.0}
 
-            def score(self, query_text, passage):
-                return self.order[passage.id]
+            def scores(self, texts, ids):
+                return [[self.order[pid] for pid in ids] for _ in texts]
 
         labels = build_weak_labels(corpus, sessions, index, Preferring())
         assert labels[0].positives == ["p2", "p3", "p1"]
@@ -202,12 +257,13 @@ class TestBuildWeakLabels:
             assert turn_labels.positives == expected
 
     def test_positives_match_exhaustive_rescoring_oracle(self, planted, planted_index, planted_labels):
+        reference = _ReferenceCosineTeacher(planted.store)
         for turn_labels in list(planted_labels)[:6]:
             pool = search_sparse(
                 planted_index, tokenize(turn_labels.rewrite), len(planted.corpus)
             )
             rescored = sorted(
-                ((e.docid, planted.teacher.score(turn_labels.rewrite, planted.corpus[e.docid]))
+                ((e.docid, reference.score(turn_labels.rewrite, e.docid))
                  for e in pool),
                 key=lambda it: (-it[1], it[0]),
             )
@@ -216,6 +272,11 @@ class TestBuildWeakLabels:
                 (d, pytest.approx(s)) for d, s in rescored[:200]
             ]
             assert set(turn_labels.positives) <= {d for d, _ in turn_labels.teacher_pool}
+
+    def test_index_id_absent_from_corpus_is_refused(self):
+        corpus, sessions, index = self.tiny_setup()
+        with pytest.raises(ValueError, match=r"corpus is missing indexed ids: \['p3'\]"):
+            build_weak_labels(Corpus(corpus.passages[:2]), sessions, index, _BM25Teacher(index))
 
     def test_missing_rewrite_rejected(self):
         corpus, _, index = self.tiny_setup()
@@ -479,9 +540,9 @@ def random_training_batch(rng, n_queries=3, n_pool=6, dim=5, vocab_size=12):
     return encoder, instances, pool_ids, passage_vecs, np.array(teacher_rows)
 
 
-def reference_soft_gradients(encoder, instances, pool_ids, passage_vecs, tau, teacher_scores):
-    """Soft-label batch_gradients as it was written with one teacher dict per instance."""
-    teacher_dicts = [dict(zip(pool_ids, map(float, row))) for row in teacher_scores]
+def reference_gradients(encoder, instances, pool_ids, passage_vecs, tau, teacher_scores=None):
+    """batch_gradients as it was written with one loop over instances for pooling, loss terms and
+    accumulation, and one teacher dict per instance for soft labels."""
     passage_vecs = np.asarray(passage_vecs, dtype=np.float64)
     n_queries = len(instances)
     token_idx = []
@@ -491,16 +552,21 @@ def reference_soft_gradients(encoder, instances, pool_ids, passage_vecs, tau, te
         token_idx.append(idx)
         rows = encoder.embedding[idx] @ encoder.projection
         query_vecs[i] = rows[0] + (rows - rows[0]).mean(axis=0)
-    total = 0.0
-    grad_q = np.empty_like(query_vecs)
-    for i in range(n_queries):
-        student = query_vecs[i] @ passage_vecs.T
-        teacher = np.array([teacher_dicts[i][pid] for pid in pool_ids])
-        item_loss, grad_s = distill_loss(student, teacher, tau)
-        total += item_loss
-        grad_q[i] = grad_s @ passage_vecs
-    loss = total / n_queries
-    grad_q /= n_queries
+    if teacher_scores is not None:
+        teacher_dicts = [dict(zip(pool_ids, map(float, row))) for row in teacher_scores]
+        total = 0.0
+        grad_q = np.empty_like(query_vecs)
+        for i in range(n_queries):
+            student = query_vecs[i] @ passage_vecs.T
+            teacher = np.array([teacher_dicts[i][pid] for pid in pool_ids])
+            item_loss, grad_s = distill_loss(student, teacher, tau)
+            total += item_loss
+            grad_q[i] = grad_s @ passage_vecs
+        loss = total / n_queries
+        grad_q /= n_queries
+    else:
+        positives = [list(pool_ids).index(inst.positive_id) for inst in instances]
+        loss, grad_q = contrastive_loss(query_vecs, passage_vecs, positives, tau)
     grad_embedding = np.zeros_like(encoder.embedding)
     grad_projection = np.zeros_like(encoder.projection)
     for i, idx in enumerate(token_idx):
@@ -532,19 +598,28 @@ class TestBatchGradients:
                 grad_proj, finite_difference(loss_fn, encoder.projection), rtol=1e-4, atol=1e-8
             )
 
-    def test_teacher_matrix_matches_per_instance_dicts_bit_for_bit(self):
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_teacher_matrix_matches_per_instance_dicts_bit_for_bit(self, soft):
+        """Both objectives share the batch-wide accumulation, checked against the per-instance loop."""
         rng = np.random.default_rng(66)
         for _ in range(50):
             n_queries, n_pool = int(rng.integers(1, 8)), int(rng.integers(2, 12))
             encoder, instances, pool_ids, passage_vecs, teacher = random_training_batch(rng, n_queries, n_pool)
+            teacher = teacher if soft else None
             tau = float(rng.uniform(0.2, 3.0))
             loss, grad_emb, grad_proj = batch_gradients(encoder, instances, pool_ids, passage_vecs, tau, teacher)
-            ref_loss, ref_emb, ref_proj = reference_soft_gradients(
+            ref_loss, ref_emb, ref_proj = reference_gradients(
                 encoder, instances, pool_ids, passage_vecs, tau, teacher
             )
             assert loss.hex() == ref_loss.hex()
             assert grad_emb.tobytes() == ref_emb.tobytes()
             assert grad_proj.tobytes() == ref_proj.tobytes()
+
+    def test_instance_without_tokens_is_refused(self):
+        encoder, instances, pool_ids, passage_vecs, _ = random_training_batch(np.random.default_rng(68))
+        instances[1] = TrainingInstance("empty", [], [], "r", pool_ids[0], pool_ids[1])
+        with pytest.raises(ValueError, match="turn 'empty' has no tokens"):
+            batch_gradients(encoder, instances, pool_ids, passage_vecs, 1.0)
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 6), (3, 6, 1), (18,)])
     def test_teacher_matrix_of_wrong_shape_is_refused(self, shape):
@@ -647,6 +722,15 @@ class TestTrain:
         )
         with pytest.raises(ValueError, match="missing"):
             train(untrained.copy(), train_labels, planted.sessions, tiny, TrainConfig(steps=1))
+
+    def test_soft_labels_need_corpus_to_cover_label_ids(self, planted, planted_training):
+        untrained, _, train_labels = planted_training
+        dropped = train_labels[0].positives[0]
+        corpus = Corpus([p for p in planted.corpus if p.id != dropped])
+        cfg = TrainConfig(steps=1, use_soft_labels=True)
+        with pytest.raises(ValueError, match=re.escape(f"corpus is missing labeled ids: ['{dropped}']")):
+            train(untrained.copy(), train_labels, planted.sessions, planted.store, cfg,
+                  teacher=planted.teacher, corpus=corpus)
 
     def test_non_finite_loss_aborts_with_step(self, planted, planted_training):
         untrained, _, train_labels = planted_training
