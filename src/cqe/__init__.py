@@ -23,7 +23,7 @@ from .core import (
     score,
     token_norm_report,
 )
-from .dense import PassageEmbeddingStore, load_embeddings, save_embeddings, search_dense
+from .dense import PassageEmbeddingStore, load_embeddings, save_embeddings, search_dense, search_dense_many
 from .evaluation import (
     MetricReport,
     Qrels,

@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .core import (
     RewriteConfig,
     TokenEmbeddingMatrix,
@@ -26,7 +28,7 @@ from .core import (
     token_norm_report,
 )
 from .corpus import check_id, load_corpus, read_jsonl, str_fields, tokenize, unique, write_jsonl
-from .dense import load_embeddings, search_dense
+from .dense import load_embeddings, search_dense_many
 from .evaluation import ndcg, paired_t_test, read_qrels, read_run, recall_at, win_tie, write_run
 from .fusion import FusionConfig, hybrid_search, rrf
 from .sparse import BM25Config, build_index, load_index, save_index, search_sparse
@@ -188,8 +190,13 @@ def _cmd_search_sparse(args, cfg: EngineConfig) -> int:
 def _cmd_search_dense(args, cfg: EngineConfig) -> int:
     store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
     matrices = _query_matrices(args, cfg)
-    runs = {qid: search_dense(store, pool(m), args.k) for qid, m in matrices.items()}
-    return _write_runs(args, runs)
+    queries = np.empty((len(matrices), store.dim))
+    for row, (qid, matrix) in zip(queries, matrices.items()):
+        pooled = pool(matrix)
+        if pooled.shape != row.shape:
+            raise ValueError(f"{qid}: query dimension {pooled.shape} does not match store dim {store.dim}")
+        row[:] = pooled
+    return _write_runs(args, dict(zip(matrices, search_dense_many(store, queries, args.k))))
 
 
 def _cmd_search_hybrid(args, cfg: EngineConfig) -> int:

@@ -146,18 +146,65 @@ def load_embeddings(manifest_path: str) -> PassageEmbeddingStore:
         raise ValueError(f"{manifest_path}: {exc}") from None
 
 
-def search_dense(store: PassageEmbeddingStore, query: np.ndarray, k: int) -> RankedList:
-    """Exact top-k by inner product; ties broken by ascending passage id."""
+# Queries scored per pass over the store, and the float64 bytes of one row block: about
+# 1 MB, so a block read once from memory serves every query of a chunk from the L2 cache.
+QUERY_CHUNK = 8
+BLOCK_BYTES = 1 << 20
+ROW_ALIGN = 64
+
+
+def block_rows(dim: int) -> int:
+    """Rows per block at dimension ``dim``: a multiple of ROW_ALIGN near BLOCK_BYTES of float64."""
+    return max(ROW_ALIGN, BLOCK_BYTES // (8 * dim) // ROW_ALIGN * ROW_ALIGN)
+
+
+def score_chunk(vectors: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
+    """``out[j] = vectors @ queries[j]`` for each query, bit for bit, one row block at a time.
+
+    Each block is scored by one matrix-vector product per query, so the
+    block is read from memory once per chunk instead of once per query.
+    Blocks start at multiples of :func:`block_rows` and the last block
+    takes the rest: a row's bits then equal those of one product over the
+    whole store (at one BLAS thread), where a short last block would not.
+    A single query has nothing to share and is scored as one block.
+    """
+    count = vectors.shape[0]
+    step = count if len(queries) == 1 else block_rows(vectors.shape[1])
+    starts = range(0, max(count // step, 1) * step, step)
+    for a, b in zip(starts, [*starts[1:], count]):
+        block = vectors[a:b]
+        for query, row in zip(queries, out):
+            np.matmul(block, query, out=row[a:b])
+
+
+def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int) -> list[RankedList]:
+    """Exact top-k by inner product for each row of ``queries``; ties broken by ascending passage id.
+
+    Every query is checked before any is scored. Each result equals
+    :func:`search_dense` of that row alone, bit for bit.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1 or query.shape[0] != store.dim:
-        raise ValueError(f"query dimension {query.shape} does not match store dim {store.dim}")
-    if not np.isfinite(query).all():
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != store.dim:
+        raise ValueError(f"query dimension {queries.shape[1:]} does not match store dim {store.dim}")
+    if not np.isfinite(queries).all():
         raise ValueError("query vector contains non-finite values")
+    if not len(queries):
+        return []
     if store.count == 0:
-        return RankedList([], tag="dense")
-    # One matrix-vector product per query: a matrix-matrix product over a
-    # batch of queries rounds differently and would change the scores.
-    scores = store._vectors64 @ query
-    return top_k(np.arange(store.count), scores, store.ids, store._id_ranks, k, "dense")
+        return [RankedList([], tag="dense") for _ in queries]
+    vectors, rows = store._vectors64, np.arange(store.count)
+    scores = np.empty((min(QUERY_CHUNK, len(queries)), store.count))
+    results = []
+    for first in range(0, len(queries), QUERY_CHUNK):
+        chunk = queries[first : first + QUERY_CHUNK]
+        score_chunk(vectors, chunk, scores)
+        # top_k copies what it keeps, so no result shares memory with ``scores``.
+        results += [top_k(rows, row, store.ids, store._id_ranks, k, "dense") for row in scores[: len(chunk)]]
+    return results
+
+
+def search_dense(store: PassageEmbeddingStore, query: np.ndarray, k: int) -> RankedList:
+    """Exact top-k by inner product; ties broken by ascending passage id."""
+    return search_dense_many(store, [query], k)[0]

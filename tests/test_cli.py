@@ -12,15 +12,17 @@ import warnings
 import numpy as np
 import pytest
 
-from cqe import cli
-from cqe.core import TokenEmbeddingMatrix, save_token_matrices
+from cqe import cli, dense
+from cqe.core import TokenEmbeddingMatrix, pool, save_token_matrices
 from cqe.corpus import Corpus, Passage
+from cqe.dense import PassageEmbeddingStore, save_embeddings
 from cqe.evaluation import read_qrels, read_run, write_qrels, write_run
 from cqe.fusion import FusionConfig, rrf
 from cqe.ranking import RankedList
 from cqe.sparse import InvertedIndex, build_index, save_index
 from cqe.synth import write_planted_dataset
 from cqe.trainer import ToyQueryEncoder, load_weak_labels, save_weak_labels
+from test_dense import reference_search_dense
 
 
 @pytest.fixture(scope="session")
@@ -555,6 +557,71 @@ class TestFileBackedMatrices:
         )
         assert rc == 1
         assert "turn_2" in capsys.readouterr().err
+
+
+class TestSearchDenseBatch:
+    """`search-dense` scores all its queries in one blocked call; runs equal per-query search."""
+
+    DIM = 8
+
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        # 300 rows in 64-row blocks: four blocks, the last taking the rest (108 rows).
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 1)
+        rng = np.random.default_rng(21)
+        vectors = rng.integers(-2, 3, (300, self.DIM)).astype(np.float32)  # coarse, so scores tie
+        store = PassageEmbeddingStore([f"p{i:03d}" for i in rng.permutation(300)], vectors)
+        path = str(tmp_path / "store.json")
+        save_embeddings(store, path)
+        return store, path
+
+    def matrices(self, tmp_path, vectors):
+        """One two-token matrix per ``vectors`` entry, qids q00.., saved; (path, matrices)."""
+        path = str(tmp_path / "matrices.jsonl")
+        matrices = {f"q{i:02d}": TokenEmbeddingMatrix(["a", "b"], v, 1) for i, v in enumerate(vectors)}
+        save_token_matrices(matrices, path)
+        return path, matrices
+
+    def test_run_file_equals_reference_byte_for_byte(self, store, tmp_path):
+        store, store_path = store
+        path, matrices = self.matrices(tmp_path, np.random.default_rng(22).standard_normal((20, 2, self.DIM)))
+        out = tmp_path / "run.txt"
+        argv = ["search-dense", "--store", store_path, "--matrices", path, "--k", "40", "--output", str(out)]
+        assert run_cli(argv) == 0
+        expected = tmp_path / "reference.txt"
+        runs = {qid: reference_search_dense(store, pool(m), 40) for qid, m in matrices.items()}
+        write_run(str(expected), runs, tag="dense")
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            pytest.param(  # pooling [1e308, -1e308] overflows to -inf
+                np.array([[1e308] * DIM, [-1e308] * DIM]), "query vector contains non-finite values",
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered"),
+            ),
+            (np.zeros((2, DIM - 3)), f"q09: query dimension ({DIM - 3},) does not match store dim {DIM}"),
+        ],
+    )
+    def test_bad_query_is_an_error_before_writing(self, store, tmp_path, capsys, bad, message):
+        vectors = [np.ones((2, self.DIM))] * 9 + [bad] + [np.ones((2, self.DIM))] * 10
+        out = tmp_path / "run.txt"
+        capsys.readouterr()
+        argv = ["search-dense", "--store", store[1], "--matrices", self.matrices(tmp_path, vectors)[0],
+                "--output", str(out)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_empty_sessions_file_writes_an_empty_run(self, workspace, tmp_path, capsys):
+        sessions = tmp_path / "none.jsonl"
+        sessions.write_text("")
+        out = tmp_path / "run.txt"
+        argv = ["search-dense", "--store", workspace["store"], "--encoder", workspace["encoder"],
+                "--sessions", str(sessions), "--output", str(out)]
+        assert run_cli(argv) == 0
+        assert out.read_bytes() == b""
+        assert "wrote 0 results for 0 queries" in capsys.readouterr().out
 
 
 # Each reader gets one good line, then the bad one, so the error must name line 2.

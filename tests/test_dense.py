@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import hypothesis.extra.numpy as hnp
@@ -11,14 +13,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqe import dense
 from cqe.corpus import WHITESPACE
-from cqe.dense import PassageEmbeddingStore, load_embeddings, save_embeddings, search_dense
+from cqe.dense import (
+    PassageEmbeddingStore,
+    load_embeddings,
+    save_embeddings,
+    search_dense,
+    search_dense_many,
+)
+from cqe.ranking import RankedList, id_ranks, top_k
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def brute_force(store, query):
     """Every row scored in float64 and fully sorted by descending score, then ascending id."""
     scores = store.vectors.astype(np.float64) @ np.asarray(query, dtype=np.float64)
     return sorted(zip(store.ids, scores.tolist()), key=lambda it: (-it[1], it[0]))
+
+
+def reference_search_dense(store, query, k):
+    """Single-query search as it was before blocked scoring: one full matrix-vector product, then top_k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1 or query.shape[0] != store.dim:
+        raise ValueError(f"query dimension {query.shape} does not match store dim {store.dim}")
+    if not np.isfinite(query).all():
+        raise ValueError("query vector contains non-finite values")
+    if store.count == 0:
+        return RankedList([], tag="dense")
+    scores = store.vectors.astype(np.float64) @ query
+    return top_k(np.arange(store.count), scores, store.ids, id_ranks(store.ids), k, "dense")
+
+
+def exact(ranked):
+    """(id, rank, float.hex of score) per entry: equal only when every score bit is equal."""
+    return [(e.docid, e.rank, float.hex(e.score)) for e in ranked], ranked.tag
 
 
 def random_store(rng, count, dim):
@@ -205,6 +237,129 @@ class TestSearchDense:
         assert "_vectors64" not in vars(store)
         search_dense(store, np.ones(3), 2)
         assert vars(store)["_vectors64"].dtype == np.float64
+
+
+class TestSearchDenseMany:
+    """Blocked multi-query scoring against the one-product-per-query reference, bit for bit.
+
+    Block rows are patched down to ROW_ALIGN so small stores span several
+    blocks while every matrix-vector product stays below the size at which
+    the BLAS splits it across threads.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 8),
+        st.sampled_from([1, 7, 8, 9, 17]),
+        st.integers(1, 320),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_matches_reference_per_query(self, count, dim, n_queries, k, seed, coarse):
+        rng = np.random.default_rng(seed)
+        # Coarse values repeat rows and scores, so ties straddle the cut; ids are shuffled
+        # so row order is not id order.
+        vectors = rng.integers(-2, 3, (count, dim)) if coarse else rng.standard_normal((count, dim))
+        ids = [f"p{i}" for i in rng.permutation(count)]
+        store = PassageEmbeddingStore(ids, vectors.astype(np.float32))
+        queries = rng.integers(-2, 3, (n_queries, dim)) * 0.5 if coarse else rng.standard_normal((n_queries, dim))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "BLOCK_BYTES", 1)
+            got = search_dense_many(store, queries, k)
+        assert len(got) == n_queries
+        for query, result in zip(queries, got):
+            assert exact(result) == exact(reference_search_dense(store, query, k))
+
+    def test_ties_straddle_the_cut_in_every_block(self, monkeypatch):
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 1)
+        count = 3 * dense.ROW_ALIGN + 5
+        rows = np.zeros((count, 2), dtype=np.float32)
+        rows[::3] = [1.0, 1.0]  # a third of the rows tie at the top score, in all three blocks
+        store = PassageEmbeddingStore([f"d{(i * 37) % count:04d}" for i in range(count)], rows)
+        queries = np.array([[1.0, 1.0]] * 9 + [[0.0, 0.0]] * 8)
+        for k in (1, 30, count // 3, count // 3 + 1, count, count + 5):
+            for query, result in zip(queries, search_dense_many(store, queries, k)):
+                assert exact(result) == exact(reference_search_dense(store, query, k))
+
+    def test_search_dense_is_one_row_of_many(self):
+        store = random_store(np.random.default_rng(13), 40, 5)
+        query = np.random.default_rng(14).standard_normal(5)
+        assert exact(search_dense(store, query, 7)) == exact(search_dense_many(store, query[None], 7)[0])
+
+    def test_zero_queries_build_nothing(self):
+        store = random_store(np.random.default_rng(15), 5, 3)
+        assert search_dense_many(store, np.empty((0, 3)), 4) == []
+        assert "_vectors64" not in vars(store) and "_id_ranks" not in vars(store)
+
+    def test_empty_store_gives_an_empty_list_per_query(self):
+        store = PassageEmbeddingStore([], np.zeros((0, 3), dtype=np.float32))
+        assert search_dense_many(store, np.ones((2, 3)), 4) == [RankedList([], tag="dense")] * 2
+
+    @pytest.mark.parametrize(
+        "queries,k,message",
+        [
+            (np.array([[0.0] * 4] * 8 + [[0.0, np.nan, 0.0, 0.0]]), 3, "query vector contains non-finite values"),
+            (np.array([[0.0] * 4, [np.inf, 0.0, 0.0, 0.0]]), 3, "query vector contains non-finite values"),
+            (np.zeros((3, 5)), 3, "query dimension (5,) does not match store dim 4"),
+            (np.zeros(4), 3, "query dimension () does not match store dim 4"),
+            (np.zeros((2, 4)), 0, "k must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_input_raises_before_scoring(self, queries, k, message):
+        store = random_store(np.random.default_rng(16), 6, 4)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            search_dense_many(store, queries, k)
+        assert "_vectors64" not in vars(store)
+
+    @pytest.mark.parametrize(
+        "query,k,message",
+        [
+            (np.zeros(5), 2, "query dimension (5,) does not match store dim 4"),
+            (np.zeros((1, 4)), 2, "query dimension (1, 4) does not match store dim 4"),
+            (np.array([0.0, np.nan, 0.0, 0.0]), 2, "query vector contains non-finite values"),
+            (np.zeros(5), 0, "k must be >= 1, got 0"),
+        ],
+    )
+    def test_search_dense_errors_unchanged(self, query, k, message):
+        store = random_store(np.random.default_rng(17), 3, 4)
+        for search in (search_dense, reference_search_dense):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                search(store, query, k)
+
+
+BLOCK_CHECK = """
+import numpy as np
+from cqe import dense
+
+rng = np.random.default_rng(0)
+failures = checked = 0
+for dim in (1, 2, 3, 96, 127, 128, 129):
+    b = dense.block_rows(dim)
+    assert b % dense.ROW_ALIGN == 0 and b * dim * 8 <= dense.BLOCK_BYTES, (dim, b)
+    for count in (1, b - 1, b, b + 1, 2 * b - 1, 2 * b + 1, 4 * b + 1, *rng.integers(1, 5 * b, 3)):
+        vectors = rng.standard_normal((count, dim)).astype(np.float32).astype(np.float64)
+        queries = rng.standard_normal((3, dim))
+        out = np.empty((3, count))
+        dense.score_chunk(vectors, queries, out)
+        for query, row in zip(queries, out):
+            checked += 1
+            if not np.array_equal(row.view(np.int64), (vectors @ query).view(np.int64)):
+                failures += 1
+                print("differs", count, dim)
+print("checked", checked, "failures", failures)
+"""
+
+
+def test_blocked_scores_equal_one_full_product_bit_for_bit():
+    # A fresh interpreter with one BLAS thread: the bits of a matrix-vector product
+    # already depend on how many threads split it, blocked or not.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCK_CHECK], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "checked 210 failures 0", proc.stdout
 
 
 passage_ids = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(
