@@ -166,10 +166,10 @@ def score_chunk(vectors: np.ndarray, queries: np.ndarray, out: np.ndarray) -> No
     Blocks start at multiples of :func:`block_rows` and the last block
     takes the rest: a row's bits then equal those of one product over the
     whole store (at one BLAS thread), where a short last block would not.
-    A single query has nothing to share and is scored as one block.
+    Every query takes the same blocks, however many share its chunk, so its
+    bits do not depend on the other queries at any thread count.
     """
-    count = vectors.shape[0]
-    step = count if len(queries) == 1 else block_rows(vectors.shape[1])
+    count, step = vectors.shape[0], block_rows(vectors.shape[1])
     starts = range(0, max(count // step, 1) * step, step)
     for a, b in zip(starts, [*starts[1:], count]):
         block = vectors[a:b]

@@ -597,7 +597,7 @@ class TestSearchDenseBatch:
         "bad,message",
         [
             pytest.param(  # pooling [1e308, -1e308] overflows to -inf
-                np.array([[1e308] * DIM, [-1e308] * DIM]), "query vector contains non-finite values",
+                np.array([[1e308] * DIM, [-1e308] * DIM]), "q09: query vector contains non-finite values",
                 marks=pytest.mark.filterwarnings("ignore:overflow encountered"),
             ),
             (np.zeros((2, DIM - 3)), f"q09: query dimension ({DIM - 3},) does not match store dim {DIM}"),

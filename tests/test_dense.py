@@ -362,6 +362,41 @@ def test_blocked_scores_equal_one_full_product_bit_for_bit():
     assert proc.stdout.splitlines()[-1] == "checked 210 failures 0", proc.stdout
 
 
+CHUNK_CHECK = """
+import numpy as np
+from cqe import dense
+
+rng = np.random.default_rng(1)
+failures = checked = 0
+for dim in (96, 128, 129):
+    b = dense.block_rows(dim)
+    for count in (1, b + 1, 4 * b + 1, 20 * b + 7):
+        vectors = rng.standard_normal((count, dim)).astype(np.float32).astype(np.float64)
+        queries = rng.standard_normal((dense.QUERY_CHUNK, dim))
+        together = np.empty((len(queries), count))
+        dense.score_chunk(vectors, queries, together)
+        alone = np.empty((1, count))
+        for query, row in zip(queries, together):
+            dense.score_chunk(vectors, query[None], alone)
+            checked += 1
+            if not np.array_equal(row.view(np.int64), alone[0].view(np.int64)):
+                failures += 1
+                print("differs", count, dim)
+print("checked", checked, "failures", failures)
+"""
+
+
+def test_query_scores_do_not_depend_on_chunk_mates_at_two_threads():
+    # Two BLAS threads split a large block's product differently from a whole-store
+    # one, so a query scored alone must take the same blocks as one scored among 8.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", CHUNK_CHECK], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "checked 96 failures 0", proc.stdout
+
+
 passage_ids = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(
     lambda s: not WHITESPACE.search(s)
 )
