@@ -195,8 +195,6 @@ def _cmd_search_dense(args, cfg: EngineConfig) -> int:
         pooled = pool(matrix)
         if pooled.shape != row.shape:
             raise ValueError(f"{qid}: query dimension {pooled.shape} does not match store dim {store.dim}")
-        if not np.isfinite(pooled).all():
-            raise ValueError(f"{qid}: query vector contains non-finite values")
         row[:] = pooled
     return _write_runs(args, dict(zip(matrices, search_dense_many(store, queries, args.k))))
 

@@ -41,7 +41,6 @@ class RewriteConfig:
     HYBRID_GAMMA = 12.0
 
     gamma: float = SPARSE_GAMMA
-    exclude_special_tokens: bool = True
 
     def __post_init__(self) -> None:
         if math.isnan(self.gamma) or self.gamma < 0.0:
@@ -168,18 +167,13 @@ def decontextualize(
 
     Keeps every current-query token, then appends each context token whose
     row norm is at least ``config.gamma``; original order and duplicates
-    are preserved. Marker tokens are dropped entirely unless
-    ``exclude_special_tokens`` is disabled.
+    are preserved. Marker tokens are always dropped.
     """
     config = config or RewriteConfig()
-
-    def keep(token: str) -> bool:
-        return not (config.exclude_special_tokens and token.lower() in SPECIAL_TOKENS)
-
-    bag = [tok for tok in matrix.query_tokens if keep(tok)]
+    bag = [tok for tok in matrix.query_tokens if tok.lower() not in SPECIAL_TOKENS]
     norms = np.linalg.norm(matrix.vectors[: matrix.context_len], axis=1)
     for tok, n in zip(matrix.context_tokens, norms):
-        if keep(tok) and n >= config.gamma:
+        if tok.lower() not in SPECIAL_TOKENS and n >= config.gamma:
             bag.append(tok)
     return bag
 
@@ -248,7 +242,7 @@ def save_sessions(sessions: list[Session], path: str) -> None:
 
 
 def load_token_matrices(path: str) -> dict[str, TokenEmbeddingMatrix]:
-    """Read {"qid", "tokens", "context_len", "vectors"} JSON-lines."""
+    """Read {"qid", "tokens", "context_len", "vectors"} JSON-lines; every matrix must pool to finite values."""
     seen: set[str] = set()
 
     def record(obj: dict) -> tuple[str, TokenEmbeddingMatrix]:
@@ -259,7 +253,13 @@ def load_token_matrices(path: str) -> dict[str, TokenEmbeddingMatrix]:
         if type(context_len) is not int:
             raise TypeError(f"'context_len' must be an integer, got {context_len!r}")
         vectors = np.asarray(obj["vectors"], dtype=np.float64)
-        return unique(qid, seen, "qid"), TokenEmbeddingMatrix(tokens, vectors, context_len)
+        unique(qid, seen, "qid")
+        matrix = TokenEmbeddingMatrix(tokens, vectors, context_len)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
+            finite = np.isfinite(pool(matrix)).all()
+        if not finite:
+            raise ValueError("vectors pool to non-finite values")
+        return qid, matrix
 
     return dict(read_jsonl(path, record))
 

@@ -193,7 +193,7 @@ def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int)
     if not len(queries):
         return []
     if store.count == 0:
-        return [RankedList([], tag="dense") for _ in queries]
+        return [RankedList() for _ in queries]
     vectors, rows = store._vectors64, np.arange(store.count)
     scores = np.empty((min(QUERY_CHUNK, len(queries)), store.count))
     results = []
@@ -201,7 +201,7 @@ def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int)
         chunk = queries[first : first + QUERY_CHUNK]
         score_chunk(vectors, chunk, scores)
         # top_k copies what it keeps, so no result shares memory with ``scores``.
-        results += [top_k(rows, row, store.ids, store._id_ranks, k, "dense") for row in scores[: len(chunk)]]
+        results += [top_k(rows, row, store.ids, store._id_ranks, k) for row in scores[: len(chunk)]]
     return results
 
 

@@ -28,8 +28,6 @@ TIE_EPS = 1e-9
 class MetricReport:
     """Per-query metric values; the mean is over evaluated queries only."""
 
-    metric_name: str
-    cutoff: int
     per_query: dict[str, float]
 
     @property
@@ -69,7 +67,7 @@ def ndcg(
         gains = [judged.get(d, 0) for d in run[qid].head(cutoff).docids()]
         ideal = sorted(judged.values(), reverse=True)[:cutoff]
         per_query[qid] = _dcg(gains) / _dcg(ideal)
-    return MetricReport("ndcg", cutoff, per_query)
+    return MetricReport(per_query)
 
 
 def recall_at(
@@ -88,7 +86,7 @@ def recall_at(
             continue
         retrieved = set(run[qid].head(cutoff).docids())
         per_query[qid] = len(retrieved & positives) / len(positives)
-    return MetricReport("recall", cutoff, per_query)
+    return MetricReport(per_query)
 
 
 def win_tie(system: MetricReport, baseline: MetricReport) -> tuple[int, int]:
@@ -142,18 +140,16 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
-def write_run(path: str, runs: Mapping[str, RankedList], tag: str | None = None) -> None:
-    """Write ``runs`` tagged ``tag`` (None: each list's own tag); every tag is checked first,
+def write_run(path: str, runs: Mapping[str, RankedList], tag: str) -> None:
+    """Write ``runs`` with run tag ``tag`` on every line; the tag is checked first,
     since an empty one or one with whitespace gives lines that :func:`read_run` refuses."""
-    tags = {qid: ranked.tag if tag is None else tag for qid, ranked in runs.items()}
-    for line_tag in set(tags.values()):
-        check_id(line_tag, "run tag")
+    check_id(tag, "run tag")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(runs):
-            ranked, line_tag = runs[qid], tags[qid]
+            ranked = runs[qid]
             ids, scores = ranked.columns()
             fh.writelines(
-                f"{qid} Q0 {docid} {rank} {score!r} {line_tag}\n"
+                f"{qid} Q0 {docid} {rank} {score!r} {tag}\n"
                 for docid, rank, score in zip(ids, ranked.ranks(), scores.tolist())
             )
 
@@ -165,14 +161,13 @@ def read_run(path: str) -> dict[str, RankedList]:
     documents within a query are errors.
     """
     grouped: dict[str, tuple[list[str], list[float], list[int]]] = {}
-    tags: dict[str, str] = {}
     for lineno, line in text_lines(path):
         fields = line.split()
         if not fields:
             continue
         if len(fields) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-        qid, _, docid, rank, score, tag = fields
+        qid, _, docid, rank, score, _ = fields
         try:
             value, position = float(score), int(rank)
         except ValueError:
@@ -185,7 +180,6 @@ def read_run(path: str) -> dict[str, RankedList]:
         columns[0].append(docid)
         columns[1].append(value)
         columns[2].append(position)
-        tags[qid] = tag
 
     runs: dict[str, RankedList] = {}
     for qid, (docids, values, ranks) in grouped.items():
@@ -197,7 +191,7 @@ def read_run(path: str) -> dict[str, RankedList]:
         scores = np.array(values, dtype=np.float64)
         if (scores[:-1] < scores[1:]).any():
             warnings.warn(f"{path}: query {qid!r} scores are not non-increasing")
-        runs[qid] = RankedList.from_columns(docids, scores, tags[qid], ranks)
+        runs[qid] = RankedList.from_columns(docids, scores, ranks)
     return runs
 
 

@@ -47,7 +47,7 @@ def hybrid_combine(
     fused = config.alpha * sp + ds  # the same IEEE multiply and add as on Python floats
     union = list(slot)
     order = score_order(fused, union)
-    return RankedList.from_columns([union[i] for i in order.tolist()], fused[order], "hybrid")
+    return RankedList.from_columns([union[i] for i in order.tolist()], fused[order])
 
 
 def _spread(scores: np.ndarray, pos: list[int], n: int) -> np.ndarray:
@@ -74,15 +74,14 @@ def hybrid_search(
 
     Dense search takes the pooled ``matrix``, sparse search its rewritten
     bag of words, each to ``depth``; :func:`hybrid_combine` fuses them.
-    When one list is empty the other is returned as is, tagged ``hybrid``.
+    When one list is empty the other is returned as is.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     dense = search_dense(store, pool(matrix), depth)
-    bag = decontextualize(matrix, rewrite)
-    sparse = search_sparse(index, bag, depth) if bag else RankedList([])
+    sparse = search_sparse(index, decontextualize(matrix, rewrite), depth)
     fused = hybrid_combine(sparse, dense, fusion) if sparse and dense else sparse or dense
-    return fused.head(k, "hybrid")
+    return fused.head(k)
 
 
 def rrf(
@@ -96,4 +95,4 @@ def rrf(
     for ranked in lists:
         for entry in ranked:
             accum[entry.docid] = accum.get(entry.docid, 0.0) + 1.0 / (config.rrf_k + entry.rank)
-    return RankedList.from_scores(accum.items(), tag="rrf", k=k)
+    return RankedList.from_scores(accum.items(), k)

@@ -26,27 +26,22 @@ class RankedList:
     the columns on each read.
     """
 
-    def __init__(self, entries: Iterable[RankedEntry] = (), tag: str = "run"):
+    def __init__(self, entries: Iterable[RankedEntry] = ()):
         entries = list(entries)
         self._ids = [e.docid for e in entries]
         self._scores = np.array([e.score for e in entries], dtype=np.float64)
         self._ranks: Sequence[int] = [e.rank for e in entries]
-        self.tag = tag
 
     @classmethod
-    def from_columns(
-        cls, ids: list[str], scores: np.ndarray, tag: str = "run", ranks: Sequence[int] | None = None
-    ) -> RankedList:
+    def from_columns(cls, ids: list[str], scores: np.ndarray, ranks: Sequence[int] | None = None) -> RankedList:
         """``ids`` in rank order, their float64 ``scores`` and ``ranks`` (default 1..n); kept, not copied."""
-        ranked = cls((), tag)
+        ranked = cls()
         ranked._ids, ranked._scores = ids, scores
         ranked._ranks = range(1, len(ids) + 1) if ranks is None else ranks
         return ranked
 
     @classmethod
-    def from_scores(
-        cls, scored: Collection[tuple[str, float]], tag: str = "run", k: int | None = None
-    ) -> RankedList:
+    def from_scores(cls, scored: Collection[tuple[str, float]], k: int | None = None) -> RankedList:
         """Order (docid, score) pairs by descending score, ascending docid; keep the first ``k``."""
         if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -55,7 +50,7 @@ class RankedList:
             raise ValueError("duplicate docids in scored results")
         scores = np.array(scores, dtype=np.float64)
         order = score_order(scores, ids)[:k]
-        return cls.from_columns([ids[i] for i in order.tolist()], scores[order], tag)
+        return cls.from_columns([ids[i] for i in order.tolist()], scores[order])
 
     @property
     def entries(self) -> list[RankedEntry]:
@@ -69,9 +64,9 @@ class RankedList:
         """The rank column, in rank order; not a copy."""
         return self._ranks
 
-    def head(self, k: int, tag: str | None = None) -> RankedList:
-        """The first ``k`` results, each column cut, tagged ``tag`` (default: this list's tag)."""
-        ranked = RankedList((), self.tag if tag is None else tag)
+    def head(self, k: int) -> RankedList:
+        """The first ``k`` results, each column cut."""
+        ranked = RankedList()
         ranked._ids, ranked._scores, ranked._ranks = self._ids[:k], self._scores[:k], self._ranks[:k]
         return ranked
 
@@ -90,10 +85,10 @@ class RankedList:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RankedList):
             return NotImplemented
-        return self.tag == other.tag and self.entries == other.entries
+        return self.entries == other.entries
 
     def __repr__(self) -> str:
-        return f"RankedList(entries={self.entries!r}, tag={self.tag!r})"
+        return f"RankedList(entries={self.entries!r})"
 
 
 def id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -123,9 +118,7 @@ def score_order(scores: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     return order
 
 
-def top_k(
-    rows: np.ndarray, scores: np.ndarray, ids: Sequence[str], ranks: np.ndarray, k: int, tag: str
-) -> RankedList:
+def top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str], ranks: np.ndarray, k: int) -> RankedList:
     """Exact top-k of candidate ``rows`` by descending score, then ascending id.
 
     ``scores[j]`` is the score of row ``rows[j]``; ``ids`` and ``ranks``
@@ -140,4 +133,4 @@ def top_k(
         kept = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
         rows, scores = rows[kept], scores[kept]
     order = np.lexsort((ranks[rows], -scores))[:k]
-    return RankedList.from_columns([ids[row] for row in rows[order].tolist()], scores[order], tag)
+    return RankedList.from_columns([ids[row] for row in rows[order].tolist()], scores[order])

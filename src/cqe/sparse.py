@@ -182,7 +182,7 @@ def search_sparse(index: InvertedIndex, query_tokens: Iterable[str], k: int) -> 
         weight = _tf_weight(tfs, index._lengths[ordinals], index.avg_doc_length, index.config)
         accum[ordinals] += multiplicity * idf * weight
     rows = np.flatnonzero(accum > 0.0)
-    return top_k(rows, accum[rows], index.ids, index._id_ranks, k, "sparse")
+    return top_k(rows, accum[rows], index.ids, index._id_ranks, k)
 
 
 # ---------------------------------------------------------------------------

@@ -163,12 +163,11 @@ def build_weak_labels(
 ) -> list[TurnLabels]:
     """Label every rewritten turn with teacher-picked positives.
 
-    Per turn: retrieve BM25 candidates for the rewrite (up to
-    candidate_depth, capped at the corpus size), rescore them with one
-    ``teacher.scores([rewrite], ids)`` call, keep the teacher's top 3 as
-    positives, and record the top pool_size ids of both orderings. Turns
-    with fewer than 3 candidates are skipped with a warning. Every index id
-    must be in the corpus.
+    Per turn: retrieve up to candidate_depth BM25 candidates for the
+    rewrite, rescore them with one ``teacher.scores([rewrite], ids)``
+    call, keep the teacher's top 3 as positives, and record the top
+    pool_size ids of both orderings. Turns with fewer than 3 candidates
+    are skipped with a warning. Every index id must be in the corpus.
     """
     if min(candidate_depth, pool_size) < 1:
         raise ValueError(f"candidate_depth {candidate_depth} and pool_size {pool_size} must be >= 1")
@@ -179,8 +178,7 @@ def build_weak_labels(
             qid = session.qid(i)
             if turn.manual_rewrite is None:
                 raise ValueError(f"turn {qid!r} has no manual rewrite")
-            depth = min(candidate_depth, len(corpus))
-            candidates = search_sparse(index, tokenize(turn.manual_rewrite), depth)
+            candidates = search_sparse(index, tokenize(turn.manual_rewrite), candidate_depth)
             if len(candidates) < 3:
                 warnings.warn(
                     f"skipping turn {qid!r}: only {len(candidates)} retrievable candidates"

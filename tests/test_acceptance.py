@@ -198,8 +198,8 @@ def test_criterion_4_hybrid_fusion():
             (d, float(np.round(rng.uniform(-1, 1), 2)) if trial % 3 == 0 else float(rng.uniform(-1, 1)))
             for d in shared + [f"b{i}" for i in range(n - overlap)]
         ]
-        sparse = RankedList.from_scores(sparse_scores, "sparse")
-        dense = RankedList.from_scores(dense_scores, "dense")
+        sparse = RankedList.from_scores(sparse_scores)
+        dense = RankedList.from_scores(dense_scores)
 
         alpha = float(rng.uniform(0, 0.5))
         combined = hybrid_combine(sparse, dense, FusionConfig(alpha=alpha))
@@ -236,7 +236,7 @@ def test_criterion_5_metric_fidelity():
         n_docs = int(rng.integers(5, 25))
         docs = [f"d{i}" for i in range(n_docs)]
         order = [docs[i] for i in rng.permutation(n_docs)]
-        run = {"q": RankedList.from_scores([(d, float(n_docs - i)) for i, d in enumerate(order)], "t")}
+        run = {"q": RankedList.from_scores([(d, float(n_docs - i)) for i, d in enumerate(order)])}
         judged = {d: int(rng.integers(0, 5)) for d in rng.choice(docs, size=n_docs // 2, replace=False)}
         judged[docs[0]] = max(judged.get(docs[0], 0), 2)  # at least one positive
         qrels = {"q": judged}
@@ -261,9 +261,7 @@ def test_criterion_5_metric_fidelity():
             d for d in order if d not in judged
         ]
         ideal_run = {
-            "q": RankedList.from_scores(
-                [(d, float(len(ideal_order) - i)) for i, d in enumerate(ideal_order)], "t"
-            )
+            "q": RankedList.from_scores([(d, float(len(ideal_order) - i)) for i, d in enumerate(ideal_order)])
         }
         if ndcg(ideal_run, qrels, cutoff).per_query["q"] != 1.0:
             ok = False

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -151,7 +152,7 @@ class TestIndexAndSearch:
         queries = tmp_path / "queries.jsonl"
         queries.write_text(json.dumps({"qid": "q", "text": "topic0"}) + "\n")
         run = str(tmp_path / "in.txt")
-        write_run(run, {"q": RankedList.from_scores([("a", 1.0)], "t")})
+        write_run(run, {"q": RankedList.from_scores([("a", 1.0)])}, "t")
         out = tmp_path / "run.txt"
         inputs = {"search-sparse": ["--index", workspace["index"], "--queries", str(queries)],
                   "fuse-rrf": ["--runs", run]}[command]
@@ -220,11 +221,11 @@ class TestRewrite:
 class TestFuseRRF:
     def test_matches_library_fusion(self, tmp_path):
         rng = np.random.default_rng(70)
-        run_a = {"q1": RankedList.from_scores([(f"d{i}", float(rng.uniform())) for i in range(8)], "a")}
-        run_b = {"q1": RankedList.from_scores([(f"d{i}", float(rng.uniform())) for i in range(4, 12)], "b")}
+        run_a = {"q1": RankedList.from_scores([(f"d{i}", float(rng.uniform())) for i in range(8)])}
+        run_b = {"q1": RankedList.from_scores([(f"d{i}", float(rng.uniform())) for i in range(4, 12)])}
         path_a, path_b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        write_run(path_a, run_a)
-        write_run(path_b, run_b)
+        write_run(path_a, run_a, "a")
+        write_run(path_b, run_b, "b")
         out = str(tmp_path / "fused.txt")
         assert run_cli(["fuse-rrf", "--runs", path_a, path_b, "--output", out]) == 0
         fused = read_run(out)["q1"]
@@ -240,13 +241,11 @@ class TestEval:
         qrels_path = str(tmp_path / "qrels.txt")
         write_qrels(qrels, qrels_path)
         runs = {
-            qid: RankedList.from_scores(
-                [(d, float(g)) for d, g in judged.items()], "ideal"
-            )
+            qid: RankedList.from_scores([(d, float(g)) for d, g in judged.items()])
             for qid, judged in qrels.items()
         }
         run_path = str(tmp_path / "ideal.txt")
-        write_run(run_path, runs)
+        write_run(run_path, runs, "ideal")
         assert run_cli(["eval", "--run", run_path, "--qrels", qrels_path, "--metric", "ndcg"]) == 0
         out = capsys.readouterr().out
         assert "mean nDCG 1.000" in out
@@ -256,7 +255,7 @@ class TestEval:
         qrels_path = str(tmp_path / "qrels.txt")
         write_qrels(qrels, qrels_path)
         run_path = str(tmp_path / "run.txt")
-        write_run(run_path, {"q1": RankedList.from_scores([("a", 2.0), ("z", 1.0)], "t")})
+        write_run(run_path, {"q1": RankedList.from_scores([("a", 2.0), ("z", 1.0)])}, "t")
         assert (
             run_cli(["eval", "--run", run_path, "--qrels", qrels_path,
                      "--metric", "recall", "--cutoff", "10"]) == 0
@@ -268,7 +267,7 @@ class TestEval:
         qrels_path = tmp_path / "qrels.txt"
         qrels_path.write_text(f"q1 0 a 1\nq1 0 b {grade}\n")
         run_path = str(tmp_path / "run.txt")
-        write_run(run_path, {"q1": RankedList.from_scores([("a", 1.0)], "t")})
+        write_run(run_path, {"q1": RankedList.from_scores([("a", 1.0)])}, "t")
         capsys.readouterr()
         assert run_cli(["eval", "--run", run_path, "--qrels", str(qrels_path)]) == 1
         assert capsys.readouterr().err == f"error: {qrels_path}:2: bad grade {grade!r}\n"
@@ -286,11 +285,11 @@ class TestCompare:
         qrels = {f"q{i}": {"a": 3, "b": 2} for i in range(6)}
         qrels_path = str(tmp_path / "qrels.txt")
         write_qrels(qrels, qrels_path)
-        better = {q: RankedList.from_scores([("a", 2.0), ("b", 1.0)], "s") for q in qrels}
-        worse = {q: RankedList.from_scores([("x", 2.0), ("a", 1.0)], "b") for q in qrels}
+        better = {q: RankedList.from_scores([("a", 2.0), ("b", 1.0)]) for q in qrels}
+        worse = {q: RankedList.from_scores([("x", 2.0), ("a", 1.0)]) for q in qrels}
         run_a, run_b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        write_run(run_a, better)
-        write_run(run_b, worse)
+        write_run(run_a, better, "s")
+        write_run(run_b, worse, "b")
         assert (
             run_cli(["compare", "--run", run_a, "--baseline", run_b,
                      "--qrels", qrels_path, "--metric", "ndcg@3"]) == 0
@@ -395,10 +394,12 @@ class TestConfig:
         index = load_index(out)
         assert index.config.k1 == 1.2 and index.config.b == 0.5
 
-    def test_unknown_config_keys_rejected(self, tmp_path):
+    @pytest.mark.parametrize("section, key", [("fusion", "zeta"), ("rewrite", "exclude_special_tokens"),
+                                              ("hybrid_rewrite", "exclude_special_tokens")])
+    def test_unknown_config_keys_rejected(self, section, key, tmp_path):
         config_path = str(tmp_path / "config.json")
-        open(config_path, "w").write(json.dumps({"fusion": {"alpha": 0.1, "zeta": 1}}))
-        with pytest.raises(ValueError, match="zeta"):
+        open(config_path, "w").write(json.dumps({section: {key: True}}))
+        with pytest.raises(ValueError, match=re.escape(f"{config_path}: unknown {section} settings ['{key}']")):
             cli.EngineConfig.from_file(config_path)
 
     def test_env_var_fallback(self, workspace, tmp_path, monkeypatch, capsys):
@@ -444,8 +445,8 @@ def path_inputs(workspace, tmp_path_factory):
     qrels = read_qrels(workspace["qrels"])
     for name, sign in (("run_a", 1.0), ("run_b", -1.0)):
         files[name] = str(root / f"{name}.txt")
-        write_run(files[name], {q: RankedList.from_scores([(d, sign * g) for d, g in judged.items()], name)
-                                for q, judged in qrels.items()})
+        write_run(files[name], {q: RankedList.from_scores([(d, sign * g) for d, g in judged.items()])
+                                for q, judged in qrels.items()}, name)
     return files
 
 
@@ -544,6 +545,21 @@ class TestFileBackedMatrices:
         assert "turn 1 (0 context tokens)" in out
         assert "turn 2 (3 context tokens)" in out
 
+    @pytest.mark.parametrize("command", ["search-dense", "search-hybrid", "rewrite"])
+    def test_matrix_pooling_to_infinity_is_refused_at_load(self, command, workspace, planted, tmp_path, capsys):
+        # Finite rows of opposite sign near the float64 limit: their difference overflows in pooling.
+        vectors = np.array([[1e308] * planted.store.dim, [-1e308] * planted.store.dim])
+        path = str(tmp_path / "matrices.jsonl")
+        save_token_matrices({"q1": TokenEmbeddingMatrix(["a", "b"], vectors, 1)}, path)
+        inputs = {"search-dense": ["--store", workspace["store"]],
+                  "search-hybrid": ["--store", workspace["store"], "--index", workspace["index"]],
+                  "rewrite": []}[command]
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert run_cli([command, *inputs, "--matrices", path, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1: vectors pool to non-finite values\n"
+        assert not out.exists()
+
     def test_converse_missing_turn_matrix_errors(self, workspace, planted, tmp_path, monkeypatch, capsys):
         from cqe.trainer import ToyQueryEncoder
 
@@ -596,21 +612,21 @@ class TestSearchDenseBatch:
     @pytest.mark.parametrize(
         "bad,message",
         [
-            pytest.param(  # pooling [1e308, -1e308] overflows to -inf
-                np.array([[1e308] * DIM, [-1e308] * DIM]), "q09: query vector contains non-finite values",
-                marks=pytest.mark.filterwarnings("ignore:overflow encountered"),
+            pytest.param(  # pooling [1e308, -1e308] overflows to -inf; q09 is on line 10
+                np.array([[1e308] * DIM, [-1e308] * DIM]), "{path}:10: vectors pool to non-finite values",
+                id="pooled-overflow",
             ),
             (np.zeros((2, DIM - 3)), f"q09: query dimension ({DIM - 3},) does not match store dim {DIM}"),
         ],
     )
     def test_bad_query_is_an_error_before_writing(self, store, tmp_path, capsys, bad, message):
         vectors = [np.ones((2, self.DIM))] * 9 + [bad] + [np.ones((2, self.DIM))] * 10
+        path = self.matrices(tmp_path, vectors)[0]
         out = tmp_path / "run.txt"
         capsys.readouterr()
-        argv = ["search-dense", "--store", store[1], "--matrices", self.matrices(tmp_path, vectors)[0],
-                "--output", str(out)]
+        argv = ["search-dense", "--store", store[1], "--matrices", path, "--output", str(out)]
         assert run_cli(argv) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
 
     def test_empty_sessions_file_writes_an_empty_run(self, workspace, tmp_path, capsys):
@@ -735,7 +751,7 @@ class TestConfigErrors:
         with open(config_path, "w") as fh:
             fh.write('{"fusion": {"rrf_k": 1' + "0" * 400 + "}}")
         run_path = str(tmp_path / "run.txt")
-        write_run(run_path, {"q1": RankedList.from_scores([("d1", 1.0), ("d2", 0.5)])})
+        write_run(run_path, {"q1": RankedList.from_scores([("d1", 1.0), ("d2", 0.5)])}, "t")
         capsys.readouterr()
         argv = ["fuse-rrf", "--config", config_path, "--runs", run_path, run_path,
                 "--output", str(tmp_path / "fused.txt")]

@@ -183,12 +183,10 @@ class TestDecontextualize:
         m = TokenEmbeddingMatrix(["rain", "rain", "when"], vectors, 2)
         assert decontextualize(m, RewriteConfig(gamma=4.0)) == ["when", "rain", "rain"]
 
-    def test_special_tokens_excluded_by_default(self):
+    def test_special_tokens_excluded(self):
         vectors = np.array([[50.0, 0.0], [20.0, 0.0], [1.0, 0.0], [30.0, 0.0]])
         m = TokenEmbeddingMatrix(["[CLS]", "topic", "what", "[SEP]"], vectors, 2)
         assert decontextualize(m, RewriteConfig(gamma=10.0)) == ["what", "topic"]
-        kept = decontextualize(m, RewriteConfig(gamma=10.0, exclude_special_tokens=False))
-        assert kept == ["what", "[SEP]", "[CLS]", "topic"]
 
     def test_selection_monotone_in_gamma(self):
         rng = np.random.default_rng(28)

@@ -43,14 +43,14 @@ def reference_search_dense(store, query, k):
     if not np.isfinite(query).all():
         raise ValueError("query vector contains non-finite values")
     if store.count == 0:
-        return RankedList([], tag="dense")
+        return RankedList()
     scores = store.vectors.astype(np.float64) @ query
-    return top_k(np.arange(store.count), scores, store.ids, id_ranks(store.ids), k, "dense")
+    return top_k(np.arange(store.count), scores, store.ids, id_ranks(store.ids), k)
 
 
 def exact(ranked):
     """(id, rank, float.hex of score) per entry: equal only when every score bit is equal."""
-    return [(e.docid, e.rank, float.hex(e.score)) for e in ranked], ranked.tag
+    return [(e.docid, e.rank, float.hex(e.score)) for e in ranked]
 
 
 def random_store(rng, count, dim):
@@ -294,7 +294,7 @@ class TestSearchDenseMany:
 
     def test_empty_store_gives_an_empty_list_per_query(self):
         store = PassageEmbeddingStore([], np.zeros((0, 3), dtype=np.float32))
-        assert search_dense_many(store, np.ones((2, 3)), 4) == [RankedList([], tag="dense")] * 2
+        assert search_dense_many(store, np.ones((2, 3)), 4) == [RankedList()] * 2
 
     @pytest.mark.parametrize(
         "queries,k,message",

@@ -30,9 +30,7 @@ from cqe.ranking import RankedList
 
 def make_run(docids_by_qid, start_score=100.0):
     return {
-        qid: RankedList.from_scores(
-            [(d, start_score - i) for i, d in enumerate(docids)], "test"
-        )
+        qid: RankedList.from_scores([(d, start_score - i) for i, d in enumerate(docids)])
         for qid, docids in docids_by_qid.items()
     }
 
@@ -126,7 +124,7 @@ class TestRecall:
 
     def test_empty_run_scores_zero(self):
         qrels = {"q1": {"a": 2}}
-        report = recall_at({"q1": RankedList([], "t")}, qrels, cutoff=10)
+        report = recall_at({"q1": RankedList([])}, qrels, cutoff=10)
         assert report.per_query["q1"] == 0.0
 
     def test_matches_set_intersection_oracle(self):
@@ -154,7 +152,7 @@ class TestRecall:
 
 class TestWinTie:
     def report(self, values):
-        return MetricReport("m", 3, values)
+        return MetricReport(values)
 
     def test_identical_reports_all_tie(self):
         a = self.report({f"q{i}": 0.5 for i in range(6)})
@@ -229,11 +227,11 @@ class TestRunIO:
     def test_round_trip_exact_scores(self, tmp_path):
         rng = np.random.default_rng(56)
         runs = {
-            "q2": RankedList.from_scores([("a", rng.uniform()), ("b", rng.uniform())], "sys"),
-            "q1": RankedList.from_scores([("c", 1.0 / 3.0)], "sys"),
+            "q2": RankedList.from_scores([("a", rng.uniform()), ("b", rng.uniform())]),
+            "q1": RankedList.from_scores([("c", 1.0 / 3.0)]),
         }
         path = str(tmp_path / "run.txt")
-        write_run(path, runs)
+        write_run(path, runs, "t")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = read_run(path)
@@ -244,9 +242,9 @@ class TestRunIO:
             ]
 
     def test_format_line_shape(self, tmp_path):
-        runs = {"q1": RankedList.from_scores([("doc9", 1.5)], "mytag")}
+        runs = {"q1": RankedList.from_scores([("doc9", 1.5)])}
         path = str(tmp_path / "run.txt")
-        write_run(path, runs)
+        write_run(path, runs, "mytag")
         assert open(path).read() == "q1 Q0 doc9 1 1.5 mytag\n"
 
     def test_bad_field_count(self, tmp_path):
@@ -289,7 +287,7 @@ class TestRunIO:
         assert [(e.docid, e.score, e.rank) for e in runs["q1"]] == [("d1", 3.0, 0), ("d2", 2.0, 5), ("d3", 1.0, 5)]
         assert runs["q1"].head(2).entries == runs["q1"].entries[:2]
         out = tmp_path / "again.txt"
-        write_run(str(out), runs)
+        write_run(str(out), runs, "t")
         assert out.read_text() == path.read_text()
 
     def test_invalid_utf8_names_line(self, tmp_path):
@@ -301,16 +299,14 @@ class TestRunIO:
     def test_crlf_lines_parse(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_bytes(b"q1 Q0 d1 1 2.0 t\r\nq1 Q0 d2 2 1.0 t\r\n")
-        assert read_run(str(path))["q1"] == RankedList.from_scores([("d1", 2.0), ("d2", 1.0)], "t")
+        assert read_run(str(path))["q1"] == RankedList.from_scores([("d1", 2.0), ("d2", 1.0)])
 
     @pytest.mark.parametrize("tag", ["", "my run", "tab\there"])
     def test_bad_tag_refused_before_writing(self, tmp_path, tag):
         path = tmp_path / "run.txt"
-        runs = {"q1": RankedList.from_scores([("d1", 1.0)], "sys")}
+        runs = {"q1": RankedList.from_scores([("d1", 1.0)])}
         with pytest.raises(ValueError, match="^run tag "):
-            write_run(str(path), runs, tag=tag)
-        with pytest.raises(ValueError, match="^run tag "):
-            write_run(str(path), {"q1": runs["q1"].head(1, tag=tag)})
+            write_run(str(path), runs, tag)
         assert not path.exists()
 
 
@@ -357,20 +353,22 @@ ids = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(
     ids,
 )
 def test_run_round_trip_is_exact(scored, tag):
-    runs = {qid: RankedList.from_scores(docs.items(), tag) for qid, docs in scored.items()}
+    runs = {qid: RankedList.from_scores(docs.items()) for qid, docs in scored.items()}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.txt")
-        write_run(path, runs)
+        write_run(path, runs, tag)
+        with open(path, "rb") as fh:
+            line_tags = [raw.decode("utf-8").split()[5] for raw in fh]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = read_run(path)
+    assert line_tags == [tag] * sum(map(len, runs.values()))
     assert loaded.keys() == runs.keys()
     for qid, ranked in runs.items():
         # float.hex tells -0.0 from 0.0, which == does not
         assert [(e.docid, e.score.hex(), e.rank) for e in loaded[qid]] == [
             (e.docid, e.score.hex(), e.rank) for e in ranked
         ]
-        assert loaded[qid].tag == tag
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,12 +19,8 @@ def random_lists(rng, n_docs=30, overlap=10):
     shared = [f"s{i}" for i in range(overlap)]
     only_a = [f"a{i}" for i in range(n_docs - overlap)]
     only_b = [f"b{i}" for i in range(n_docs - overlap)]
-    sparse = RankedList.from_scores(
-        [(d, float(rng.uniform(1, 20))) for d in shared + only_a], "sparse"
-    )
-    dense = RankedList.from_scores(
-        [(d, float(rng.uniform(-1, 1))) for d in shared + only_b], "dense"
-    )
+    sparse = RankedList.from_scores([(d, float(rng.uniform(1, 20))) for d in shared + only_a])
+    dense = RankedList.from_scores([(d, float(rng.uniform(-1, 1))) for d in shared + only_b])
     return sparse, dense
 
 
@@ -54,7 +50,7 @@ def reference_hybrid_combine(sparse, dense, config=None):
         (docid, config.alpha * sp.get(docid, min_sp) + ds.get(docid, min_ds))
         for docid in sp.keys() | ds.keys()
     ]
-    return RankedList.from_scores(combined, tag="hybrid")
+    return RankedList.from_scores(combined)
 
 
 def exact(ranked):
@@ -66,7 +62,7 @@ def exact(ranked):
 
 def as_columns(ranked):
     """The same results as a column-form list."""
-    return RankedList.from_columns(ranked.docids(), np.array([e.score for e in ranked]), ranked.tag)
+    return RankedList.from_columns(ranked.docids(), np.array([e.score for e in ranked]))
 
 
 # Few distinct scores, signed zeros and tiny values force equal fused scores.
@@ -89,7 +85,7 @@ def list_pairs(draw):
         dense = {d: draw(TIE_SCORES) for d in sparse}
     else:
         dense = draw(scored("bcd" if mode == "overlap" else "xyz"))
-    return RankedList.from_scores(sparse.items(), "sparse"), RankedList.from_scores(dense.items(), "dense")
+    return RankedList.from_scores(sparse.items()), RankedList.from_scores(dense.items())
 
 
 class TestHybridCombineExact:
@@ -104,49 +100,49 @@ class TestHybridCombineExact:
         assert hybrid_combine(sparse, dense, config) == reference_hybrid_combine(sparse, dense, config)
 
     def test_shared_fused_scores_break_by_id(self):
-        sparse = RankedList.from_scores([("c", 2.0), ("a", 1.0), ("b", 0.0)], "sparse")
-        dense = RankedList.from_scores([("b", 0.5), ("a", 0.4), ("d", 0.3)], "dense")
+        sparse = RankedList.from_scores([("c", 2.0), ("a", 1.0), ("b", 0.0)])
+        dense = RankedList.from_scores([("b", 0.5), ("a", 0.4), ("d", 0.3)])
         got = hybrid_combine(sparse, dense, FusionConfig(alpha=0.1))
         # c: 0.2 + 0.3 (dense minimum), a: 0.1 + 0.4, b: 0.0 + 0.5, d: 0.0 (sparse minimum) + 0.3
         assert [(e.docid, e.score, e.rank) for e in got] == [
             ("a", 0.5, 1), ("b", 0.5, 2), ("c", 0.5, 3), ("d", 0.3, 4)
         ]
-        tied = RankedList.from_scores([("z", 1.0), ("y", 1.0), ("x", 1.0)], "dense")
+        tied = RankedList.from_scores([("z", 1.0), ("y", 1.0), ("x", 1.0)])
         # alpha 0: every sparse-only document takes the dense minimum, 1.0
         got = hybrid_combine(sparse, tied, FusionConfig(alpha=0.0))
         assert got.docids() == ["a", "b", "c", "x", "y", "z"]
 
     def test_signed_zero_substitute_is_the_first_minimum(self):
         # The sparse minimum is a 0.0/-0.0 tie; min() takes the first in rank order ("a": -0.0).
-        sparse = RankedList([RankedEntry("a", -0.0, 1), RankedEntry("b", 0.0, 2)], "sparse")
-        dense = RankedList.from_scores([("c", -0.0)], "dense")
+        sparse = RankedList([RankedEntry("a", -0.0, 1), RankedEntry("b", 0.0, 2)])
+        dense = RankedList.from_scores([("c", -0.0)])
         got = hybrid_combine(sparse, dense, FusionConfig(alpha=1.0))
         assert exact(got) == exact(reference_hybrid_combine(sparse, dense, FusionConfig(alpha=1.0)))
         assert got.scores()["c"].hex() == "-0x0.0p+0"
 
     def test_one_element_lists(self):
-        one = RankedList.from_scores([("a", 2.0)], "sparse")
-        other = RankedList.from_scores([("b", 0.25)], "dense")
+        one = RankedList.from_scores([("a", 2.0)])
+        other = RankedList.from_scores([("b", 0.25)])
         for sparse, dense in ((one, other), (one, one), (other, one)):
             assert exact(hybrid_combine(sparse, dense)) == exact(reference_hybrid_combine(sparse, dense))
 
 
 class TestHybridCombine:
     def test_doc_in_both_lists(self):
-        sparse = RankedList.from_scores([("x", 10.0), ("y", 1.0)], "sparse")
-        dense = RankedList.from_scores([("x", 0.80), ("y", 0.2)], "dense")
+        sparse = RankedList.from_scores([("x", 10.0), ("y", 1.0)])
+        dense = RankedList.from_scores([("x", 0.80), ("y", 0.2)])
         combined = hybrid_combine(sparse, dense, FusionConfig(alpha=0.1))
         assert combined.scores()["x"] == pytest.approx(1.80)
 
     def test_sparse_only_doc_takes_dense_minimum(self):
-        sparse = RankedList.from_scores([("x", 12.0), ("y", 1.0)], "sparse")
-        dense = RankedList.from_scores([("y", 0.9), ("z", 0.30)], "dense")
+        sparse = RankedList.from_scores([("x", 12.0), ("y", 1.0)])
+        dense = RankedList.from_scores([("y", 0.9), ("z", 0.30)])
         combined = hybrid_combine(sparse, dense, FusionConfig(alpha=0.1))
         assert combined.scores()["x"] == pytest.approx(1.50)
 
     def test_dense_only_doc_takes_sparse_minimum(self):
-        sparse = RankedList.from_scores([("x", 12.0), ("y", 2.0)], "sparse")
-        dense = RankedList.from_scores([("y", 0.9), ("z", 0.30)], "dense")
+        sparse = RankedList.from_scores([("x", 12.0), ("y", 2.0)])
+        dense = RankedList.from_scores([("y", 0.9), ("z", 0.30)])
         combined = hybrid_combine(sparse, dense, FusionConfig(alpha=0.1))
         assert combined.scores()["z"] == pytest.approx(0.1 * 2.0 + 0.30)
 
@@ -174,9 +170,9 @@ class TestHybridCombine:
                     assert e.score <= min_dense
 
     def test_permuting_equal_scores_is_invariant(self):
-        sparse = RankedList.from_scores([("a", 5.0), ("b", 5.0), ("c", 1.0)], "sparse")
-        sparse_perm = RankedList.from_scores([("b", 5.0), ("a", 5.0), ("c", 1.0)], "other-tag")
-        dense = RankedList.from_scores([("c", 0.4), ("d", 0.1)], "dense")
+        sparse = RankedList.from_scores([("a", 5.0), ("b", 5.0), ("c", 1.0)])
+        sparse_perm = RankedList.from_scores([("b", 5.0), ("a", 5.0), ("c", 1.0)])
+        dense = RankedList.from_scores([("c", 0.4), ("d", 0.1)])
         first = hybrid_combine(sparse, dense)
         second = hybrid_combine(sparse_perm, dense)
         assert [(e.docid, e.score) for e in first] == [(e.docid, e.score) for e in second]
@@ -188,22 +184,22 @@ class TestHybridCombine:
         assert set(combined.docids()) == set(sparse.docids()) | set(dense.docids())
 
     def test_empty_input_rejected(self):
-        filled = RankedList.from_scores([("a", 1.0)], "sparse")
+        filled = RankedList.from_scores([("a", 1.0)])
         with pytest.raises(ValueError, match="non-empty"):
-            hybrid_combine(filled, RankedList([], "dense"))
+            hybrid_combine(filled, RankedList([]))
         with pytest.raises(ValueError, match="non-empty"):
-            hybrid_combine(RankedList([], "sparse"), filled)
+            hybrid_combine(RankedList([]), filled)
 
 
 class TestRRF:
     def test_single_list_keeps_order(self):
-        ranked = RankedList.from_scores([("a", 9.0), ("b", 5.0), ("c", 1.0)], "run")
+        ranked = RankedList.from_scores([("a", 9.0), ("b", 5.0), ("c", 1.0)])
         fused = rrf([ranked])
         assert fused.docids() == ["a", "b", "c"]
 
     def test_two_list_score(self):
-        first = RankedList.from_scores([("x", 2.0), ("y", 1.0)], "r1")
-        second = RankedList.from_scores([("y", 9.0), ("z", 8.0), ("x", 7.0)], "r2")
+        first = RankedList.from_scores([("x", 2.0), ("y", 1.0)])
+        second = RankedList.from_scores([("y", 9.0), ("z", 8.0), ("x", 7.0)])
         fused = rrf([first, second], FusionConfig(rrf_k=60))
         assert fused.scores()["x"] == pytest.approx(1 / 61 + 1 / 63)
 
@@ -214,7 +210,7 @@ class TestRRF:
         for _ in range(3):
             order = [docs[i] for i in rng.permutation(10)]
             lists.append(
-                RankedList.from_scores([(d, float(10 - r)) for r, d in enumerate(order)], "r")
+                RankedList.from_scores([(d, float(10 - r)) for r, d in enumerate(order)])
             )
         fused = rrf(lists, FusionConfig(rrf_k=60))
         expected = {}
@@ -226,7 +222,7 @@ class TestRRF:
 
     def test_rank_one_everywhere_attains_maximum(self):
         lists = [
-            RankedList.from_scores([("top", 5.0), (f"x{i}", 1.0)], "r") for i in range(4)
+            RankedList.from_scores([("top", 5.0), (f"x{i}", 1.0)]) for i in range(4)
         ]
         fused = rrf(lists, FusionConfig(rrf_k=60))
         assert fused.entries[0].docid == "top"
@@ -239,7 +235,7 @@ class TestRRF:
         for _ in range(3):
             chosen = [docs[i] for i in rng.permutation(8)[:5]]
             lists.append(
-                RankedList.from_scores([(d, float(9 - r)) for r, d in enumerate(chosen)], "r")
+                RankedList.from_scores([(d, float(9 - r)) for r, d in enumerate(chosen)])
             )
         fused = rrf(lists, FusionConfig(rrf_k=60))
         for e in fused:
@@ -276,7 +272,6 @@ class TestHybridSearch:
             sparse = search_sparse(planted_index, decontextualize(matrix, self.REWRITE), 20)
             dense = search_dense(planted.store, pool(matrix), 20)
             got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
-            assert got.tag == "hybrid"
             if sparse and dense:
                 fused_turns += 1
                 assert got.entries == hybrid_combine(sparse, dense, self.FUSION).entries[:5]
@@ -287,7 +282,6 @@ class TestHybridSearch:
         matrix = TokenEmbeddingMatrix(["[cls]", "[sep]"], rng.standard_normal((2, planted.store.dim)), 0)
         assert decontextualize(matrix, self.REWRITE) == []
         got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
-        assert got.tag == "hybrid"
         assert got.entries == search_dense(planted.store, pool(matrix), 20).entries[:5]
 
     @pytest.mark.parametrize("k", [1, 7, 10_000])

@@ -10,10 +10,10 @@ from cqe.ranking import RankedEntry, RankedList, id_ranks, score_order, top_k
 SCORED = [("b", 2.0), ("a", 2.0), ("c", 0.5), ("d", -0.0), ("e", -1.25)]
 
 
-def both_forms(scored, tag="run"):
+def both_forms(scored):
     """(entry-built, column-built) lists of the same results."""
-    entries = RankedList.from_scores(scored, tag)
-    columns = RankedList.from_columns(entries.docids(), np.array([e.score for e in entries]), tag)
+    entries = RankedList.from_scores(scored)
+    columns = RankedList.from_columns(entries.docids(), np.array([e.score for e in entries]))
     return entries, columns
 
 
@@ -31,7 +31,7 @@ class TestTwoForms:
         assert repr(columns) == repr(entries)
 
     def test_reads_alike_after_its_entries_are_built(self):
-        entries, columns = both_forms(SCORED, "dense")
+        entries, columns = both_forms(SCORED)
         ids, scores = columns.columns()
         assert columns.entries == entries.entries  # the entries now replace the columns
         assert columns.docids() == ids and columns.scores() == dict(zip(ids, scores.tolist()))
@@ -47,28 +47,25 @@ class TestTwoForms:
 
     @pytest.mark.parametrize("k", [1, 3, 5, 8])
     def test_head_cuts_both_forms_alike(self, k):
-        entries, columns = both_forms(SCORED, "sparse")
-        assert columns.head(k) == entries.head(k) == RankedList(entries.entries[:k], "sparse")
-        assert columns.head(k, "hybrid") == RankedList(entries.entries[:k], "hybrid")
+        entries, columns = both_forms(SCORED)
+        assert columns.head(k) == entries.head(k) == RankedList(entries.entries[:k])
         assert len(columns.head(k)) == min(k, 5)
 
-    def test_tag_and_order_matter(self):
+    def test_order_matters(self):
         entries, columns = both_forms(SCORED)
-        assert columns != both_forms(SCORED, "other")[1]
         assert columns != RankedList(entries.entries[::-1])
         assert columns != entries.entries
 
     def test_empty_lists_are_falsy(self):
-        for empty in (RankedList(), RankedList([], "dense"), RankedList.from_columns([], np.empty(0))):
+        for empty in (RankedList(), RankedList([]), RankedList.from_columns([], np.empty(0))):
             assert not empty and len(empty) == 0
             assert empty.docids() == [] and empty.scores() == {} and list(empty) == []
         assert RankedList() == RankedList.from_columns([], np.empty(0))
 
     def test_positional_constructor_keeps_entries_as_given(self):
         # Run files may hold ranks that do not count from 1; the entry form keeps them.
-        ranked = RankedList([RankedEntry("x", 3.0, 7), RankedEntry("y", 1.0, 9)], "t")
+        ranked = RankedList([RankedEntry("x", 3.0, 7), RankedEntry("y", 1.0, 9)])
         assert [e.rank for e in ranked] == [7, 9]
-        assert ranked.tag == "t"
         ids, scores = ranked.columns()
         assert ids == ["x", "y"] and scores.dtype == np.float64 and scores.tolist() == [3.0, 1.0]
 
@@ -102,8 +99,8 @@ def test_score_order_matches_from_scores(scored):
 def test_top_k_column_form_matches_from_scores(scored, k):
     ids = list(scored)
     rows = np.arange(len(ids))
-    got = top_k(rows, np.array([scored[d] for d in ids]), ids, id_ranks(ids), k, "t")
-    expected = RankedList.from_scores(scored.items(), "t", k=k)
+    got = top_k(rows, np.array([scored[d] for d in ids]), ids, id_ranks(ids), k)
+    expected = RankedList.from_scores(scored.items(), k=k)
     assert got == expected
     assert [(e.docid, e.score.hex(), e.rank) for e in got] == [
         (e.docid, e.score.hex(), e.rank) for e in expected
@@ -115,9 +112,9 @@ def test_top_k_column_form_matches_from_scores(scored, k):
 def test_from_scores_matches_reference_sort_bit_for_bit(scored):
     items = list(scored.items())
     for k in [None, *range(1, len(items) + 2)]:
-        got = RankedList.from_scores(items, "t", k=k)
+        got = RankedList.from_scores(items, k=k)
         assert [(e.docid, e.score.hex(), e.rank) for e in got] == reference_from_scores(items, k)
-        assert got.tag == "t" and all(type(e.score) is float for e in got)
+        assert all(type(e.score) is float for e in got)
 
 
 def test_from_scores_refuses_duplicate_ids():
