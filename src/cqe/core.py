@@ -52,7 +52,8 @@ class TokenEmbeddingMatrix:
     """Per-token vectors for one conversational query turn.
 
     Rows 0..context_len-1 embed the context tokens, the rest embed the
-    current query; at least one query row is required.
+    current query; at least one query row is required. Each row's squared
+    L2 norm must be finite, so no pooled vector, score or norm overflows.
     """
 
     tokens: list[str]
@@ -71,8 +72,10 @@ class TokenEmbeddingMatrix:
             raise ValueError("context_len must be >= 0")
         if len(self.tokens) - self.context_len < 1:
             raise ValueError("matrix needs at least one query row")
-        if self.vectors.size and not np.isfinite(self.vectors).all():
-            raise ValueError("vectors contain non-finite values")
+        with np.errstate(over="ignore"):  # a squared norm that overflows is refused, not warned of
+            finite = np.isfinite(np.einsum("ij,ij->i", self.vectors, self.vectors)).all()
+        if not finite:
+            raise ValueError("vectors hold a row with a non-finite squared norm")
 
     @property
     def query_len(self) -> int:
@@ -242,7 +245,7 @@ def save_sessions(sessions: list[Session], path: str) -> None:
 
 
 def load_token_matrices(path: str) -> dict[str, TokenEmbeddingMatrix]:
-    """Read {"qid", "tokens", "context_len", "vectors"} JSON-lines; every matrix must pool to finite values."""
+    """Read {"qid", "tokens", "context_len", "vectors"} JSON-lines, one matrix per line."""
     seen: set[str] = set()
 
     def record(obj: dict) -> tuple[str, TokenEmbeddingMatrix]:
@@ -254,12 +257,7 @@ def load_token_matrices(path: str) -> dict[str, TokenEmbeddingMatrix]:
             raise TypeError(f"'context_len' must be an integer, got {context_len!r}")
         vectors = np.asarray(obj["vectors"], dtype=np.float64)
         unique(qid, seen, "qid")
-        matrix = TokenEmbeddingMatrix(tokens, vectors, context_len)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
-            finite = np.isfinite(pool(matrix)).all()
-        if not finite:
-            raise ValueError("vectors pool to non-finite values")
-        return qid, matrix
+        return qid, TokenEmbeddingMatrix(tokens, vectors, context_len)
 
     return dict(read_jsonl(path, record))
 

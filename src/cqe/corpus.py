@@ -21,11 +21,17 @@ def check_id(value: str, what: str) -> str:
     return value
 
 
-def check_ids(ids: list[str], what: str) -> None:
-    """ValueError naming the first empty or whitespace id; one scan of all ids when there is none."""
+def check_ids(ids: list[str], what: str) -> dict[str, int]:
+    """The position of each id; ValueError naming the first empty, whitespace or repeated id."""
     if "" in ids or WHITESPACE.search("\0".join(ids)):
         bad = next(value for value in ids if not value or WHITESPACE.search(value))
         raise ValueError(f"{what} {bad!r} is empty or contains whitespace")
+    position = {value: i for i, value in enumerate(ids)}
+    if len(position) != len(ids):
+        seen: set[str] = set()
+        for value in ids:
+            unique(value, seen, what)
+    return position
 
 
 def tokenize(text: str) -> list[str]:
@@ -59,14 +65,6 @@ class Corpus:
             if p.id in self._by_id:
                 raise ValueError(f"duplicate passage id {p.id!r}")
             self._by_id[p.id] = p
-
-    @property
-    def passages(self) -> list[Passage]:
-        return list(self._passages)
-
-    @property
-    def count(self) -> int:
-        return len(self._passages)
 
     def __len__(self) -> int:
         return len(self._passages)

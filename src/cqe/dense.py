@@ -30,10 +30,7 @@ class PassageEmbeddingStore:
             raise ValueError(f"id count {len(ids)} != vector count {vectors.shape[0]}")
         if vectors.size and not np.isfinite(vectors).all():
             raise ValueError("vectors contain non-finite values")
-        self._row = {pid: i for i, pid in enumerate(ids)}
-        if len(self._row) != len(ids):
-            raise ValueError("passage ids must be unique")
-        check_ids(ids, "passage id")
+        self._row = check_ids(ids, "passage id")
         self.ids = list(ids)
         self.vectors = vectors
 
@@ -59,9 +56,6 @@ class PassageEmbeddingStore:
 
     def __contains__(self, passage_id: str) -> bool:
         return passage_id in self._row
-
-    def vector(self, passage_id: str) -> np.ndarray:
-        return self.vectors[self.rows([passage_id])[0]]
 
     def rows(self, passage_ids: Sequence[str]) -> np.ndarray:
         """The row of each of ``passage_ids``; KeyError naming the first unknown id."""
@@ -180,20 +174,21 @@ def score_chunk(vectors: np.ndarray, queries: np.ndarray, out: np.ndarray) -> No
 def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int) -> list[RankedList]:
     """Exact top-k by inner product for each row of ``queries``; ties broken by ascending passage id.
 
-    Every query is checked before any is scored. Each result equals
-    :func:`search_dense` of that row alone, bit for bit.
+    Every query is checked before any is scored: its squared L2 norm must
+    be finite, so no score of a finite float32 store can overflow. Each
+    result equals :func:`search_dense` of that row alone, bit for bit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != store.dim:
         raise ValueError(f"query dimension {queries.shape[1:]} does not match store dim {store.dim}")
-    if not np.isfinite(queries).all():
-        raise ValueError("query vector contains non-finite values")
+    with np.errstate(over="ignore"):  # a squared norm that overflows is refused, not warned of
+        finite = np.isfinite(np.einsum("ij,ij->i", queries, queries)).all()
+    if not finite:
+        raise ValueError("query vector contains non-finite values or its squared norm overflows")
     if not len(queries):
         return []
-    if store.count == 0:
-        return [RankedList() for _ in queries]
     vectors, rows = store._vectors64, np.arange(store.count)
     scores = np.empty((min(QUERY_CHUNK, len(queries)), store.count))
     results = []

@@ -127,11 +127,33 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
         if mean == 0.0:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
-    from scipy.special import betainc  # imported here: scipy takes most of the CLI's start-up
     t = mean / (sd / math.sqrt(n))
     dof = n - 1
-    p = float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
-    return t, p
+    return t, _betainc(dof / 2.0, 0.5, dof / (dof + t * t))
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) by its continued fraction (modified Lentz)."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0 if x <= 0.0 else 1.0
+    if x > (a + 1.0) / (a + b + 2.0):  # the fraction converges fast only below this point
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(100_000):
+        m = i // 2
+        if i == 0:
+            term = 1.0
+        elif i % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / (1.0 + term * d or 1e-300)  # Lentz: a zero denominator becomes tiny
+        c = 1.0 + term / c or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return math.exp(log_front) / a * (f - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,25 +41,25 @@ class InvertedIndex:
 
     Each term's postings are two equal-length u32 arrays, ordinals and
     term frequencies, sorted by ordinal; ordinals follow corpus order and
-    map back to passage ids.
+    map back to passage ids. ``doc_lengths`` is a u32 array in the same order.
     """
 
     def __init__(
         self,
         ids: list[str],
-        doc_lengths: list[int],
+        doc_lengths: list[int] | np.ndarray,
         postings: Mapping[str, tuple[np.ndarray, np.ndarray]],
         config: BM25Config,
     ):
-        if len(ids) != len(doc_lengths):
+        self.doc_lengths = np.array(doc_lengths, dtype=U32)
+        if len(ids) != len(self.doc_lengths):
             raise ValueError("ids and doc_lengths must have equal length")
         self.ids = list(ids)
-        self.doc_lengths = list(doc_lengths)
         self.config = config
         self.doc_count = len(ids)
-        self.avg_doc_length = sum(doc_lengths) / len(doc_lengths) if doc_lengths else 0.0
+        total = int(self.doc_lengths.sum(dtype=np.int64))  # exact, so the mean rounds once
+        self.avg_doc_length = total / self.doc_count if self.doc_count else 0.0
         self._postings = dict(postings)
-        self._lengths = np.asarray(self.doc_lengths, dtype=np.int64)
 
     @property
     def term_count(self) -> int:
@@ -82,9 +82,6 @@ class InvertedIndex:
             return self._ordinal[passage_id]
         except KeyError:
             raise ValueError(f"unknown passage id {passage_id!r}") from None
-
-    def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._ordinal
 
 
 def build_index(corpus: Corpus, config: BM25Config | None = None) -> InvertedIndex:
@@ -146,7 +143,7 @@ def bm25_score(index: InvertedIndex, query_tokens: Iterable[str], passage_id: st
     over query-term multiplicity.
     """
     ordinal = index.ordinal(passage_id)
-    doc_length = index.doc_lengths[ordinal]
+    doc_length = int(index.doc_lengths[ordinal])
     key = U32.type(ordinal)  # a Python int would make searchsorted copy the postings
     score = 0.0
     for term, multiplicity in Counter(query_tokens).items():
@@ -179,7 +176,7 @@ def search_sparse(index: InvertedIndex, query_tokens: Iterable[str], k: int) -> 
             continue
         ordinals, tfs = postings
         idf = _idf(index.doc_count, len(ordinals))
-        weight = _tf_weight(tfs, index._lengths[ordinals], index.avg_doc_length, index.config)
+        weight = _tf_weight(tfs, index.doc_lengths[ordinals], index.avg_doc_length, index.config)
         accum[ordinals] += multiplicity * idf * weight
     rows = np.flatnonzero(accum > 0.0)
     return top_k(rows, accum[rows], index.ids, index._id_ranks, k)
@@ -208,9 +205,7 @@ def save_index(index: InvertedIndex, path: str) -> None:
         parts.append(struct.pack("<I", len(raw)) + raw)
     sections.append((b"IDMP", b"".join(parts)))
 
-    sections.append(
-        (b"DLEN", struct.pack("<Q", index.doc_count) + np.asarray(index.doc_lengths, dtype=U32).tobytes())
-    )
+    sections.append((b"DLEN", struct.pack("<Q", index.doc_count) + index.doc_lengths.tobytes()))
 
     parts = [struct.pack("<Q", index.term_count)]
     for term in sorted(index._postings):
@@ -236,13 +231,13 @@ _U64 = struct.Struct("<Q")
 
 
 class _Reader:
-    """Bounds-checked little-endian reads through one section of an index file."""
+    """Bounds-checked little-endian reads through an index file or one of its sections."""
 
-    def __init__(self, path: str, name: str, buf: memoryview):
-        self.path, self.name, self.buf, self.pos = path, name, buf, 0
+    def __init__(self, where: str, buf: memoryview):
+        self.where, self.buf, self.pos = where, buf, 0
 
     def error(self, message: str) -> ValueError:
-        return ValueError(f"{self.path}: section {self.name}: {message}")
+        return ValueError(f"{self.where}: {message}")
 
     def short(self, pos: int, nbytes: int) -> ValueError:
         return self.error(f"needs {nbytes} bytes at offset {pos}, {len(self.buf) - pos} left")
@@ -310,33 +305,21 @@ def load_index(path: str) -> InvertedIndex:
         data = memoryview(fh.read())
     if data[:8] != MAGIC:
         raise ValueError(f"{path}: not a sparse index file (bad magic)")
-    if len(data) < 12:
-        raise ValueError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<I", data, 8)
+    file = _Reader(path, data)
+    (version,) = file.unpack("<8xI")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported index format version {version}")
-
     sections: dict[bytes, memoryview] = {}
-    offset = 12
-    while offset < len(data):
-        if len(data) - offset < 12:
-            raise ValueError(f"{path}: truncated section header at byte {offset}")
-        tag = bytes(data[offset : offset + 4])
-        (length,) = struct.unpack_from("<Q", data, offset + 4)
-        offset += 12
-        if length > len(data) - offset:
-            raise ValueError(
-                f"{path}: section {tag!r} at byte {offset - 12} declares {length} bytes, "
-                f"{len(data) - offset} left in the file"
-            )
-        sections[tag] = data[offset : offset + length]
-        offset += length
+    while file.pos < len(data):
+        tag, length = file.unpack("<4sQ")
+        sections[tag] = file.take(length)
 
-    for tag in (b"CONF", b"IDMP", b"DLEN", b"POST"):
+    def section(tag: bytes) -> _Reader:
         if tag not in sections:
             raise ValueError(f"{path}: missing section {tag.decode()}")
+        return _Reader(f"{path}: section {tag.decode()}", sections[tag])
 
-    conf = _Reader(path, "CONF", sections[b"CONF"])
+    conf = section(b"CONF")
     k1, b = conf.unpack("<dd")
     conf.finish()
     try:
@@ -344,25 +327,23 @@ def load_index(path: str) -> InvertedIndex:
     except ValueError as exc:
         raise conf.error(str(exc)) from None
 
-    idmp = _Reader(path, "IDMP", sections[b"IDMP"])
+    idmp = section(b"IDMP")
     count = idmp.count(4)
     ids = idmp.texts(count)
     idmp.finish()
-    if len(set(ids)) != count:
-        raise idmp.error("duplicate passage ids")
     try:
         check_ids(ids, "passage id")
     except ValueError as exc:
         raise idmp.error(str(exc)) from None
 
-    dlen = _Reader(path, "DLEN", sections[b"DLEN"])
+    dlen = section(b"DLEN")
     count_l = dlen.count(4)
     if count_l != count:
         raise dlen.error(f"doc length count {count_l} != id count {count}")
-    doc_lengths = np.frombuffer(dlen.take(4 * count), dtype=U32).tolist()
+    doc_lengths = np.frombuffer(dlen.take(4 * count), dtype=U32)
     dlen.finish()
 
-    post = _Reader(path, "POST", sections[b"POST"])
+    post = section(b"POST")
     n_terms = post.count(12)
     runs: list[memoryview] = []
     terms = post.texts(n_terms, runs)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from cqe import cli, dense
-from cqe.core import TokenEmbeddingMatrix, pool, save_token_matrices
-from cqe.corpus import Corpus, Passage
+from cqe.core import TokenEmbeddingMatrix, load_token_matrices, pool, save_token_matrices
+from cqe.corpus import Corpus, Passage, write_jsonl
 from cqe.dense import PassageEmbeddingStore, save_embeddings
 from cqe.evaluation import read_qrels, read_run, write_qrels, write_run
 from cqe.fusion import FusionConfig, rrf
@@ -145,6 +145,18 @@ class TestIndexAndSearch:
         argv = ["search-sparse", "--index", index, "--queries", str(queries), "--output", str(tmp_path / "run.txt")]
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {index}: section IDMP: passage id {bad_id!r}")
+
+    def test_index_with_a_repeated_id_is_refused_by_name(self, tmp_path, capsys):
+        good = build_index(Corpus([Passage("p0", "red fox"), Passage("p1", "blue fox")]))
+        postings = {t: good.term_postings(t) for t in ("red", "blue", "fox")}
+        index = str(tmp_path / "index.bin")
+        save_index(InvertedIndex(["p1", "p1"], good.doc_lengths, postings, good.config), index)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"qid": "q", "text": "fox"}) + "\n")
+        capsys.readouterr()
+        argv = ["search-sparse", "--index", index, "--queries", str(queries), "--output", str(tmp_path / "run.txt")]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {index}: section IDMP: duplicate passage id 'p1'\n"
 
     @pytest.mark.parametrize("command", ["search-sparse", "fuse-rrf"])
     @pytest.mark.parametrize("tag", ["my run", "", "tab\there"])
@@ -547,17 +559,31 @@ class TestFileBackedMatrices:
 
     @pytest.mark.parametrize("command", ["search-dense", "search-hybrid", "rewrite"])
     def test_matrix_pooling_to_infinity_is_refused_at_load(self, command, workspace, planted, tmp_path, capsys):
-        # Finite rows of opposite sign near the float64 limit: their difference overflows in pooling.
-        vectors = np.array([[1e308] * planted.store.dim, [-1e308] * planted.store.dim])
+        # Finite rows of opposite sign near the float64 limit: their difference would overflow in pooling.
+        vectors = [[1e308] * planted.store.dim, [-1e308] * planted.store.dim]
         path = str(tmp_path / "matrices.jsonl")
-        save_token_matrices({"q1": TokenEmbeddingMatrix(["a", "b"], vectors, 1)}, path)
+        write_jsonl(path, [{"qid": "q1", "tokens": ["a", "b"], "context_len": 1, "vectors": vectors}])
         inputs = {"search-dense": ["--store", workspace["store"]],
                   "search-hybrid": ["--store", workspace["store"], "--index", workspace["index"]],
                   "rewrite": []}[command]
         out = tmp_path / "out.txt"
         capsys.readouterr()
         assert run_cli([command, *inputs, "--matrices", path, "--output", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {path}:1: vectors pool to non-finite values\n"
+        assert capsys.readouterr().err == f"error: {path}:1: vectors hold a row with a non-finite squared norm\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["search-dense", "rewrite"])
+    def test_row_whose_squared_norm_overflows_is_refused(self, command, tmp_path, capsys):
+        # Rows of [1e308] * 4 pool to a finite vector, but the score against ones and the row norm overflow.
+        store = str(tmp_path / "store.json")
+        save_embeddings(PassageEmbeddingStore(["p0", "p1"], np.ones((2, 4), dtype=np.float32)), store)
+        path = str(tmp_path / "matrices.jsonl")
+        write_jsonl(path, [{"qid": "q1", "tokens": ["a", "b"], "context_len": 1, "vectors": [[1e308] * 4] * 2}])
+        inputs = {"search-dense": ["--store", store], "rewrite": ["--gamma", "12"]}[command]
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert run_cli([command, *inputs, "--matrices", path, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1: vectors hold a row with a non-finite squared norm\n"
         assert not out.exists()
 
     def test_converse_missing_turn_matrix_errors(self, workspace, planted, tmp_path, monkeypatch, capsys):
@@ -592,15 +618,17 @@ class TestSearchDenseBatch:
         return store, path
 
     def matrices(self, tmp_path, vectors):
-        """One two-token matrix per ``vectors`` entry, qids q00.., saved; (path, matrices)."""
+        """One two-token matrix per ``vectors`` entry, qids q00.., saved as they are; the path."""
         path = str(tmp_path / "matrices.jsonl")
-        matrices = {f"q{i:02d}": TokenEmbeddingMatrix(["a", "b"], v, 1) for i, v in enumerate(vectors)}
-        save_token_matrices(matrices, path)
-        return path, matrices
+        rows = [{"qid": f"q{i:02d}", "tokens": ["a", "b"], "context_len": 1, "vectors": np.asarray(v).tolist()}
+                for i, v in enumerate(vectors)]
+        write_jsonl(path, rows)
+        return path
 
     def test_run_file_equals_reference_byte_for_byte(self, store, tmp_path):
         store, store_path = store
-        path, matrices = self.matrices(tmp_path, np.random.default_rng(22).standard_normal((20, 2, self.DIM)))
+        path = self.matrices(tmp_path, np.random.default_rng(22).standard_normal((20, 2, self.DIM)))
+        matrices = load_token_matrices(path)
         out = tmp_path / "run.txt"
         argv = ["search-dense", "--store", store_path, "--matrices", path, "--k", "40", "--output", str(out)]
         assert run_cli(argv) == 0
@@ -612,8 +640,9 @@ class TestSearchDenseBatch:
     @pytest.mark.parametrize(
         "bad,message",
         [
-            pytest.param(  # pooling [1e308, -1e308] overflows to -inf; q09 is on line 10
-                np.array([[1e308] * DIM, [-1e308] * DIM]), "{path}:10: vectors pool to non-finite values",
+            pytest.param(  # the squared norm of [1e308] * DIM overflows; q09 is on line 10
+                np.array([[1e308] * DIM, [-1e308] * DIM]),
+                "{path}:10: vectors hold a row with a non-finite squared norm",
                 id="pooled-overflow",
             ),
             (np.zeros((2, DIM - 3)), f"q09: query dimension ({DIM - 3},) does not match store dim {DIM}"),
@@ -621,7 +650,7 @@ class TestSearchDenseBatch:
     )
     def test_bad_query_is_an_error_before_writing(self, store, tmp_path, capsys, bad, message):
         vectors = [np.ones((2, self.DIM))] * 9 + [bad] + [np.ones((2, self.DIM))] * 10
-        path = self.matrices(tmp_path, vectors)[0]
+        path = self.matrices(tmp_path, vectors)
         out = tmp_path / "run.txt"
         capsys.readouterr()
         argv = ["search-dense", "--store", store[1], "--matrices", path, "--output", str(out)]
@@ -989,7 +1018,7 @@ class TestManifestErrors:
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy serves only `compare`; importing it costs every other command most of its start-up.
+    # cqe does not depend on scipy, which would cost every command most of its start-up.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = "import sys, cqe.cli; print('scipy.special' in sys.modules, 'scipy' in sys.modules)"
     proc = subprocess.run(

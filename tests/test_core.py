@@ -45,6 +45,20 @@ class TestMatrixValidation:
         with pytest.raises(ValueError, match="finite"):
             TokenEmbeddingMatrix(["a"], bad, 0)
 
+    def test_rejects_a_row_whose_squared_norm_overflows(self):
+        with pytest.raises(ValueError, match="vectors hold a row with a non-finite squared norm"):
+            TokenEmbeddingMatrix(["a", "b"], np.array([[1e308] * 4, [1e308] * 4]), 1)
+
+    def test_largest_accepted_rows_keep_every_result_finite(self):
+        # Squared norms just under the float64 limit; opposite signs make pooling subtract.
+        big = math.sqrt(np.finfo(np.float64).max / 4) * 0.999
+        m = TokenEmbeddingMatrix(["a", "b"], np.array([[big] * 4, [-big] * 4]), 1)
+        passage = np.full(4, np.finfo(np.float32).max, dtype=np.float64)
+        assert np.isfinite(pool(m)).all() and math.isfinite(score(m, passage))
+        assert all(math.isfinite(n.l2_norm) for n in token_norm_report(m))
+        assert all(math.isfinite(c.l2_norm) and math.isfinite(c.contribution) for c in decompose(m, passage))
+        assert decontextualize(m, RewriteConfig(gamma=12.0)) == ["b", "a"]
+
 
 class TestPool:
     def test_single_row(self):

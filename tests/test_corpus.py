@@ -6,7 +6,7 @@ import string
 import numpy as np
 import pytest
 
-from cqe.corpus import Corpus, Passage, load_corpus, read_jsonl, save_corpus, tokenize, write_jsonl
+from cqe.corpus import Corpus, Passage, check_ids, load_corpus, read_jsonl, save_corpus, tokenize, write_jsonl
 
 
 class TestTokenize:
@@ -45,7 +45,7 @@ class TestPassage:
 class TestCorpus:
     def test_lookup_and_count(self):
         c = Corpus([Passage("p1", "one"), Passage("p2", "two")])
-        assert c.count == 2
+        assert len(c) == 2
         assert c["p1"].text == "one"
         assert "p2" in c and "p3" not in c
 
@@ -59,6 +59,15 @@ class TestCorpus:
             c["nope"]
 
 
+class TestCheckIds:
+    def test_returns_each_position(self):
+        assert check_ids(["b", "a", "c"], "passage id") == {"b": 0, "a": 1, "c": 2}
+
+    def test_names_the_first_repeated_id(self):
+        with pytest.raises(ValueError, match="^duplicate passage id 'b'$"):
+            check_ids(["a", "b", "c", "b", "a"], "passage id")
+
+
 class TestLoadCorpus:
     def _write(self, tmp_path, lines):
         path = tmp_path / "corpus.jsonl"
@@ -67,12 +76,12 @@ class TestLoadCorpus:
 
     def test_empty_file(self, tmp_path):
         corpus = load_corpus(self._write(tmp_path, []))
-        assert corpus.count == 0
+        assert len(corpus) == 0
 
     def test_three_lines_preserve_order(self, tmp_path):
         lines = [json.dumps({"id": f"p{i}", "text": f"text {i}"}) for i in range(3)]
         corpus = load_corpus(self._write(tmp_path, lines))
-        assert corpus.count == 3
+        assert len(corpus) == 3
         assert [p.id for p in corpus] == ["p0", "p1", "p2"]
         for i in range(3):
             assert corpus[f"p{i}"].text == f"text {i}"

@@ -1,6 +1,7 @@
 """Embedding store IO and exact inner-product search."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -62,10 +63,10 @@ class TestStore:
     def test_basic_lookup(self):
         store = PassageEmbeddingStore(["a", "b", "c"], np.arange(12, dtype=np.float32).reshape(3, 4))
         assert store.count == 3 and store.dim == 4
-        assert np.array_equal(store.vector("b"), np.array([4, 5, 6, 7], dtype=np.float32))
+        assert np.array_equal(store.vectors[store.rows(["b"])[0]], np.array([4, 5, 6, 7], dtype=np.float32))
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="duplicate passage id 'a'"):
             PassageEmbeddingStore(["a", "a"], np.zeros((2, 2), dtype=np.float32))
 
     def test_count_mismatch_rejected(self):
@@ -87,6 +88,13 @@ class TestIO:
         loaded = load_embeddings(manifest)
         assert loaded.count == 0 and loaded.dim == 4
 
+    def test_repeated_id_in_the_id_file_is_named(self, tmp_path):
+        manifest = str(tmp_path / "s.json")
+        save_embeddings(random_store(np.random.default_rng(3), 3, 4), manifest)
+        (tmp_path / "s.ids").write_text("d000\nd001\nd000\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}: duplicate passage id 'd000'")):
+            load_embeddings(manifest)
+
     def test_three_vectors(self, tmp_path):
         rng = np.random.default_rng(1)
         store = random_store(rng, 3, 4)
@@ -94,7 +102,7 @@ class TestIO:
         save_embeddings(store, manifest)
         loaded = load_embeddings(manifest)
         for pid in store.ids:
-            assert np.array_equal(loaded.vector(pid), store.vector(pid))
+            assert np.array_equal(loaded.vectors[loaded.rows([pid])[0]], store.vectors[store.rows([pid])[0]])
 
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -292,6 +300,12 @@ class TestSearchDenseMany:
         assert search_dense_many(store, np.empty((0, 3)), 4) == []
         assert "_vectors64" not in vars(store) and "_id_ranks" not in vars(store)
 
+    def test_largest_accepted_query_scores_stay_finite(self):
+        store = PassageEmbeddingStore(["a", "b"], np.full((2, 4), np.finfo(np.float32).max, dtype=np.float32))
+        query = np.full(4, math.sqrt(np.finfo(np.float64).max / 4) * 0.999)
+        got = search_dense_many(store, np.stack([query, -query]), 2)
+        assert all(math.isfinite(e.score) for ranked in got for e in ranked)
+
     def test_empty_store_gives_an_empty_list_per_query(self):
         store = PassageEmbeddingStore([], np.zeros((0, 3), dtype=np.float32))
         assert search_dense_many(store, np.ones((2, 3)), 4) == [RankedList()] * 2
@@ -301,6 +315,7 @@ class TestSearchDenseMany:
         [
             (np.array([[0.0] * 4] * 8 + [[0.0, np.nan, 0.0, 0.0]]), 3, "query vector contains non-finite values"),
             (np.array([[0.0] * 4, [np.inf, 0.0, 0.0, 0.0]]), 3, "query vector contains non-finite values"),
+            (np.array([[0.0] * 4, [1e308] * 4]), 3, "query vector contains non-finite values"),  # squared norm overflows
             (np.zeros((3, 5)), 3, "query dimension (5,) does not match store dim 4"),
             (np.zeros(4), 3, "query dimension () does not match store dim 4"),
             (np.zeros((2, 4)), 0, "k must be >= 1, got 0"),

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from cqe.corpus import WHITESPACE
 from cqe.evaluation import (
     MAX_GRADE,
     MetricReport,
+    _betainc,
     ndcg,
     paired_t_test,
     read_qrels,
@@ -211,6 +212,14 @@ class TestPairedTTest:
             ref = stats.ttest_rel(a, b)
             assert t == pytest.approx(float(ref.statistic), rel=1e-9, abs=1e-12)
             assert p == pytest.approx(float(ref.pvalue), abs=1e-6)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 20000])
+    def test_incomplete_beta_matches_library_oracle(self, dof):
+        # The arguments paired_t_test passes, for |t| from 0 to 1e10.
+        for t in [0.0, 1e-6, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1e4, 1e6, 1e10]:
+            x = dof / (dof + t * t)
+            want = float(special.betainc(dof / 2.0, 0.5, x))
+            assert math.isclose(_betainc(dof / 2.0, 0.5, x), want, rel_tol=1e-9), (dof, t)
 
     def test_constant_nonzero_difference(self):
         t, p = paired_t_test([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])

@@ -97,7 +97,7 @@ class TestBuildIndex:
                 expected.setdefault(term, []).append((i, tf))
         assert {term: pairs(index, term) for term in expected} == expected
         assert index.term_count == len(expected)
-        assert index.doc_lengths == [len(tokenize(t)) for t in texts]
+        assert index.doc_lengths.tolist() == [len(tokenize(t)) for t in texts]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -254,7 +254,7 @@ class TestPersistence:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.ids == index.ids
-        assert loaded.doc_lengths == index.doc_lengths
+        assert loaded.doc_lengths.tolist() == index.doc_lengths.tolist()
         terms = {t for p in corpus for t in tokenize(p.text)}
         assert loaded.term_count == index.term_count == len(terms)
         assert all(pairs(loaded, t) == pairs(index, t) for t in terms)
@@ -304,7 +304,7 @@ class TestPersistence:
         save_index(build_index(make_corpus(["a b", "a c"])), str(path))
         raw = path.read_bytes()
         path.write_bytes(raw.replace(b"\x02\x00\x00\x00p1", b"\x02\x00\x00\x00p0"))
-        with pytest.raises(ValueError, match="duplicate passage ids"):
+        with pytest.raises(ValueError, match="section IDMP: duplicate passage id 'p0'"):
             load_index(str(path))
 
     @pytest.mark.parametrize("first, second", [(2, 1), (1, 1), (1, 0)])

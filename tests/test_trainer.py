@@ -70,7 +70,7 @@ class TestHashingTextEmbedder:
 
 class TestTeachers:
     def test_cosine_teacher_self_similarity(self, planted):
-        passage = planted.corpus.passages[0]
+        passage = list(planted.corpus)[0]
         (self_score,), (other,) = planted.teacher.scores([passage.text, "unrelated nonsense zz"], [passage.id])
         assert -1.0 - 1e-9 <= other <= self_score <= 1.0 + 1e-9
 
@@ -117,7 +117,7 @@ class _ReferenceCosineTeacher:
 
     def score(self, query_text, passage_id):
         q = self.embedder.embed(query_text)
-        v = self.store.vector(passage_id).astype(np.float64)
+        v = self.store.vectors[self.store.rows([passage_id])[0]].astype(np.float64)
         nq = np.linalg.norm(q)
         nv = np.linalg.norm(v)
         if nq == 0.0 or nv == 0.0:
@@ -276,7 +276,7 @@ class TestBuildWeakLabels:
     def test_index_id_absent_from_corpus_is_refused(self):
         corpus, sessions, index = self.tiny_setup()
         with pytest.raises(ValueError, match=r"corpus is missing indexed ids: \['p3'\]"):
-            build_weak_labels(Corpus(corpus.passages[:2]), sessions, index, _BM25Teacher(index))
+            build_weak_labels(Corpus(list(corpus)[:2]), sessions, index, _BM25Teacher(index))
 
     def test_missing_rewrite_rejected(self):
         corpus, _, index = self.tiny_setup()
