@@ -26,7 +26,7 @@ def check_ids(ids: list[str], what: str) -> dict[str, int]:
     if "" in ids or WHITESPACE.search("\0".join(ids)):
         bad = next(value for value in ids if not value or WHITESPACE.search(value))
         raise ValueError(f"{what} {bad!r} is empty or contains whitespace")
-    position = {value: i for i, value in enumerate(ids)}
+    position = dict(zip(ids, range(len(ids))))
     if len(position) != len(ids):
         seen: set[str] = set()
         for value in ids:

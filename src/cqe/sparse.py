@@ -12,7 +12,7 @@ import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -39,16 +39,19 @@ class BM25Config:
 class InvertedIndex:
     """Term postings plus the document statistics BM25 needs.
 
-    Each term's postings are two equal-length u32 arrays, ordinals and
-    term frequencies, sorted by ordinal; ordinals follow corpus order and
-    map back to passage ids. ``doc_lengths`` is a u32 array in the same order.
+    The postings of all terms are two flat, C-contiguous u32 columns,
+    ``ordinals`` and ``tfs`` (term frequencies); ``spans`` maps each term
+    to the slice of its postings there, sorted by ordinal. Ordinals follow
+    corpus order and map back to passage ids, as does ``doc_lengths`` (u32).
     """
 
     def __init__(
         self,
         ids: list[str],
         doc_lengths: list[int] | np.ndarray,
-        postings: Mapping[str, tuple[np.ndarray, np.ndarray]],
+        spans: dict[str, slice],
+        ordinals: np.ndarray,
+        tfs: np.ndarray,
         config: BM25Config,
     ):
         self.doc_lengths = np.array(doc_lengths, dtype=U32)
@@ -59,15 +62,18 @@ class InvertedIndex:
         self.doc_count = len(ids)
         total = int(self.doc_lengths.sum(dtype=np.int64))  # exact, so the mean rounds once
         self.avg_doc_length = total / self.doc_count if self.doc_count else 0.0
-        self._postings = dict(postings)
+        self.spans = spans
+        self.ordinals = np.ascontiguousarray(ordinals, dtype=U32)
+        self.tfs = np.ascontiguousarray(tfs, dtype=U32)
 
     @property
     def term_count(self) -> int:
-        return len(self._postings)
+        return len(self.spans)
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """(ordinals, term frequencies) of ``term``, or None when it is not indexed."""
-        return self._postings.get(term)
+        span = self.spans.get(term)
+        return None if span is None else (self.ordinals[span], self.tfs[span])
 
     @cached_property
     def _ordinal(self) -> dict[str, int]:
@@ -113,17 +119,14 @@ def build_index(corpus: Corpus, config: BM25Config | None = None) -> InvertedInd
     order = np.argsort(keys, kind="stable")
     ordinals = np.repeat(np.arange(len(ids), dtype=U32), distinct)[order]
     tfs = np.asarray(flat_tfs, dtype=U32)[order]
-    per_term = np.bincount(keys, minlength=len(terms))
-    return InvertedIndex(ids, doc_lengths, _split(terms, per_term, ordinals, tfs), config)
+    ends = np.cumsum(np.bincount(keys, minlength=len(terms)))
+    return InvertedIndex(ids, doc_lengths, _spans(terms, ends), ordinals, tfs, config)
 
 
-def _split(terms: list[str], per_term, ordinals: np.ndarray, tfs: np.ndarray) -> dict:
-    """Term -> (ordinals, tfs) views of flat arrays holding ``per_term`` postings per term, in ``terms`` order."""
-    ends = np.cumsum(per_term, dtype=np.int64).tolist()
-    return {
-        term: (ordinals[start:end], tfs[start:end])
-        for term, start, end in zip(terms, [0, *ends], ends)
-    }
+def _spans(terms: list[str], ends: np.ndarray) -> dict[str, slice]:
+    """Term -> slice of columns whose runs, one per term in ``terms`` order, end at ``ends``."""
+    ends = ends.tolist()
+    return dict(zip(terms, map(slice, [0, *ends], ends)))
 
 
 def _idf(doc_count: int, df: int) -> float:
@@ -207,14 +210,12 @@ def save_index(index: InvertedIndex, path: str) -> None:
 
     sections.append((b"DLEN", struct.pack("<Q", index.doc_count) + index.doc_lengths.tobytes()))
 
+    pairs = np.column_stack((index.ordinals, index.tfs))  # one (ordinal, tf) row per posting, as stored
     parts = [struct.pack("<Q", index.term_count)]
-    for term in sorted(index._postings):
-        ordinals, tfs = index._postings[term]
-        pairs = np.empty((len(ordinals), 2), dtype=U32)
-        pairs[:, 0] = ordinals
-        pairs[:, 1] = tfs
+    for term, span in sorted(index.spans.items()):
         raw = term.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)) + raw + struct.pack("<Q", len(pairs)) + pairs.tobytes())
+        run = pairs[span]
+        parts.append(struct.pack("<I", len(raw)) + raw + struct.pack("<Q", len(run)) + run.tobytes())
     sections.append((b"POST", b"".join(parts)))
 
     with open(path, "wb") as fh:
@@ -228,28 +229,30 @@ def save_index(index: InvertedIndex, path: str) -> None:
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_BLOCK_PAIRS = 1 << 17  # load_index joins pair runs about 1 MB at a time
 
 
 class _Reader:
-    """Bounds-checked little-endian reads through an index file or one of its sections."""
+    """Bounds-checked little-endian reads through ``data[start:end]``; message offsets count from ``start``."""
 
-    def __init__(self, where: str, buf: memoryview):
-        self.where, self.buf, self.pos = where, buf, 0
+    def __init__(self, where: str, data: bytes, start: int = 0, end: int | None = None):
+        self.where, self.data, self.start, self.pos = where, data, start, start
+        self.end = len(data) if end is None else end
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.where}: {message}")
 
     def short(self, pos: int, nbytes: int) -> ValueError:
-        return self.error(f"needs {nbytes} bytes at offset {pos}, {len(self.buf) - pos} left")
+        return self.error(f"needs {nbytes} bytes at offset {pos - self.start}, {self.end - pos} left")
 
-    def take(self, nbytes: int) -> memoryview:
-        if nbytes > len(self.buf) - self.pos:
+    def skip(self, nbytes: int) -> int:
+        if nbytes > self.end - self.pos:
             raise self.short(self.pos, nbytes)
         self.pos += nbytes
-        return self.buf[self.pos - nbytes : self.pos]
+        return self.pos - nbytes
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
 
     def texts(self, n: int, runs: list[memoryview] | None = None) -> list[str]:
         """``n`` strings, each a u32 byte length and UTF-8 bytes, read in one loop.
@@ -257,7 +260,7 @@ class _Reader:
         With ``runs``, each string is followed by a u64 count and that many
         8-byte (ordinal, tf) pairs, whose bytes are appended to ``runs``.
         """
-        buf, end, pos = self.buf, len(self.buf), self.pos
+        buf, view, end, pos = self.data, memoryview(self.data), self.end, self.pos
         out = []
         for _ in range(n):
             if end - pos < 4:
@@ -267,9 +270,9 @@ class _Reader:
             if nbytes > end - pos:
                 raise self.short(pos, nbytes)
             try:
-                out.append(str(buf[pos : pos + nbytes], "utf-8"))
+                out.append(buf[pos : pos + nbytes].decode())
             except UnicodeDecodeError as exc:
-                raise self.error(f"invalid UTF-8 at offset {pos}: {exc.reason}") from None
+                raise self.error(f"invalid UTF-8 at offset {pos - self.start}: {exc.reason}") from None
             pos += nbytes
             if runs is not None:
                 if end - pos < 8:
@@ -277,8 +280,8 @@ class _Reader:
                 (count,) = _U64.unpack_from(buf, pos)
                 pos += 8
                 if count * 8 > end - pos:
-                    raise self.error(f"count {count} at offset {pos - 8} exceeds the section")
-                runs.append(buf[pos : pos + 8 * count])
+                    raise self.error(f"count {count} at offset {pos - 8 - self.start} exceeds the section")
+                runs.append(view[pos : pos + 8 * count])
                 pos += 8 * count
         self.pos = pos
         return out
@@ -286,13 +289,13 @@ class _Reader:
     def count(self, item_bytes: int) -> int:
         """A u64 item count, checked against the bytes left for the items."""
         (n,) = self.unpack("<Q")
-        if n * item_bytes > len(self.buf) - self.pos:
-            raise self.error(f"count {n} at offset {self.pos - 8} exceeds the section")
+        if n * item_bytes > self.end - self.pos:
+            raise self.error(f"count {n} at offset {self.pos - 8 - self.start} exceeds the section")
         return n
 
     def finish(self) -> None:
-        if self.pos != len(self.buf):
-            raise self.error(f"{len(self.buf) - self.pos} trailing bytes")
+        if self.pos != self.end:
+            raise self.error(f"{self.end - self.pos} trailing bytes")
 
 
 def load_index(path: str) -> InvertedIndex:
@@ -302,22 +305,22 @@ def load_index(path: str) -> InvertedIndex:
     truncated or corrupted file raises ValueError naming ``path``.
     """
     with open(path, "rb") as fh:
-        data = memoryview(fh.read())
+        data = fh.read()
     if data[:8] != MAGIC:
         raise ValueError(f"{path}: not a sparse index file (bad magic)")
     file = _Reader(path, data)
     (version,) = file.unpack("<8xI")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported index format version {version}")
-    sections: dict[bytes, memoryview] = {}
-    while file.pos < len(data):
+    sections: dict[bytes, tuple[int, int]] = {}
+    while file.pos < file.end:
         tag, length = file.unpack("<4sQ")
-        sections[tag] = file.take(length)
+        sections[tag] = (file.skip(length), file.pos)
 
     def section(tag: bytes) -> _Reader:
         if tag not in sections:
             raise ValueError(f"{path}: missing section {tag.decode()}")
-        return _Reader(f"{path}: section {tag.decode()}", sections[tag])
+        return _Reader(f"{path}: section {tag.decode()}", data, *sections[tag])
 
     conf = section(b"CONF")
     k1, b = conf.unpack("<dd")
@@ -340,7 +343,7 @@ def load_index(path: str) -> InvertedIndex:
     count_l = dlen.count(4)
     if count_l != count:
         raise dlen.error(f"doc length count {count_l} != id count {count}")
-    doc_lengths = np.frombuffer(dlen.take(4 * count), dtype=U32)
+    doc_lengths = np.frombuffer(data, U32, count, dlen.skip(4 * count))
     dlen.finish()
 
     post = section(b"POST")
@@ -350,15 +353,21 @@ def load_index(path: str) -> InvertedIndex:
     post.finish()
     if len(set(terms)) != len(terms):
         raise post.error("duplicate terms")
-    counts = [len(run) // 8 for run in runs]
-    pairs = np.frombuffer(b"".join(runs), dtype=U32).reshape(-1, 2)
-    ordinals = np.ascontiguousarray(pairs[:, 0])
-    tfs = np.ascontiguousarray(pairs[:, 1])
-    # Flag a posting whose ordinal is out of range or not above its predecessor's in the same term.
-    term_of = np.repeat(np.arange(len(terms)), counts)
-    bad = ordinals >= count
-    bad[1:] |= (term_of[1:] == term_of[:-1]) & (ordinals[1:] <= ordinals[:-1])
-    if bad.any():
-        term = terms[term_of[np.argmax(bad)]]
+    bounds = np.cumsum([0, *map(len, runs)], dtype=np.int64) >> 3  # run t holds postings bounds[t]:bounds[t + 1]
+    columns = np.empty((2, bounds[-1]), dtype=U32)  # rows: the ordinal and the tf column
+    first = 0
+    while first < n_terms:  # whole runs, about _BLOCK_PAIRS postings at a time
+        stop = max(first + 1, bounds.searchsorted(bounds[first] + _BLOCK_PAIRS, "right") - 1)
+        columns[:, bounds[first] : bounds[stop]] = np.frombuffer(b"".join(runs[first:stop]), U32).reshape(-1, 2).T
+        first = stop
+    ordinals, tfs = columns
+    # ok[p]: posting p is in range and starts its term's run or lies above its predecessor.
+    # The last slot takes the starts of trailing empty runs.
+    ok = np.ones(len(ordinals) + 1, dtype=bool)
+    np.greater(ordinals[1:], ordinals[:-1], out=ok[1:-1])
+    ok[bounds[:-1]] = True
+    ok[:-1] &= ordinals < count
+    if not ok.all():
+        term = terms[bounds.searchsorted(ok.argmin(), "right") - 1]
         raise post.error(f"postings of term {term!r} are out of range or not ascending")
-    return InvertedIndex(ids, doc_lengths, _split(terms, counts, ordinals, tfs), config)
+    return InvertedIndex(ids, doc_lengths, _spans(terms, bounds[1:]), ordinals, tfs, config)

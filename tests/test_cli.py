@@ -136,9 +136,8 @@ class TestIndexAndSearch:
     @pytest.mark.parametrize("bad_id", ["a b", "", "tab\there"])
     def test_index_with_empty_or_whitespace_id_is_refused(self, bad_id, tmp_path, capsys):
         good = build_index(Corpus([Passage("p0", "red fox"), Passage("p1", "blue fox")]))
-        postings = {t: good.term_postings(t) for t in ("red", "blue", "fox")}
         index = str(tmp_path / "index.bin")
-        save_index(InvertedIndex(["p0", bad_id], good.doc_lengths, postings, good.config), index)
+        save_index(InvertedIndex(["p0", bad_id], good.doc_lengths, good.spans, good.ordinals, good.tfs, good.config), index)
         queries = tmp_path / "queries.jsonl"
         queries.write_text(json.dumps({"qid": "q", "text": "fox"}) + "\n")
         capsys.readouterr()
@@ -148,9 +147,8 @@ class TestIndexAndSearch:
 
     def test_index_with_a_repeated_id_is_refused_by_name(self, tmp_path, capsys):
         good = build_index(Corpus([Passage("p0", "red fox"), Passage("p1", "blue fox")]))
-        postings = {t: good.term_postings(t) for t in ("red", "blue", "fox")}
         index = str(tmp_path / "index.bin")
-        save_index(InvertedIndex(["p1", "p1"], good.doc_lengths, postings, good.config), index)
+        save_index(InvertedIndex(["p1", "p1"], good.doc_lengths, good.spans, good.ordinals, good.tfs, good.config), index)
         queries = tmp_path / "queries.jsonl"
         queries.write_text(json.dumps({"qid": "q", "text": "fox"}) + "\n")
         capsys.readouterr()

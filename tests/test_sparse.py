@@ -1,7 +1,10 @@
 """Inverted index construction, BM25 scoring, search, and persistence."""
 
 import math
+import os
+import re
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqe import sparse
 from cqe.corpus import Corpus, Passage, tokenize
 from cqe.sparse import (
     BM25Config,
@@ -334,3 +338,106 @@ class TestPersistence:
             assert str(exc).startswith(str(path))
             return
         search_sparse(index, ["a", "b", "c"], 5)
+
+
+def write_index(path, postings, ids=("p0", "p1", "p2")) -> str:
+    """An index file written by hand; ``postings`` lists (term, [(ordinal, tf), ...]) in file order."""
+
+    def text(value):
+        raw = value.encode()
+        return struct.pack("<I", len(raw)) + raw
+
+    idmp = struct.pack("<Q", len(ids)) + b"".join(map(text, ids))
+    dlen = struct.pack(f"<Q{len(ids)}I", len(ids), *[3] * len(ids))
+    post = struct.pack("<Q", len(postings)) + b"".join(
+        text(term) + struct.pack(f"<Q{2 * len(run)}I", len(run), *[v for pair in run for v in pair])
+        for term, run in postings
+    )
+    sections = [(b"CONF", struct.pack("<dd", 0.82, 0.68)), (b"IDMP", idmp), (b"DLEN", dlen), (b"POST", post)]
+    body = b"".join(tag + struct.pack("<Q", len(payload)) + payload for tag, payload in sections)
+    path.write_bytes(b"CQESPIDX" + struct.pack("<I", 1) + body)
+    return str(path)
+
+
+# Empty runs first, in the middle and last.
+EMPTY_RUNS = [("a", []), ("b", [(0, 1), (2, 3)]), ("c", []), ("d", [(1, 2)]), ("e", []), ("f", [])]
+
+
+class TestFlatPostings:
+    @pytest.mark.parametrize(
+        "postings",
+        [
+            EMPTY_RUNS,
+            [("a", [(1, 1), (2, 1)]), ("b", [(0, 4)])],  # descending across a term boundary
+            [("a", []), ("b", [])],
+            [],
+        ],
+    )
+    def test_hand_written_runs_load_and_save_back(self, tmp_path, postings):
+        path = write_index(tmp_path / "index.bin", postings)
+        index = load_index(path)
+        assert index.term_count == len(postings)
+        assert {term: pairs(index, term) for term, _ in postings} == dict(postings)
+        assert len(index.ordinals) == len(index.tfs) == sum(len(run) for _, run in postings)
+        save_index(index, str(tmp_path / "again.bin"))
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "index.bin").read_bytes()
+
+    @pytest.mark.parametrize(
+        "postings, term",
+        [
+            ([("a", [(0, 1), (2, 1)]), ("b", []), ("c", [(3, 1)])], "c"),  # out of range after an empty run
+            ([("a", [(0, 1), (2, 1)]), ("b", []), ("c", [(1, 1), (1, 1)])], "c"),
+            ([("a", [(0, 1), (2, 1)]), ("b", []), ("c", [(2, 1), (0, 1)])], "c"),
+            ([("a", []), ("b", [(0, 1), (2, 1), (1, 1)])], "b"),  # the last posting, after a leading empty run
+            ([("a", [(1, 1), (0, 1)]), ("b", []), ("c", [])], "a"),  # before trailing empty runs
+            ([("a", [(0, 1)]), ("b", [(1, 1), (5, 1)]), ("c", [])], "b"),
+        ],
+    )
+    def test_bad_run_is_refused_by_its_own_term(self, tmp_path, postings, term):
+        path = write_index(tmp_path / "index.bin", postings)
+        message = f"{path}: section POST: postings of term {term!r} are out of range or not ascending"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load_index(path)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 1 << 17])
+    def test_block_size_leaves_the_columns_unchanged(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(sparse, "_BLOCK_PAIRS", block)
+        index = build_index(random_corpus(np.random.default_rng(9), 30, vocab_size=40))
+        path = str(tmp_path / "index.bin")
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.spans == index.spans
+        assert np.array_equal(loaded.ordinals, index.ordinals) and np.array_equal(loaded.tfs, index.tfs)
+        loaded = load_index(write_index(tmp_path / "empty_runs.bin", EMPTY_RUNS))
+        assert {term: pairs(loaded, term) for term, _ in EMPTY_RUNS} == dict(EMPTY_RUNS)
+
+    def test_term_postings_are_contiguous_u4_as_built(self, tmp_path):
+        corpus = random_corpus(np.random.default_rng(8), 40, vocab_size=60)
+        built = build_index(corpus)
+        path = str(tmp_path / "index.bin")
+        save_index(built, path)
+        loaded = load_index(path)
+        terms = {t for p in corpus for t in tokenize(p.text)}
+        for index in (built, loaded):
+            assert index.term_count == len(terms)
+            for term in terms:
+                for got, want in zip(index.term_postings(term), built.term_postings(term)):
+                    assert got.dtype == np.dtype("<u4") and got.flags.c_contiguous
+                    assert np.array_equal(got, want)
+        assert loaded.term_postings("absent") is None
+
+    def test_load_peak_memory_is_bounded_by_file_size(self, tmp_path):
+        # Whole-index temporaries (one join of every pair run, interleaved
+        # copies, an int64 term number per posting) took the peak past 5.9x.
+        rng = np.random.default_rng(0)
+        ranks = rng.zipf(1.2, size=(5000, 50)) % 5000
+        corpus = Corpus([Passage(f"doc{i}", " ".join(f"w{j}" for j in row)) for i, row in enumerate(ranks)])
+        path = str(tmp_path / "index.bin")
+        save_index(build_index(corpus), path)
+        tracemalloc.start()
+        try:
+            load_index(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * os.path.getsize(path)
