@@ -1,13 +1,14 @@
 """Passage embedding store with exact top-k inner-product search.
 
-Dense vectors are plain 1-D numpy arrays. Vectors live on disk as
-little-endian 32-bit floats; scoring accumulates in 64-bit. Search is
-exact brute force over all stored rows.
+Vectors live on disk as little-endian 32-bit floats, and in a store as one
+float64 matrix of the same values, read block by block straight into it.
+Scoring accumulates in 64-bit. Search is exact brute force over all rows.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from functools import cached_property
 from typing import Sequence
 
@@ -18,29 +19,29 @@ from .ranking import RankedList, id_ranks, top_k
 
 
 class PassageEmbeddingStore:
-    """Fixed-dimension passage vectors, one row per passage id."""
+    """Passage vectors, one row per id: a C-contiguous float64 matrix of float32 values, scored as it is."""
 
     def __init__(self, ids: list[str], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D array")
+        if vectors.size and not np.isfinite(vectors).all():
+            raise ValueError("vectors contain non-finite values")
+        self._take(ids, vectors.astype(np.float64, order="C"))
+
+    def _take(self, ids: list[str], vectors: np.ndarray) -> PassageEmbeddingStore:
+        """This store, holding ``vectors`` (float64, C-contiguous, finite float32 values) without a copy."""
         if vectors.shape[1] < 1:
             raise ValueError("vector dimension must be >= 1")
         if len(ids) != vectors.shape[0]:
             raise ValueError(f"id count {len(ids)} != vector count {vectors.shape[0]}")
-        if vectors.size and not np.isfinite(vectors).all():
-            raise ValueError("vectors contain non-finite values")
-        self._row = check_ids(ids, "passage id")
-        self.ids = list(ids)
-        self.vectors = vectors
+        check_ids(ids, "passage id")
+        self.ids, self.vectors = list(ids), vectors
+        return self
 
     @cached_property
-    def _vectors64(self) -> np.ndarray:
-        """The float64 copy search scores against (8 * count * dim bytes), made on first search.
-
-        ``vectors`` must not be modified in place after that.
-        """
-        return self.vectors.astype(np.float64)
+    def _row(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
 
     @cached_property
     def _id_ranks(self) -> np.ndarray:
@@ -95,12 +96,21 @@ def read_manifest(path: str, *names: str) -> tuple[int, ...]:
     return manifests[0]
 
 
-def read_f32(path: str, *shape: int) -> np.ndarray:
-    """A little-endian f32 blob as a float32 array of ``shape``, its size checked."""
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != math.prod(shape):
-        raise ValueError(f"{path}: holds {raw.size} floats, manifest declares {'x'.join(map(str, shape))}")
-    return raw.reshape(shape)
+def read_f32(path: str, shape: tuple[int, ...], nonfinite: str) -> np.ndarray:
+    """A little-endian f32 blob as float64 ``shape``, size checked first; ValueError ``nonfinite`` on NaN or inf."""
+    count = math.prod(shape)
+    with open(path, "rb", buffering=0) as fh:
+        if (size := os.fstat(fh.fileno()).st_size) != 4 * count:
+            raise ValueError(f"{path}: holds {size / 4:.12g} floats, manifest declares {'x'.join(map(str, shape))}")
+        out, buf = np.empty(count), np.empty(max(1, min(count, BLOCK_BYTES // 4)), dtype="<f4")
+        for first in range(0, count, len(buf)):
+            block = buf[: count - first]
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"{path}: changed while being read")
+            if not np.isfinite(block).all():
+                raise ValueError(nonfinite)
+            out[first : first + len(block)] = block
+    return out.reshape(shape)
 
 
 def write_lines(path: str, lines: list[str]) -> None:
@@ -132,16 +142,16 @@ def load_embeddings(manifest_path: str) -> PassageEmbeddingStore:
     """Load a store saved by :func:`save_embeddings`; round-trips byte-exactly."""
     dim, count = read_manifest(manifest_path, "dim", "count")
     base = sidecar_base(manifest_path)
-    vectors = read_f32(base + ".f32", count, dim)
+    vectors = read_f32(base + ".f32", (count, dim), f"{manifest_path}: vectors contain non-finite values")
     ids = read_lines(base + ".ids", count, "ids")
-    try:
-        return PassageEmbeddingStore(ids, vectors)
+    try:  # the vectors are float64 and checked finite already: no second copy
+        return PassageEmbeddingStore.__new__(PassageEmbeddingStore)._take(ids, vectors)
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
 
 
-# Queries scored per pass over the store, and the float64 bytes of one row block: about
-# 1 MB, so a block read once from memory serves every query of a chunk from the L2 cache.
+# Queries scored per pass over the store, and the bytes of a block (f32 read by read_f32, float64 rows
+# scored): about 1 MB, so a row block read once from memory serves every query of a chunk from L2.
 QUERY_CHUNK = 8
 BLOCK_BYTES = 1 << 20
 ROW_ALIGN = 64
@@ -187,9 +197,7 @@ def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int)
         finite = np.isfinite(np.einsum("ij,ij->i", queries, queries)).all()
     if not finite:
         raise ValueError("query vector contains non-finite values or its squared norm overflows")
-    if not len(queries):
-        return []
-    vectors, rows = store._vectors64, np.arange(store.count)
+    vectors, rows = store.vectors, np.arange(store.count)
     scores = np.empty((min(QUERY_CHUNK, len(queries)), store.count))
     results = []
     for first in range(0, len(queries), QUERY_CHUNK):

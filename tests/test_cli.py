@@ -992,6 +992,28 @@ def corrupt_manifest(case, kind, manifest):
     return f"{manifest}: " if kind == "store" else f"{base}.vocab: "
 
 
+def copy_models(workspace, tmp_path):
+    """Copies of the workspace store and encoder in ``tmp_path``: {"store": manifest, "encoder": manifest}."""
+    copies = {}
+    for name in ("store", "encoder"):
+        base = workspace[name][: -len(".json")]
+        for suffix in (".json", ".f32", ".ids", ".emb.f32", ".proj.f32", ".vocab"):
+            if os.path.exists(base + suffix):
+                shutil.copy(base + suffix, tmp_path)
+        copies[name] = str(tmp_path / os.path.basename(workspace[name]))
+    return copies
+
+
+def search_dense_err(workspace, tmp_path, copies, capsys):
+    """stderr of a search-dense over ``copies`` that must exit 1 and write no run."""
+    argv = ["search-dense", "--store", copies["store"], "--encoder", copies["encoder"],
+            "--sessions", workspace["sessions"], "--output", str(tmp_path / "run.txt")]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    assert not os.path.exists(tmp_path / "run.txt")
+    return capsys.readouterr().err
+
+
 class TestManifestErrors:
     @pytest.mark.parametrize("kind", ["store", "encoder"])
     @pytest.mark.parametrize(
@@ -999,20 +1021,34 @@ class TestManifestErrors:
         ["non-object", "bad json", "missing size", "string size", "nan blob", "bad utf-8", "duplicate line"],
     )
     def test_error_names_the_file(self, case, kind, workspace, tmp_path, capsys):
-        copies = {}
-        for name in ("store", "encoder"):
-            base = workspace[name][: -len(".json")]
-            for suffix in (".json", ".f32", ".ids", ".emb.f32", ".proj.f32", ".vocab"):
-                if os.path.exists(base + suffix):
-                    shutil.copy(base + suffix, tmp_path)
-            copies[name] = str(tmp_path / os.path.basename(workspace[name]))
+        copies = copy_models(workspace, tmp_path)
         expected = corrupt_manifest(case, kind, copies[kind])
-        argv = ["search-dense", "--store", copies["store"], "--encoder", copies["encoder"],
-                "--sessions", workspace["sessions"], "--output", str(tmp_path / "run.txt")]
-        capsys.readouterr()
-        assert run_cli(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {expected}")
-        assert not os.path.exists(tmp_path / "run.txt")
+        assert search_dense_err(workspace, tmp_path, copies, capsys).startswith(f"error: {expected}")
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    @pytest.mark.parametrize("kind,blob", [("store", ".f32"), ("encoder", ".emb.f32"), ("encoder", ".proj.f32")])
+    def test_blob_one_float_off_is_refused(self, kind, blob, change, workspace, tmp_path, capsys):
+        copies = copy_models(workspace, tmp_path)
+        with open(copies[kind]) as fh:
+            declared = json.load(fh)
+        rows = declared["dim"] if blob == ".proj.f32" else declared[SIZE_FIELD[kind]]
+        path = copies[kind][: -len(".json")] + blob
+        floats = np.fromfile(path, dtype="<f4")
+        assert floats.size == rows * declared["dim"]
+        np.resize(floats, floats.size + change).tofile(path)
+        err = search_dense_err(workspace, tmp_path, copies, capsys)
+        assert err == f"error: {path}: holds {floats.size + change} floats, manifest declares {rows}x{declared['dim']}\n"
+
+    def test_nan_in_the_last_read_block_is_refused(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 64)  # 16 floats per block
+        copies = copy_models(workspace, tmp_path)
+        path = copies["store"][: -len(".json")] + ".f32"
+        floats = np.fromfile(path, dtype="<f4")
+        assert floats.size > 3 * 16
+        floats[-1] = np.nan
+        floats.tofile(path)
+        err = search_dense_err(workspace, tmp_path, copies, capsys)
+        assert err == f"error: {copies['store']}: vectors contain non-finite values\n"
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,12 +1,23 @@
 """Corpus loading and tokenization."""
 
 import json
+import re
 import string
 
 import numpy as np
 import pytest
 
-from cqe.corpus import Corpus, Passage, check_ids, load_corpus, read_jsonl, save_corpus, tokenize, write_jsonl
+from cqe.corpus import (
+    WHITESPACE,
+    Corpus,
+    Passage,
+    check_ids,
+    load_corpus,
+    read_jsonl,
+    save_corpus,
+    tokenize,
+    write_jsonl,
+)
 
 
 class TestTokenize:
@@ -60,8 +71,13 @@ class TestCorpus:
 
 
 class TestCheckIds:
-    def test_returns_each_position(self):
-        assert check_ids(["b", "a", "c"], "passage id") == {"b": 0, "a": 1, "c": 2}
+    def test_whitespace_pass_agrees_with_the_regex_on_every_character(self):
+        chars = [chr(i) for i in range(0x110000)]
+        spaces = [c for c in chars if WHITESPACE.search(c)]
+        check_ids(["".join(c for c in chars if not WHITESPACE.search(c)), "b"], "passage id")
+        for c in spaces:
+            with pytest.raises(ValueError, match=f"^passage id {re.escape(repr(f'b{c}b'))} is empty or contains whitespace$"):
+                check_ids(["a", f"b{c}b"], "passage id")
 
     def test_names_the_first_repeated_id(self):
         with pytest.raises(ValueError, match="^duplicate passage id 'b'$"):

@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -64,6 +66,11 @@ class TestStore:
         store = PassageEmbeddingStore(["a", "b", "c"], np.arange(12, dtype=np.float32).reshape(3, 4))
         assert store.count == 3 and store.dim == 4
         assert np.array_equal(store.vectors[store.rows(["b"])[0]], np.array([4, 5, 6, 7], dtype=np.float32))
+
+    def test_rows_give_each_position(self):
+        store = PassageEmbeddingStore(["b", "a", "c"], np.zeros((3, 2), dtype=np.float32))
+        assert store.rows(["b", "a", "c"]).tolist() == [0, 1, 2]
+        assert store.rows(["c", "b", "c"]).tolist() == [2, 0, 2]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate passage id 'a'"):
@@ -145,6 +152,13 @@ class TestIO:
             load_embeddings(manifest)
         with pytest.raises(ValueError, match="whitespace"):
             PassageEmbeddingStore(["d000", bad_id], np.zeros((2, 2), dtype=np.float32))
+
+    def test_blob_size_is_checked_before_anything_is_allocated(self, tmp_path):
+        manifest = str(tmp_path / "s.json")
+        save_embeddings(random_store(np.random.default_rng(6), 3, 4), manifest)
+        open(manifest, "w").write(json.dumps({"dim": 4, "count": 2**50, "dtype": "f32le"}))  # 32 PiB of float64
+        with pytest.raises(ValueError, match=f"holds 12 floats, manifest declares {2**50}x4$"):
+            load_embeddings(manifest)
 
     def test_bad_dtype_rejected(self, tmp_path):
         manifest = str(tmp_path / "s.json")
@@ -240,11 +254,22 @@ class TestSearchDense:
         assert got.docids() == sorted(ids)[:k]
         assert {e.score for e in got} == {1.5}
 
-    def test_float64_copy_made_on_first_search(self):
-        store = random_store(np.random.default_rng(12), 5, 3)
-        assert "_vectors64" not in vars(store)
-        search_dense(store, np.ones(3), 2)
-        assert vars(store)["_vectors64"].dtype == np.float64
+    def test_loaded_store_holds_one_float64_matrix(self, tmp_path):
+        count, dim = 10_000, 128  # a float32 read plus a float64 copy peaks at about 1.63x here
+        manifest = str(tmp_path / "s.json")
+        save_embeddings(random_store(np.random.default_rng(12), count, dim), manifest)
+        tracemalloc.start()
+        try:
+            store = load_embeddings(manifest)
+            search_dense(store, np.ones(dim), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.vectors.dtype == np.float64 and store.vectors.flags.c_contiguous
+        arrays = [name for name, value in vars(store).items() if isinstance(value, np.ndarray)]
+        assert sorted(arrays) == ["_id_ranks", "vectors"] and store._id_ranks.dtype.kind != "f"
+        ids_bytes = sys.getsizeof(store.ids) + sum(map(sys.getsizeof, store.ids))
+        assert peak <= 1.3 * 8 * count * dim + ids_bytes
 
 
 class TestSearchDenseMany:
@@ -298,7 +323,7 @@ class TestSearchDenseMany:
     def test_zero_queries_build_nothing(self):
         store = random_store(np.random.default_rng(15), 5, 3)
         assert search_dense_many(store, np.empty((0, 3)), 4) == []
-        assert "_vectors64" not in vars(store) and "_id_ranks" not in vars(store)
+        assert "_id_ranks" not in vars(store)
 
     def test_largest_accepted_query_scores_stay_finite(self):
         store = PassageEmbeddingStore(["a", "b"], np.full((2, 4), np.finfo(np.float32).max, dtype=np.float32))
@@ -325,7 +350,7 @@ class TestSearchDenseMany:
         store = random_store(np.random.default_rng(16), 6, 4)
         with pytest.raises(ValueError, match=re.escape(message)):
             search_dense_many(store, queries, k)
-        assert "_vectors64" not in vars(store)
+        assert "_id_ranks" not in vars(store)
 
     @pytest.mark.parametrize(
         "query,k,message",
@@ -426,6 +451,9 @@ def test_store_round_trip_keeps_ids_and_float32_bytes(ids, dim, data):
         manifest = os.path.join(tmp, "store.json")
         save_embeddings(PassageEmbeddingStore(ids, vectors), manifest)
         loaded = load_embeddings(manifest)
+        save_embeddings(loaded, os.path.join(tmp, "again.json"))
+        blobs = [Path(tmp, name).read_bytes() for name in ("store.f32", "again.f32")]
+    assert blobs[0] == blobs[1] == vectors.tobytes()
     assert loaded.ids == ids
-    assert loaded.vectors.dtype == np.float32 and loaded.vectors.shape == (len(ids), dim)
-    assert loaded.vectors.tobytes() == vectors.tobytes()
+    assert loaded.vectors.dtype == np.float64 and loaded.vectors.shape == (len(ids), dim)
+    assert loaded.vectors.astype("<f4").tobytes() == vectors.tobytes()

@@ -210,6 +210,30 @@ class TestCosineTeacherMemo:
             assert teacher.scores([turn.rewrite], ids)[0].tolist() == list(scores)
         assert embedder.texts == Counter({t.manual_rewrite: 1 for s in planted.sessions for t in s.turns})
 
+    def test_random_store_scores_equal_the_float32_row_formula_bitwise(self):
+        """The formula over float32 rows widened one at a time, as when the store held float32."""
+        from cqe.dense import PassageEmbeddingStore
+
+        rng = np.random.default_rng(21)
+        f32 = rng.standard_normal((300, 24)).astype(np.float32)
+        f32[7] = 0.0
+        ids = [f"p{i}" for i in rng.permutation(300)]
+        texts = ["alpha beta", "gamma delta gamma", "...", "alpha"]
+        embedder = HashingTextEmbedder(24)
+        picked = rng.choice(300, size=120).tolist() + [7]
+        want = np.zeros((len(texts), len(picked)))
+        for i, text in enumerate(texts):
+            q = embedder.embed(text)
+            nq = np.linalg.norm(q)
+            for j, row in enumerate(picked):
+                v = f32[row].astype(np.float64)
+                nv = math.sqrt(v.dot(v))
+                if nq != 0.0 and nv != 0.0:
+                    want[i, j] = q.dot(v) / (nq * nv)
+        got = CosineTeacher(PassageEmbeddingStore(ids, f32), embedder).scores(texts, [ids[r] for r in picked])
+        assert got.tobytes() == want.tobytes()
+        assert want[:, -1].tolist() == [0.0] * 4 and want[:2, :-1].all()
+
     def test_zero_query_scores_zero(self, planted):
         assert CosineTeacher(planted.store).scores(["..."], planted.store.ids[:3]).tolist() == [[0.0] * 3]
 
