@@ -211,7 +211,7 @@ class TestCosineTeacherMemo:
         assert embedder.texts == Counter({t.manual_rewrite: 1 for s in planted.sessions for t in s.turns})
 
     def test_random_store_scores_equal_the_float32_row_formula_bitwise(self):
-        """The formula over float32 rows widened one at a time, as when the store held float32."""
+        """The per-pair formula over the float32 rows, each widened to float64 on its own."""
         from cqe.dense import PassageEmbeddingStore
 
         rng = np.random.default_rng(21)
