@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+_TOKEN_BYTES = bytes(ord(chr(b).lower()) if chr(b).isascii() and chr(b).isalnum() else ord(" ") for b in range(256))
 WHITESPACE = re.compile(r"\s")  # matches exactly the characters str.isspace() accepts
 
 
@@ -37,10 +37,10 @@ def tokenize(text: str) -> list[str]:
     """Split text into lowercase tokens.
 
     A token is a maximal run of ASCII alphanumeric characters; every other
-    character acts as a separator. No stemming or stopword removal, so the
-    rule is deterministic and cheap.
+    character is a separator, non-ASCII ones too: UTF-8 writes them with
+    bytes >= 0x80 only, which the table maps to spaces. No stemming or stopwords.
     """
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+    return text.encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 @dataclass(frozen=True)

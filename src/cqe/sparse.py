@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,36 +92,38 @@ class InvertedIndex:
 
 
 def build_index(corpus: Corpus, config: BM25Config | None = None) -> InvertedIndex:
-    """Index a tokenized corpus; the corpus must be non-empty."""
+    """Index a tokenized corpus; the corpus must be non-empty.
+
+    Each token is an int64 key ``term rank * doc count + ordinal``; one sort makes each posting a run of equal keys.
+    """
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    config = config or BM25Config()
-    ids = []
-    doc_lengths = []
-    distinct = []  # distinct terms per passage
+    ids, doc_lengths = [], []
     term_ids: defaultdict[str, int] = defaultdict()
     term_ids.default_factory = term_ids.__len__  # a new term gets the next id
-    flat_terms: list[int] = []
-    flat_tfs: list[int] = []
+    tokens = array("q")  # provisional term id of every token, in corpus order
     for passage in corpus:
-        tokens = tokenize(passage.text)
-        counts = Counter(tokens)
+        words = tokenize(passage.text)
         ids.append(passage.id)
-        doc_lengths.append(len(tokens))
-        distinct.append(len(counts))
-        flat_terms.extend(map(term_ids.__getitem__, counts))
-        flat_tfs.extend(counts.values())
-    # One stable sort groups the postings by term, in sorted term order,
-    # and keeps each term's ordinals ascending.
-    terms = sorted(term_ids)
-    term_rank = np.empty(len(terms), dtype=np.intp)
-    term_rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
-    keys = term_rank[np.asarray(flat_terms, dtype=np.intp)]
-    order = np.argsort(keys, kind="stable")
-    ordinals = np.repeat(np.arange(len(ids), dtype=U32), distinct)[order]
-    tfs = np.asarray(flat_tfs, dtype=U32)[order]
-    ends = np.cumsum(np.bincount(keys, minlength=len(terms)))
-    return InvertedIndex(ids, doc_lengths, _spans(terms, ends), ordinals, tfs, config)
+        doc_lengths.append(len(words))
+        tokens.extend(map(term_ids.__getitem__, words))
+    terms, doc_count = sorted(term_ids), len(ids)
+    if len(terms) * doc_count >= 2**63:
+        raise ValueError(f"{len(terms)} terms x {doc_count} passages overflow the int64 posting keys")
+    term_key = np.empty(len(terms), dtype=np.int64)  # by provisional id: rank in ``terms`` * doc count
+    term_key[[term_ids[t] for t in terms]] = np.arange(0, len(terms) * doc_count, doc_count)
+    keys = np.frombuffer(tokens, dtype=np.int64)  # a view: the keys replace the ids, no second token-sized array
+    np.take(term_key, keys, out=keys)  # take buffers its output, so every id is read before it is overwritten
+    keys += np.repeat(np.arange(doc_count, dtype=np.int64), doc_lengths)
+    keys.sort()
+    first = np.ones(len(keys) + 1, dtype=bool)  # first[i]: token i starts a run; the last slot ends the last run
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+    starts = np.flatnonzero(first)
+    tfs = np.diff(starts)
+    ordinals = keys[starts[:-1]]  # one key per posting, cut to its ordinal once the terms are counted
+    ends = np.cumsum(np.bincount(ordinals // doc_count, minlength=len(terms)))
+    ordinals %= doc_count
+    return InvertedIndex(ids, doc_lengths, _spans(terms, ends), ordinals, tfs, config or BM25Config())
 
 
 def _spans(terms: list[str], ends: np.ndarray) -> dict[str, slice]:

@@ -6,6 +6,8 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqe.corpus import (
     WHITESPACE,
@@ -20,6 +22,11 @@ from cqe.corpus import (
 )
 
 
+def regex_tokens(text):
+    """The tokenizer's rule as a regex: lowercased maximal runs of ASCII letters and digits."""
+    return [m.group(0).lower() for m in re.finditer(r"[A-Za-z0-9]+", text)]
+
+
 class TestTokenize:
     def test_question_splits_on_punctuation(self):
         assert tokenize("why did it start?") == ["why", "did", "it", "start"]
@@ -32,6 +39,30 @@ class TestTokenize:
 
     def test_runs_of_separators(self):
         assert tokenize("a -- b\t\tc...d") == ["a", "b", "c", "d"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=st.characters()) | st.text(alphabet=st.characters(max_codepoint=0x2FF)))
+    def test_matches_regex_oracle(self, text):
+        # st.characters() draws every code point, lone surrogates included
+        assert tokenize(text) == regex_tokens(text)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("\u0130stanbul", ["stanbul"]),  # dotted capital I lowercases to two characters
+            ("\u212aelvin", ["elvin"]),  # the Kelvin sign lowercases to an ASCII k
+            ("\uff21\uff22\uff23 abc", ["abc"]),  # fullwidth letters
+            ("Stra\u00dfe", ["stra", "e"]),
+            ("\ufb01ne", ["ne"]),  # the fi ligature
+            ("\u00b23", ["3"]),  # superscript two
+            ("a\u0663\u0664b", ["a", "b"]),  # Arabic-Indic digits
+            ("a\x00b", ["a", "b"]),
+            ("a\tb", ["a", "b"]),
+            ("x\ud800Y", ["x", "y"]),  # a lone surrogate, legal in JSON as "\ud800"
+        ],
+    )
+    def test_non_ascii_characters_separate(self, text, expected):
+        assert tokenize(text) == regex_tokens(text) == expected
 
     def test_idempotent_on_joined_output(self):
         rng = np.random.default_rng(42)

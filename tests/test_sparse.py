@@ -5,7 +5,7 @@ import os
 import re
 import struct
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from cqe import sparse
 from cqe.corpus import Corpus, Passage, tokenize
 from cqe.sparse import (
     BM25Config,
+    InvertedIndex,
     bm25_score,
     build_index,
     load_index,
@@ -106,6 +107,88 @@ class TestBuildIndex:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             build_index(Corpus([]))
+
+
+def reference_build_index(corpus, config=None):
+    """build_index as first written: a Counter per passage, then one stable argsort of the postings."""
+    config = config or BM25Config()
+    ids = []
+    doc_lengths = []
+    distinct = []  # distinct terms per passage
+    term_ids = defaultdict()
+    term_ids.default_factory = term_ids.__len__
+    flat_terms = []
+    flat_tfs = []
+    for passage in corpus:
+        tokens = tokenize(passage.text)
+        counts = Counter(tokens)
+        ids.append(passage.id)
+        doc_lengths.append(len(tokens))
+        distinct.append(len(counts))
+        flat_terms.extend(map(term_ids.__getitem__, counts))
+        flat_tfs.extend(counts.values())
+    terms = sorted(term_ids)
+    term_rank = np.empty(len(terms), dtype=np.intp)
+    term_rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
+    keys = term_rank[np.asarray(flat_terms, dtype=np.intp)]
+    order = np.argsort(keys, kind="stable")
+    ordinals = np.repeat(np.arange(len(ids), dtype=sparse.U32), distinct)[order]
+    tfs = np.asarray(flat_tfs, dtype=sparse.U32)[order]
+    ends = np.cumsum(np.bincount(keys, minlength=len(terms))).tolist()
+    spans = dict(zip(terms, map(slice, [0, *ends], ends)))
+    return InvertedIndex(ids, doc_lengths, spans, ordinals, tfs, config)
+
+
+def saved_bytes(index, directory) -> bytes:
+    path = os.path.join(directory, "index.bin")
+    save_index(index, path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+# Words in mixed case, and separators from ASCII punctuation to a lone surrogate:
+# every non-ASCII character splits tokens.
+ORACLE_WORDS = st.sampled_from(["a", "A", "b", "Ab", "aB", "x9", "X9", "9", "07", "zz"])
+ORACLE_SEPARATORS = st.sampled_from([" ", "-", "\t", ".\n", "\u00e9", "\u212a", "\u00df", "\u00b2", "\ud800"])
+ORACLE_TEXTS = (
+    st.lists(st.tuples(ORACLE_WORDS, ORACLE_SEPARATORS), max_size=10).map(lambda pairs: "".join(sum(pairs, ())))
+    | st.sampled_from(["", "...", "\u00e9\u00e9", "\u212a"])  # no tokens
+    | st.text(max_size=12)
+)
+
+
+class TestBuildMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(ORACLE_TEXTS, min_size=1, max_size=12))
+    def test_same_bytes_as_counter_build(self, tmp_path_factory, texts):
+        corpus = make_corpus(texts)
+        directory = tmp_path_factory.mktemp("oracle")
+        got = build_index(corpus)
+        assert got.doc_lengths.tolist() == [len(tokenize(t)) for t in texts]
+        assert saved_bytes(got, directory) == saved_bytes(reference_build_index(corpus), directory)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["", "...", "\u00e9 \u212a"],  # no passage has a token
+            [""],
+            ["Red red RED fox, red!"],  # one passage
+        ],
+    )
+    def test_named_corpora(self, tmp_path, texts):
+        corpus = make_corpus(texts)
+        got = build_index(corpus)
+        want = reference_build_index(corpus)
+        assert saved_bytes(got, tmp_path) == saved_bytes(want, tmp_path)
+        assert (got.term_count, got.doc_lengths.tolist(), got.avg_doc_length) == (
+            want.term_count, want.doc_lengths.tolist(), want.avg_doc_length,
+        )
+
+    def test_tokenless_corpus_builds_an_empty_index(self):
+        index = build_index(make_corpus(["", "?!"]))
+        assert (index.term_count, index.doc_lengths.tolist(), index.avg_doc_length) == (0, [0, 0], 0.0)
+        assert len(index.ordinals) == len(index.tfs) == 0
+        assert list(search_sparse(index, ["a"], 3)) == []
 
 
 class TestBM25Score:

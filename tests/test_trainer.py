@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import sys
 import tempfile
 from collections import Counter
 
@@ -331,6 +332,46 @@ class TestBuildWeakLabels:
                 b.qid, b.rewrite, b.positives, b.bm25_pool,
             )
             assert a.teacher_pool == b.teacher_pool
+
+
+def labels_line(qid, teacher_pool) -> str:
+    return f'{{"qid": "{qid}", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], "teacher_pool": {teacher_pool}}}\n'
+
+
+class TestLoadTeacherPool:
+    def test_scores_load_as_floats(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(labels_line("s_1", '[{"id": "p0", "score": 2}, {"id": "p1", "score": -0.5, "note": 1}]')
+                        + labels_line("s_2", '[{"id": "p2", "score": 1.7976931348623157e308}]')
+                        + labels_line("s_3", "[]"))
+        pools = [turn.teacher_pool for turn in load_weak_labels(str(path))]
+        assert pools == [[("p0", 2.0), ("p1", -0.5)], [("p2", sys.float_info.max)], []]
+        assert all(type(score) is float for pool in pools for _, score in pool)
+
+    @pytest.mark.parametrize(
+        "teacher_pool,message",
+        [
+            ('[{"id": "p0", "score": 1.0}, ["p1", 1.0]]', "'teacher_pool' entries must be objects"),
+            ('[{"id": "p0", "score": 1.0}, {"score": 1.0}]', "missing field 'id'"),
+            ('[{"id": "p0", "score": 1.0}, {"id": 5, "score": 1.0}]', "'id' must be a string, got int"),
+            ('[{"id": "p0", "score": 1.0}, {"id": "p1"}]', "missing field 'score'"),
+            ('[{"id": "p0", "score": 1.0}, {"id": "p1", "score": true}]',
+             "teacher score of 'p1' must be a finite number, got True"),
+            ('[{"id": "p0", "score": NaN}]', "teacher score of 'p0' must be a finite number, got nan"),
+            ('[{"id": "p0", "score": -Infinity}]', "teacher score of 'p0' must be a finite number, got -inf"),
+            ('[{"id": "p0", "score": "1.0"}]', "teacher score of 'p0' must be a finite number, got '1.0'"),
+            ('[{"id": "p0", "score": 1' + "0" * 400 + "}]",
+             f"teacher score of 'p0' must be a finite number, got {10**400!r}"),
+            ('"p0"', "'teacher_pool' entries must be objects"),
+            ("7", "'int' object is not iterable"),
+        ],
+    )
+    def test_bad_entry_message(self, tmp_path, teacher_pool, message):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(labels_line("s_1", "[]") + labels_line("s_2", teacher_pool))
+        with pytest.raises(ValueError) as info:
+            load_weak_labels(str(path))
+        assert str(info.value) == f"{path}:2: {message}"
 
 
 def single_turn_labels(n_negatives, positives=("g1", "g2", "g3")):
