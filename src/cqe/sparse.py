@@ -112,8 +112,8 @@ def build_index(corpus: Corpus, config: BM25Config | None = None) -> InvertedInd
         raise ValueError(f"{len(terms)} terms x {doc_count} passages overflow the int64 posting keys")
     term_key = np.empty(len(terms), dtype=np.int64)  # by provisional id: rank in ``terms`` * doc count
     term_key[[term_ids[t] for t in terms]] = np.arange(0, len(terms) * doc_count, doc_count)
-    keys = np.frombuffer(tokens, dtype=np.int64)  # a view: the keys replace the ids, no second token-sized array
-    np.take(term_key, keys, out=keys)  # take buffers its output, so every id is read before it is overwritten
+    keys = term_key[np.frombuffer(tokens, dtype=np.int64)]
+    del tokens  # freed before np.repeat, so no more than two token-sized arrays are alive at once
     keys += np.repeat(np.arange(doc_count, dtype=np.int64), doc_lengths)
     keys.sort()
     first = np.ones(len(keys) + 1, dtype=bool)  # first[i]: token i starts a run; the last slot ends the last run

@@ -234,13 +234,12 @@ def load_weak_labels(path: str) -> list[TurnLabels]:
         if not positives:
             raise ValueError(f"turn {qid!r} has no positives")
         pool = obj["teacher_pool"]
-        try:  # one check per record; types compare exactly, so a bool (an int subclass) fails it
-            ids, scores = [entry["id"] for entry in pool], [entry["score"] for entry in pool]
-            bulk = {*map(type, ids)} <= {str} and {*map(type, scores)} <= {int, float}
-            bulk = bulk and all(abs(s) <= sys.float_info.max for s in scores)
-        except (KeyError, TypeError):
-            bulk = False  # then each entry is checked on its own, naming the first bad one
-        teacher_pool = list(zip(ids, map(float, scores))) if bulk else [_pool_entry(entry) for entry in pool]
+        try:  # the whole pool at once; on any failure the per-entry loop below names the first bad entry
+            ids, scores = [entry["id"] for entry in pool], [_finite_score(entry["score"], "") for entry in pool]
+            bulk = {*map(type, ids)} <= {str}
+        except (KeyError, TypeError, ValueError):
+            bulk = False
+        teacher_pool = list(zip(ids, scores)) if bulk else [_pool_entry(entry) for entry in pool]
         return TurnLabels(unique(qid, seen, "qid"), rewrite, positives, bm25_pool, teacher_pool)
 
     return read_jsonl(path, record)
