@@ -8,8 +8,11 @@ Query terms keep their multiplicity: repeated terms add weight.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import struct
 from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -150,18 +153,17 @@ def bm25_score(index: InvertedIndex, query_tokens: Iterable[str], passage_id: st
     """
     ordinal = index.ordinal(passage_id)
     doc_length = int(index.doc_lengths[ordinal])
-    key = U32.type(ordinal)  # a Python int would make searchsorted copy the postings
+    ordinals = memoryview(index.ordinals)  # bisects in C with Python ints, no numpy call per term
     score = 0.0
     for term, multiplicity in Counter(query_tokens).items():
-        postings = index.term_postings(term)
-        if postings is None:
+        span = index.spans.get(term)
+        if span is None:
             continue
-        ordinals, tfs = postings
-        pos = int(ordinals.searchsorted(key))
-        if pos == len(ordinals) or ordinals[pos] != key:
+        pos = bisect_left(ordinals, ordinal, span.start, span.stop)
+        if pos == span.stop or ordinals[pos] != ordinal:
             continue
-        tf = int(tfs[pos])
-        idf = _idf(index.doc_count, len(ordinals))
+        tf = int(index.tfs[pos])
+        idf = _idf(index.doc_count, span.stop - span.start)
         score += multiplicity * idf * _tf_weight(tf, doc_length, index.avg_doc_length, index.config)
     return score
 
@@ -238,7 +240,7 @@ _BLOCK_PAIRS = 1 << 17  # load_index joins pair runs about 1 MB at a time
 class _Reader:
     """Bounds-checked little-endian reads through ``data[start:end]``; message offsets count from ``start``."""
 
-    def __init__(self, where: str, data: bytes, start: int = 0, end: int | None = None):
+    def __init__(self, where: str, data: mmap.mmap | bytearray, start: int = 0, end: int | None = None):
         self.where, self.data, self.start, self.pos = where, data, start, start
         self.end = len(data) if end is None else end
 
@@ -305,10 +307,15 @@ def load_index(path: str) -> InvertedIndex:
     """Read an index written by :func:`save_index`.
 
     Every length, count and ordinal is checked against the file, so a
-    truncated or corrupted file raises ValueError naming ``path``.
+    truncated or corrupted file raises ValueError naming ``path``. The
+    file is read into an anonymous mapping, which is unmapped when the
+    load returns, so no dead copy stays in the heap across reloads.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        data = mmap.mmap(-1, size) if size else bytearray()  # a 0-byte map is refused; bad magic follows
+        if fh.readinto(data) != size or fh.read(1):
+            raise ValueError(f"{path}: changed while being read")
     if data[:8] != MAGIC:
         raise ValueError(f"{path}: not a sparse index file (bad magic)")
     file = _Reader(path, data)

@@ -1,18 +1,21 @@
 """Inverted index construction, BM25 scoring, search, and persistence."""
 
+import json
 import math
+import mmap
 import os
 import re
 import struct
 import tracemalloc
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqe import sparse
+from cqe import cli, sparse
 from cqe.corpus import Corpus, Passage, tokenize
 from cqe.sparse import (
     BM25Config,
@@ -407,6 +410,24 @@ class TestPersistence:
         with pytest.raises(ValueError, match="term 'a'"):
             load_index(str(path))
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_file_changed_while_being_read(self, tmp_path, monkeypatch, capsys, delta):
+        path = str(tmp_path / "index.bin")
+        save_index(build_index(make_corpus(["a b", "a c"])), path)
+
+        def fstat(fd):  # a size the read will not find, as if the file grew or shrank after fstat
+            return SimpleNamespace(st_size=os.fstat(fd).st_size + delta)
+
+        monkeypatch.setattr(sparse, "os", SimpleNamespace(fstat=fstat))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: changed while being read") + "$"):
+            load_index(path)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"qid": "q", "text": "a"}) + "\n")
+        capsys.readouterr()
+        argv = ["search-sparse", "--index", path, "--queries", str(queries), "--output", str(tmp_path / "run.txt")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: changed while being read\n"
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_flipped_byte_loads_or_fails_cleanly(self, tmp_path_factory, data):
@@ -512,6 +533,9 @@ class TestFlatPostings:
     def test_load_peak_memory_is_bounded_by_file_size(self, tmp_path):
         # Whole-index temporaries (one join of every pair run, interleaved
         # copies, an int64 term number per posting) took the peak past 5.9x.
+        # The file is read into an mmap, which tracemalloc does not see, so
+        # the traced bound is one file size below the 5x that held when the
+        # read went to the heap.
         rng = np.random.default_rng(0)
         ranks = rng.zipf(1.2, size=(5000, 50)) % 5000
         corpus = Corpus([Passage(f"doc{i}", " ".join(f"w{j}" for j in row)) for i, row in enumerate(ranks)])
@@ -523,4 +547,15 @@ class TestFlatPostings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * os.path.getsize(path)
+        assert peak < 4 * os.path.getsize(path)
+
+    def test_loaded_arrays_hold_no_file_buffer(self, tmp_path):
+        # A view into the read buffer would pin the whole file for the index's lifetime.
+        path = str(tmp_path / "index.bin")
+        save_index(build_index(random_corpus(np.random.default_rng(4), 30)), path)
+        index = load_index(path)
+        for array in (index.ordinals, index.tfs, index.doc_lengths):
+            owner = array
+            while owner is not None:
+                assert not isinstance(owner, (mmap.mmap, bytes, memoryview)), type(owner)
+                owner = getattr(owner, "base", None)
