@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import check_ids, read_jsonl, write_jsonl
-from .ranking import RankedList, id_ranks, top_k
+from .ranking import RankedList, id_ranks, top_k, top_k_floor
 
 
 class PassageEmbeddingStore:
@@ -150,9 +150,10 @@ def load_embeddings(manifest_path: str) -> PassageEmbeddingStore:
         raise ValueError(f"{manifest_path}: {exc}") from None
 
 
-# Queries scored per pass over the store, and the bytes of a block (f32 read by read_f32, float64 rows
-# scored): about 1 MB, so a row block read once from memory serves every query of a chunk from L2.
-QUERY_CHUNK = 8
+# Queries per pass over the store, row blocks per span (a chunk's scores never span the store: at most two spans
+# per query), and the bytes of a block: about 1 MB, so a block read once serves every query of a chunk from L2.
+QUERY_CHUNK = 32
+SPAN_BLOCKS = 16
 BLOCK_BYTES = 1 << 20
 ROW_ALIGN = 64
 
@@ -162,20 +163,23 @@ def block_rows(dim: int) -> int:
     return max(ROW_ALIGN, BLOCK_BYTES // (8 * dim) // ROW_ALIGN * ROW_ALIGN)
 
 
+def pieces(count: int, step: int) -> list[tuple[int, int]]:
+    """(start, stop) of each piece of ``count`` rows: pieces start at multiples of ``step``, the last takes the rest."""
+    starts = range(0, max(count // step, 1) * step, step)
+    return list(zip(starts, [*starts[1:], count]))
+
+
 def score_chunk(vectors: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
     """``out[j] = vectors @ queries[j]`` for each query, bit for bit, one row block at a time.
 
-    Each block is scored by one matrix-vector product per query, so the
-    block is read from memory once per chunk instead of once per query.
-    Blocks start at multiples of :func:`block_rows` and the last block
-    takes the rest: a row's bits then equal those of one product over the
-    whole store (at one BLAS thread), where a short last block would not.
-    Every query takes the same blocks, however many share its chunk, so its
-    bits do not depend on the other queries at any thread count.
+    Each block is scored by one matrix-vector product per query, so the block is read from memory
+    once per chunk instead of once per query. Blocks are the :func:`pieces` of :func:`block_rows`:
+    a row's bits then equal those of one product over the whole store (at one BLAS thread), where a
+    short last block would not, and so do a span's that starts at a multiple of the block size.
+    Every query takes the same blocks, however many share its chunk, so its bits do not depend on
+    the other queries at any thread count.
     """
-    count, step = vectors.shape[0], block_rows(vectors.shape[1])
-    starts = range(0, max(count // step, 1) * step, step)
-    for a, b in zip(starts, [*starts[1:], count]):
+    for a, b in pieces(vectors.shape[0], block_rows(vectors.shape[1])):
         block = vectors[a:b]
         for query, row in zip(queries, out):
             np.matmul(block, query, out=row[a:b])
@@ -184,9 +188,12 @@ def score_chunk(vectors: np.ndarray, queries: np.ndarray, out: np.ndarray) -> No
 def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int) -> list[RankedList]:
     """Exact top-k by inner product for each row of ``queries``; ties broken by ascending passage id.
 
-    Every query is checked before any is scored: its squared L2 norm must
-    be finite, so no score of a finite float32 store can overflow. Each
-    result equals :func:`search_dense` of that row alone, bit for bit.
+    Every query is checked before any is scored: its squared L2 norm must be finite, so no score of
+    a finite float32 store can overflow. Each result equals :func:`search_dense` of that row alone,
+    bit for bit. The store is scored in :func:`pieces` of SPAN_BLOCKS blocks; after each span a
+    query keeps only rows at or above the k-th best score it has kept (:func:`top_k_floor`, cut once
+    past 2k rows). A row below that floor has k rows strictly above it, so :func:`top_k` of the kept
+    rows is exact.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -197,14 +204,25 @@ def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int)
         finite = np.isfinite(np.einsum("ij,ij->i", queries, queries)).all()
     if not finite:
         raise ValueError("query vector contains non-finite values or its squared norm overflows")
-    vectors, rows = store.vectors, np.arange(store.count)
-    scores = np.empty((min(QUERY_CHUNK, len(queries)), store.count))
+    spans = pieces(store.count, SPAN_BLOCKS * block_rows(store.dim))
+    scores = np.empty((min(QUERY_CHUNK, len(queries)), store.count - spans[-1][0]))
     results = []
     for first in range(0, len(queries), QUERY_CHUNK):
         chunk = queries[first : first + QUERY_CHUNK]
-        score_chunk(vectors, chunk, scores)
-        # top_k copies what it keeps, so no result shares memory with ``scores``.
-        results += [top_k(rows, row, store.ids, store._id_ranks, k) for row in scores[: len(chunk)]]
+        floors, kept = [-math.inf] * len(chunk), [None] * len(chunk)
+        for a, b in spans:
+            score_chunk(store.vectors[a:b], chunk, scores)
+            for j, row in enumerate(scores[: len(chunk), : b - a]):
+                if a == 0:  # the first span is cut on its own; gathers copy, so no result shares ``scores``
+                    floors[j], hit = top_k_floor(row, k) if b > k else (-math.inf, np.arange(b))
+                    kept[j] = hit, row[hit]
+                elif len(hit := np.flatnonzero(row >= floors[j])):
+                    rows, vals = np.concatenate((kept[j][0], hit + a)), np.concatenate((kept[j][1], row[hit]))
+                    if len(rows) > 2 * k:
+                        floors[j], cut = top_k_floor(vals, k)
+                        rows, vals = rows[cut], vals[cut]
+                    kept[j] = rows, vals
+        results += [top_k(rows, vals, store.ids, store._id_ranks, k) for rows, vals in kept]
     return results
 
 

@@ -118,19 +118,26 @@ def score_order(scores: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     return order
 
 
+def top_k_floor(scores: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """The k-th best of ``scores`` (more than ``k``) and the positions of every score at or above it.
+
+    Ties with it are all kept for the ids to decide; a score below it has k scores strictly above it.
+    """
+    cut = len(scores) - k
+    floor = np.partition(scores, cut)[cut]
+    return floor, np.flatnonzero(scores >= floor)
+
+
 def top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str], ranks: np.ndarray, k: int) -> RankedList:
     """Exact top-k of candidate ``rows`` by descending score, then ascending id.
 
     ``scores[j]`` is the score of row ``rows[j]``; ``ids`` and ``ranks``
-    (their :func:`id_ranks`) are indexed by row. A partial selection
-    finds the k-th best score and every candidate tied with it is kept,
-    so only that small set is fully sorted and the ascending-id rule
-    still decides which tied rows make the cut. The result equals
+    (their :func:`id_ranks`) are indexed by row. Only the candidates
+    :func:`top_k_floor` keeps are fully sorted. The result equals
     :meth:`RankedList.from_scores` over all candidates, cut at ``k``.
     """
     if len(rows) > k:
-        cut = len(rows) - k
-        kept = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        kept = top_k_floor(scores, k)[1]
         rows, scores = rows[kept], scores[kept]
     order = np.lexsort((ranks[rows], -scores))[:k]
     return RankedList.from_columns([ids[row] for row in rows[order].tolist()], scores[order])

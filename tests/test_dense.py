@@ -315,6 +315,51 @@ class TestSearchDenseMany:
             for query, result in zip(queries, search_dense_many(store, queries, k)):
                 assert exact(result) == exact(reference_search_dense(store, query, k))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.integers(1, 4),
+        st.sampled_from([1, dense.QUERY_CHUNK - 1, dense.QUERY_CHUNK, dense.QUERY_CHUNK + 1, 2 * dense.QUERY_CHUNK + 1]),
+        st.sampled_from([1, 2]),
+        st.sampled_from(["one", "below a span", "above a span", "above the count"]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_span_cut_matches_reference(self, count, dim, n_queries, span_blocks, k_of, seed, coarse):
+        # Spans of one or two 64-row blocks, so a small store crosses several spans and
+        # coarse values tie across span edges and at the k-th best score.
+        rng = np.random.default_rng(seed)
+        span = span_blocks * dense.ROW_ALIGN
+        k = {"one": 1, "below a span": span // 2 - 3, "above a span": span + 9, "above the count": count + 2}[k_of]
+        vectors = rng.integers(-2, 3, (count, dim)) if coarse else rng.standard_normal((count, dim))
+        store = PassageEmbeddingStore([f"p{i}" for i in rng.permutation(count)], vectors.astype(np.float32))
+        queries = rng.integers(-2, 3, (n_queries, dim)) * 0.5 if coarse else rng.standard_normal((n_queries, dim))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "BLOCK_BYTES", 1)
+            mp.setattr(dense, "SPAN_BLOCKS", span_blocks)
+            got = search_dense_many(store, queries, k)
+        assert len(got) == n_queries
+        for query, result in zip(queries, got):
+            assert exact(result) == exact(reference_search_dense(store, query, k))
+
+    def test_no_score_buffer_spans_the_store(self, monkeypatch):
+        # 64-row blocks: about 20k rows make 19 spans, so a chunk's buffer holds at most
+        # two spans per query; one score row per query over the whole store would be 5 MB.
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 1)
+        rng = np.random.default_rng(18)
+        count = 20_000
+        store = random_store(rng, count, 4)
+        queries = rng.standard_normal((2 * dense.QUERY_CHUNK, 4))
+        store._id_ranks  # built once per store, not per search
+        tracemalloc.start()
+        try:
+            got = search_dense_many(store, queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(ranked) for ranked in got] == [10] * len(queries)
+        assert peak < dense.QUERY_CHUNK * count * 8 / 4, peak
+
     def test_search_dense_is_one_row_of_many(self):
         store = random_store(np.random.default_rng(13), 40, 5)
         query = np.random.default_rng(14).standard_normal(5)
@@ -402,6 +447,61 @@ def test_blocked_scores_equal_one_full_product_bit_for_bit():
     assert proc.stdout.splitlines()[-1] == "checked 210 failures 0", proc.stdout
 
 
+SPAN_CHECK = """
+import numpy as np
+from cqe import dense
+from cqe.ranking import top_k
+
+rng = np.random.default_rng(2)
+failures = checked = 0
+for dim, span_blocks in ((1, 2), (128, 2), (129, 2), (128, dense.SPAN_BLOCKS), (129, dense.SPAN_BLOCKS)):
+    b = dense.block_rows(dim)
+    s = span_blocks * b
+    # below a span, one span, one span + 1, spans + (block - 1), a last span holding a remainder block
+    for count in (b + 3, s - 1, s, s + 1, 3 * s + b - 1, 2 * s + 5 * b + 7):
+        vectors = rng.standard_normal((count, dim), dtype=np.float32).astype(np.float64)
+        queries = rng.standard_normal((2, dim))
+        spans = dense.pieces(count, s)
+        assert all(a % b == 0 for a, _ in spans) and spans[-1][1] - spans[-1][0] >= min(count, s), spans
+        out = np.empty((2, count - spans[-1][0]))
+        same = [True, True]
+        whole = [vectors @ query for query in queries]
+        for a, e in spans:
+            dense.score_chunk(vectors[a:e], queries, out)
+            for j, row in enumerate(out[:, : e - a]):
+                same[j] &= np.array_equal(row.view(np.int64), whole[j][a:e].view(np.int64))
+        checked += len(same)
+        failures += same.count(False)
+        if not all(same):
+            print("differs", count, dim, span_blocks)
+# search_dense_many itself at the real span and block sizes, every row ranked, against one full
+# product per query (a one-row span would be scored by a one-row product, whose bits can differ)
+for dim in (128, 129):
+    b, s = dense.block_rows(dim), dense.SPAN_BLOCKS * dense.block_rows(dim)
+    for count in (s + 1, 3 * s + b - 1, 2 * s + 5 * b + 7):
+        store = dense.PassageEmbeddingStore([f"p{i}" for i in range(count)], rng.standard_normal((count, dim), dtype=np.float32))
+        queries = rng.standard_normal((3, dim))
+        for query, ranked in zip(queries, dense.search_dense_many(store, queries, count)):
+            want = top_k(np.arange(count), store.vectors @ query, store.ids, store._id_ranks, count)
+            checked += 1
+            if [(e.docid, e.score.hex()) for e in ranked] != [(e.docid, e.score.hex()) for e in want]:
+                failures += 1
+                print("search differs", count, dim)
+print("checked", checked, "failures", failures)
+"""
+
+
+def test_span_by_span_scores_equal_one_full_product_bit_for_bit():
+    # Spans start at multiples of the span size and the last takes the rest, so scoring
+    # span by span makes exactly the store's blocks (one BLAS thread, as BLOCK_CHECK).
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAN_CHECK], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "checked 78 failures 0", proc.stdout
+
+
 CHUNK_CHECK = """
 import numpy as np
 from cqe import dense
@@ -428,13 +528,14 @@ print("checked", checked, "failures", failures)
 
 def test_query_scores_do_not_depend_on_chunk_mates_at_two_threads():
     # Two BLAS threads split a large block's product differently from a whole-store
-    # one, so a query scored alone must take the same blocks as one scored among 8.
+    # one, so a query scored alone must take the same blocks as one scored in a full chunk.
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="2")
     proc = subprocess.run(
         [sys.executable, "-c", CHUNK_CHECK], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "checked 96 failures 0", proc.stdout
+    checked = 3 * 4 * dense.QUERY_CHUNK  # dims x row counts x queries, as CHUNK_CHECK loops
+    assert proc.stdout.splitlines()[-1] == f"checked {checked} failures 0", proc.stdout
 
 
 passage_ids = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(

@@ -1,0 +1,65 @@
+"""tools/pairs.py: alternating order, medians, win counts and digest checks, over stub checkouts."""
+
+import importlib.util
+import json
+import os
+import textwrap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+spec = importlib.util.spec_from_file_location("pairs", os.path.join(ROOT, "tools", "pairs.py"))
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "queries_per_s", "better": "higher"}]
+
+# A stand-in for perfbench/run.py: logs its checkout's name, then prints a report line
+# and the final JSON line; wall_s is read from the checkout's wall.txt, one value per run.
+STUB = textwrap.dedent("""
+    import json, os, sys
+    name = os.path.basename(os.getcwd())
+    with open("../log.txt", "a") as fh:
+        fh.write(name + "\\n")
+    walls = open("wall.txt").read().split()
+    n = sum(1 for line in open("../log.txt") if line.strip() == name)
+    wall = float(walls[n - 1])
+    print("report " + json.dumps({"sha256_output": open("digest.txt").read().strip()}))
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "queries_per_s": {"value": 100 / wall, "unit": "1/s"}}
+    print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+""")
+
+
+def checkout(tmp_path, name, walls, digest):
+    root = tmp_path / name
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB)
+    (root / "wall.txt").write_text(" ".join(map(str, walls)))
+    (root / "digest.txt").write_text(digest)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    return str(root)
+
+
+def test_pairs_alternate_order_and_report_medians_and_wins(tmp_path, capsys):
+    parent = checkout(tmp_path, "parent", [1.0, 1.2, 1.1], "abc")
+    change = checkout(tmp_path, "change", [0.9, 1.3, 0.8], "abc")
+    assert pairs.main([parent, change, "--workload", "w", "--pairs", "3", "--seconds", "1"]) == 0
+    log = (tmp_path / "log.txt").read_text().split()
+    assert log == ["parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out
+    wall = next(line for line in out.splitlines() if line.startswith("wall_s "))
+    assert wall.split()[1:3] == ["1.1", "0.9"] and wall.endswith("2 of 3")
+    qps = next(line for line in out.splitlines() if line.startswith("queries_per_s "))
+    assert qps.endswith("2 of 3")
+    assert "sha256_output identical in 3 of 3 pairs" in out
+
+
+def test_pairs_fail_when_a_digest_differs(tmp_path, capsys):
+    parent = checkout(tmp_path, "parent", [1.0, 1.0], "abc")
+    change = checkout(tmp_path, "change", [1.0, 1.0], "abd")
+    assert pairs.main([parent, change, "--workload", "w", "--pairs", "2", "--seconds", "1"]) == 1
+    assert "sha256_output identical in 0 of 2 pairs" in capsys.readouterr().out
+
+
+def test_parse_reads_the_last_json_line_and_the_report_digest():
+    lines = ["w seed 1 trace 0: correct", 'report {"sha256_output": "ff", "seed": 1}',
+             '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}']
+    assert pairs.parse(lines) == {"correct": True, "attempted": 1, "failed": 0, "metrics": {}, "sha256_output": "ff"}
