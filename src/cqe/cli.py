@@ -146,17 +146,34 @@ def _load_text_queries(path: str) -> dict[str, str]:
     return dict(read_jsonl(path, record))
 
 
-def _query_matrices(args, cfg: EngineConfig) -> dict[str, TokenEmbeddingMatrix]:
-    """Token matrices either from a file or from an encoder over sessions."""
-    if not args.encoder:
-        return load_token_matrices(_input_path(cfg.query_matrices, "query matrices"))
-    encoder = ToyQueryEncoder.load(_input_path(args.encoder, "encoder"))
-    matrices: dict[str, TokenEmbeddingMatrix] = {}
-    for session in load_sessions(_input_path(args.sessions, "sessions")):
-        for i in range(len(session.turns)):
-            context, query = session.tokens_for_turn(i)
-            if query:
-                matrices[session.qid(i)] = encoder.encode(context, query)
+def _query_source(args, cfg: EngineConfig, dim: int | None = None):
+    """(the ``--matrices`` file's {qid: matrix}, or None for an ``--encoder``; ``turn(qid, context, query)``, one turn's
+    matrix): the command's query turns, refused before any search where their dimension is not ``dim``, the store's."""
+    if args.encoder:
+        encoder = ToyQueryEncoder.load(path := _input_path(args.encoder, "encoder"))
+        if dim not in (None, encoder.dim):
+            raise ValueError(f"{path}: encoder dim {encoder.dim} does not match store dim {dim}")
+        return None, lambda qid, context, query: encoder.encode(context, query)
+    matrices = load_token_matrices(_input_path(cfg.query_matrices, "query matrices"))
+    for qid, matrix in matrices.items():
+        if dim not in (None, matrix.dim):
+            raise ValueError(f"{qid}: query dimension ({matrix.dim},) does not match store dim {dim}")
+
+    def turn(qid: str, context: list[str], query: list[str]) -> TokenEmbeddingMatrix:
+        if qid not in matrices:
+            raise ValueError(f"no token matrix for turn {qid!r}")
+        return matrices[qid]
+
+    return matrices, turn
+
+
+def _query_matrices(args, cfg: EngineConfig, dim: int | None = None) -> dict[str, TokenEmbeddingMatrix]:
+    """Every turn of the ``--matrices`` file, or of ``--sessions`` through the ``--encoder``."""
+    matrices, turn = _query_source(args, cfg, dim)
+    if matrices is None:
+        sessions = load_sessions(_input_path(args.sessions, "sessions"))
+        turns = ((s.qid(i), *s.tokens_for_turn(i)) for s in sessions for i in range(len(s.turns)))
+        matrices = {qid: turn(qid, context, query) for qid, context, query in turns if query}
     return matrices
 
 
@@ -189,20 +206,15 @@ def _cmd_search_sparse(args, cfg: EngineConfig) -> int:
 
 def _cmd_search_dense(args, cfg: EngineConfig) -> int:
     store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
-    matrices = _query_matrices(args, cfg)
-    queries = np.empty((len(matrices), store.dim))
-    for row, (qid, matrix) in zip(queries, matrices.items()):
-        pooled = pool(matrix)
-        if pooled.shape != row.shape:
-            raise ValueError(f"{qid}: query dimension {pooled.shape} does not match store dim {store.dim}")
-        row[:] = pooled
+    matrices = _query_matrices(args, cfg, store.dim)
+    queries = np.reshape([pool(m) for m in matrices.values()], (len(matrices), store.dim))
     return _write_runs(args, dict(zip(matrices, search_dense_many(store, queries, args.k))))
 
 
 def _cmd_search_hybrid(args, cfg: EngineConfig) -> int:
     index = load_index(_input_path(cfg.sparse_index, "index"))
     store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
-    matrices = _query_matrices(args, cfg)
+    matrices = _query_matrices(args, cfg, store.dim)
     runs = {
         qid: hybrid_search(index, store, m, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k)
         for qid, m in matrices.items()
@@ -305,19 +317,11 @@ def _cmd_compare(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_converse(args, cfg: EngineConfig) -> int:
-    # Checked here, not per turn, so a bad value fails before any output.
-    for name, value in (("k", args.k), ("depth", args.depth)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
     index = load_index(_input_path(cfg.sparse_index, "index"))
     store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
-    encoder = matrices = None
-    if args.encoder:
-        encoder = ToyQueryEncoder.load(_input_path(args.encoder, "encoder"))
-    else:
-        matrices = load_token_matrices(_input_path(cfg.query_matrices, "query matrices"))
+    _, turn = _query_source(args, cfg, store.dim)
 
-    history: list[str] = []
+    context, turn_number = [], 0  # the tokens and the count of the turns accepted since the last reset
     for line in sys.stdin:
         utterance = line.strip()
         if not utterance:
@@ -325,37 +329,27 @@ def _cmd_converse(args, cfg: EngineConfig) -> int:
         if utterance == "exit":
             break
         if utterance == "reset":
-            history.clear()
+            context, turn_number = [], 0
             print("context cleared")
             continue
-        context = [tok for past in history for tok in tokenize(past)]
         query = tokenize(utterance)
         if not query:
             print("no query tokens; ignored")
             continue
-        turn_number = len(history) + 1
-        if encoder is not None:
-            matrix = encoder.encode(context, query)
-        else:
-            qid = f"{args.qid_prefix}{turn_number}"
-            if qid not in matrices:
-                raise ValueError(f"no token matrix for turn {qid!r}")
-            matrix = matrices[qid]
-        history.append(utterance)
+        turn_number += 1
+        matrix = turn(f"{args.qid_prefix}{turn_number}", context, query)
 
         print(f"turn {turn_number} ({len(context)} context tokens)")
         print(f"rewrite: {' '.join(decontextualize(matrix, cfg.hybrid_rewrite))}")
         print("token norms (l2, normalized by context mean):")
-        for row, is_context in zip(
-            token_norm_report(matrix),
-            [True] * matrix.context_len + [False] * matrix.query_len,
-        ):
-            kind = "context" if is_context else "query"
-            normalized = f"{row.normalized_norm:.4f}" if row.normalized_norm is not None else "-"
+        for i, row in enumerate(token_norm_report(matrix)):
+            kind = "context" if i < matrix.context_len else "query"
+            normalized = "-" if row.normalized_norm is None else f"{row.normalized_norm:.4f}"
             print(f"  [{kind}] {row.token} {row.l2_norm:.4f} {normalized}")
         print("results:")
         for e in hybrid_search(index, store, matrix, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k):
             print(f"  {e.rank}. {e.docid} {e.score:.6f}")
+        context += query
     return 0
 
 
@@ -483,7 +477,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args, _resolve(args))
+        cfg = _resolve(args)
+        for name in ("k", "depth", "pool_size", "cutoff"):  # counts, refused before any input is read
+            if (value := getattr(args, name, None)) is not None and value < 1:
+                raise ValueError(f"{name.replace('_', '-')} must be >= 1, got {value}")
+        return args.func(args, cfg)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

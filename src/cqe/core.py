@@ -47,6 +47,12 @@ class RewriteConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
+def _finite_norms(rows: np.ndarray) -> bool:
+    """Whether every row of 2-D ``rows`` has a finite squared L2 norm; an overflow counts as not, without a warning."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.einsum("ij,ij->i", rows, rows)).all())
+
+
 @dataclass
 class TokenEmbeddingMatrix:
     """Per-token vectors for one conversational query turn.
@@ -72,9 +78,7 @@ class TokenEmbeddingMatrix:
             raise ValueError("context_len must be >= 0")
         if len(self.tokens) - self.context_len < 1:
             raise ValueError("matrix needs at least one query row")
-        with np.errstate(over="ignore"):  # a squared norm that overflows is refused, not warned of
-            finite = np.isfinite(np.einsum("ij,ij->i", self.vectors, self.vectors)).all()
-        if not finite:
+        if not _finite_norms(self.vectors):
             raise ValueError("vectors hold a row with a non-finite squared norm")
 
     @property

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _finite_norms
 from .corpus import check_ids, read_jsonl, write_jsonl
 from .ranking import RankedList, id_ranks, top_k, top_k_floor
 
@@ -191,36 +192,35 @@ def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int)
     Every query is checked before any is scored: its squared L2 norm must be finite, so no score of
     a finite float32 store can overflow. Each result equals :func:`search_dense` of that row alone,
     bit for bit. The store is scored in :func:`pieces` of SPAN_BLOCKS blocks; after each span a
-    query keeps only rows at or above the k-th best score it has kept (:func:`top_k_floor`, cut once
-    past 2k rows). A row below that floor has k rows strictly above it, so :func:`top_k` of the kept
-    rows is exact.
+    query keeps only rows at or above the k-th best score it has kept (:func:`top_k_floor`). A row
+    below that floor has k rows strictly above it, so :func:`top_k` of the kept rows is exact. The
+    kept rows are cut once they pass max(2k, twice their count after the last cut), so a query whose
+    scores all tie, and whose every row stays, is cut a logarithmic number of times, not every span.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != store.dim:
         raise ValueError(f"query dimension {queries.shape[1:]} does not match store dim {store.dim}")
-    with np.errstate(over="ignore"):  # a squared norm that overflows is refused, not warned of
-        finite = np.isfinite(np.einsum("ij,ij->i", queries, queries)).all()
-    if not finite:
+    if not _finite_norms(queries):
         raise ValueError("query vector contains non-finite values or its squared norm overflows")
     spans = pieces(store.count, SPAN_BLOCKS * block_rows(store.dim))
     scores = np.empty((min(QUERY_CHUNK, len(queries)), store.count - spans[-1][0]))
     results = []
     for first in range(0, len(queries), QUERY_CHUNK):
         chunk = queries[first : first + QUERY_CHUNK]
-        floors, kept = [-math.inf] * len(chunk), [None] * len(chunk)
+        floors, kept, cut_above = [-math.inf] * len(chunk), [None] * len(chunk), [0] * len(chunk)
         for a, b in spans:
             score_chunk(store.vectors[a:b], chunk, scores)
             for j, row in enumerate(scores[: len(chunk), : b - a]):
                 if a == 0:  # the first span is cut on its own; gathers copy, so no result shares ``scores``
                     floors[j], hit = top_k_floor(row, k) if b > k else (-math.inf, np.arange(b))
-                    kept[j] = hit, row[hit]
+                    kept[j], cut_above[j] = (hit, row[hit]), 2 * max(k, len(hit))
                 elif len(hit := np.flatnonzero(row >= floors[j])):
                     rows, vals = np.concatenate((kept[j][0], hit + a)), np.concatenate((kept[j][1], row[hit]))
-                    if len(rows) > 2 * k:
+                    if len(rows) > cut_above[j]:
                         floors[j], cut = top_k_floor(vals, k)
-                        rows, vals = rows[cut], vals[cut]
+                        rows, vals, cut_above[j] = rows[cut], vals[cut], 2 * max(k, len(cut))
                     kept[j] = rows, vals
         results += [top_k(rows, vals, store.ids, store._id_ranks, k) for rows, vals in kept]
     return results

@@ -325,6 +325,8 @@ def load_index(path: str) -> InvertedIndex:
     sections: dict[bytes, tuple[int, int]] = {}
     while file.pos < file.end:
         tag, length = file.unpack("<4sQ")
+        if tag in sections:
+            raise ValueError(f"{path}: duplicate section {tag.decode('ascii', 'backslashreplace')}")
         sections[tag] = (file.skip(length), file.pos)
 
     def section(tag: bytes) -> _Reader:

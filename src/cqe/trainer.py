@@ -357,27 +357,19 @@ def contrastive_loss(
 
 def distill_loss(
     student_scores: np.ndarray, teacher_scores: np.ndarray, tau: float
-) -> tuple[float, np.ndarray]:
-    """KL divergence from the teacher's to the student's softmaxed scores.
+) -> tuple[np.float64 | np.ndarray, np.ndarray]:
+    """KL divergence from the teacher's to the student's softmaxed scores, along the last axis.
 
-    Both score vectors are softmax-normalized at temperature tau; the loss
-    is KL(teacher || student). Returns the loss and its gradient with
-    respect to the student scores.
+    Both score vectors (or matrices, row by row) are softmax-normalized at
+    temperature tau; the loss is KL(teacher || student). Returns the loss of
+    each row (a float64 scalar for vectors) and its gradient with respect to
+    the student scores. A row of a matrix gets the same bits as that row
+    alone: every reduction runs along the contiguous last axis.
     """
     student = np.asarray(student_scores, dtype=np.float64)
     teacher = np.asarray(teacher_scores, dtype=np.float64)
-    if student.shape != teacher.shape or student.ndim != 1:
+    if student.shape != teacher.shape or student.ndim not in (1, 2):
         raise ValueError("student and teacher score lists must have equal length")
-    losses, grad = _distill_rows(student, teacher, tau)
-    return float(losses), grad
-
-
-def _distill_rows(student: np.ndarray, teacher: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`distill_loss` along the last axis: each row's loss and its gradient in the student scores.
-
-    A row of a matrix gets the same bits as that row alone: every reduction
-    runs along the contiguous last axis.
-    """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     if student.shape[-1] < 2:
@@ -557,7 +549,7 @@ def batch_gradients(
     if teacher_scores is not None:
         passage_t = passage_vecs.T
         student = np.array([q @ passage_t for q in query_vecs])
-        item_losses, grad_s = _distill_rows(student, teacher_scores, tau)
+        item_losses, grad_s = distill_loss(student, teacher_scores, tau)
         total = 0.0
         for item_loss in item_losses.tolist():
             total += item_loss

@@ -599,6 +599,94 @@ class TestFileBackedMatrices:
         assert "turn_2" in capsys.readouterr().err
 
 
+class TestQuerySourceChecks:
+    """The encoder or matrices file is checked against the store, and count flags against 1, before any output."""
+
+    DIM = 32  # the planted store's
+
+    def bad_matrices(self, planted, tmp_path):
+        """20 matrices of the store's width, qids q00.., but q09 of width 5; the path."""
+        assert planted.store.dim == self.DIM
+        rows = [{"qid": f"q{i:02d}", "tokens": ["a", "b"], "context_len": 1,
+                 "vectors": np.ones((2, 5 if i == 9 else self.DIM)).tolist()} for i in range(20)]
+        path = str(tmp_path / "matrices.jsonl")
+        write_jsonl(path, rows)
+        return path
+
+    def test_search_hybrid_names_the_qid_of_a_wrong_dimension(self, workspace, planted, tmp_path, capsys):
+        out = tmp_path / "run.txt"
+        argv = ["search-hybrid", "--index", workspace["index"], "--store", workspace["store"],
+                "--matrices", self.bad_matrices(planted, tmp_path), "--output", str(out)]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == ("", f"error: q09: query dimension (5,) does not match store dim {self.DIM}\n")
+        assert not out.exists()
+
+    def test_converse_refuses_a_wrong_dimension_before_any_output(self, workspace, planted, tmp_path, monkeypatch,
+                                                                   capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("topic0 filler overview\n"))
+        argv = ["converse", "--index", workspace["index"], "--store", workspace["store"],
+                "--matrices", self.bad_matrices(planted, tmp_path), "--qid-prefix", "q0"]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == ("", f"error: q09: query dimension (5,) does not match store dim {self.DIM}\n")
+
+    @pytest.mark.parametrize("command", ["search-dense", "search-hybrid", "converse"])
+    def test_encoder_of_another_dimension_is_refused_by_manifest(self, command, workspace, tmp_path, monkeypatch,
+                                                                  capsys):
+        encoder = str(tmp_path / "encoder.json")
+        ToyQueryEncoder.create(["topic0", "filler"], dim=self.DIM + 1, seed=0).save(encoder)
+        monkeypatch.setattr("sys.stdin", io.StringIO("topic0 filler overview\n"))
+        out = tmp_path / "run.txt"
+        search = ["--sessions", workspace["sessions"], "--output", str(out)]
+        index = ["--index", workspace["index"]]
+        inputs = {"search-dense": search, "search-hybrid": index + search, "converse": index}[command]
+        capsys.readouterr()
+        assert run_cli([command, "--store", workspace["store"], "--encoder", encoder, *inputs]) == 1
+        dims = f"encoder dim {self.DIM + 1} does not match store dim {self.DIM}"
+        assert capsys.readouterr() == ("", f"error: {encoder}: {dims}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["search-hybrid", "--depth", "0", "--index", "missing.bin"], "depth must be >= 1, got 0"),
+            (["search-hybrid", "--k", "-2", "--index", "missing.bin"], "k must be >= 1, got -2"),
+            (["search-dense", "--k", "0", "--store", "missing.json"], "k must be >= 1, got 0"),
+            (["search-sparse", "--k", "0", "--index", "missing.bin"], "k must be >= 1, got 0"),
+            (["fuse-rrf", "--runs", "missing.txt", "--k", "0"], "k must be >= 1, got 0"),
+            (["build-weak-labels", "--pool-size", "0", "--corpus", "missing.jsonl", "--index", "missing.bin"],
+             "pool-size must be >= 1, got 0"),
+            (["build-weak-labels", "--depth", "0", "--corpus", "missing.jsonl"], "depth must be >= 1, got 0"),
+            (["eval", "--cutoff", "0", "--run", "missing.txt", "--qrels", "missing.txt"], "cutoff must be >= 1, got 0"),
+            (["compare", "--cutoff", "0", "--run", "missing.txt"], "cutoff must be >= 1, got 0"),
+        ],
+    )
+    def test_count_flag_is_refused_before_any_path(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        writes = argv[0] not in ("eval", "compare")
+        assert run_cli([*argv, "--output", "out.txt"] if writes else argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_converse_context_is_the_session_context(self, workspace, planted, monkeypatch, capsys):
+        session = max(planted.sessions, key=lambda s: len(s.turns))
+        seen, real_encode = [], ToyQueryEncoder.encode
+
+        def encode(self, context, query):
+            seen.append((list(context), list(query)))
+            return real_encode(self, context, query)
+
+        monkeypatch.setattr(ToyQueryEncoder, "encode", encode)
+        script = "".join(turn.raw_utterance + "\n" for turn in session.turns)
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        argv = ["converse", "--index", workspace["index"], "--store", workspace["store"],
+                "--encoder", workspace["encoder"], "--k", "3"]
+        assert run_cli(argv) == 0
+        assert len(session.turns) > 2
+        assert seen == [session.tokens_for_turn(i) for i in range(len(session.turns))]
+
+
 class TestSearchDenseBatch:
     """`search-dense` scores all its queries in one blocked call; runs equal per-query search."""
 
@@ -913,7 +1001,7 @@ class TestLabellingInputs:
                 "--pool-size", "-1", "--output", str(tmp_path / "labels.jsonl")]
         capsys.readouterr()
         assert run_cli(argv) == 1
-        assert "pool_size -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: pool-size must be >= 1, got -1\n"
 
     def corpus_without_labeled_passage(self, workspace, tmp_path):
         """A copy of the corpus without the first positive of the training labels, and that id."""

@@ -342,6 +342,29 @@ class TestSearchDenseMany:
         for query, result in zip(queries, got):
             assert exact(result) == exact(reference_search_dense(store, query, k))
 
+    def test_all_tie_query_is_cut_a_logarithmic_number_of_times(self, monkeypatch):
+        # 16 spans of 16 64-row blocks. A zero query ties on every row, so every cut keeps them all:
+        # cut after spans 1, 3, 7 and 15 (each time the kept rows pass twice their count at the last
+        # cut), not after every span.
+        monkeypatch.setattr(dense, "BLOCK_BYTES", 1)
+        count = 16 * dense.SPAN_BLOCKS * dense.ROW_ALIGN
+        store = random_store(np.random.default_rng(19), count, 2)
+        cuts = []
+
+        def top_k_floor(scores, k):
+            cuts.append(len(scores))
+            return real_top_k_floor(scores, k)
+
+        real_top_k_floor = dense.top_k_floor
+        monkeypatch.setattr(dense, "top_k_floor", top_k_floor)
+        queries = np.zeros((2, 2))
+        for k in (1, 10):
+            cuts.clear()
+            got = search_dense_many(store, queries, k)
+            span = dense.SPAN_BLOCKS * dense.ROW_ALIGN
+            assert cuts == [n * span for n in (1, 3, 7, 15) for _ in queries]  # span by span, query by query
+            assert all(exact(ranked) == exact(reference_search_dense(store, queries[0], k)) for ranked in got)
+
     def test_no_score_buffer_spans_the_store(self, monkeypatch):
         # 64-row blocks: about 20k rows make 19 spans, so a chunk's buffer holds at most
         # two spans per query; one score row per query over the whole store would be 5 MB.

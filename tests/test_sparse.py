@@ -389,6 +389,33 @@ class TestPersistence:
         with pytest.raises(ValueError, match="trailing"):
             load_index(str(path))
 
+    @staticmethod
+    def with_tail(index, path, tail):
+        """``index`` saved to ``path`` with the bytes ``tail`` appended to the file; the path."""
+        save_index(index, str(path))
+        path.write_bytes(path.read_bytes() + tail)
+        return str(path)
+
+    def test_unknown_sections_are_skipped(self, tmp_path):
+        index = build_index(make_corpus(["a b", "a c"]))
+        tail = b"XTRA" + struct.pack("<Q", 9) + b"\xff" * 9 + b"NONE" + struct.pack("<Q", 0)
+        loaded = load_index(self.with_tail(index, tmp_path / "index.bin", tail))
+        assert (loaded.ids, loaded.config) == (index.ids, index.config)
+        assert search_sparse(loaded, ["a", "c"], 5) == search_sparse(index, ["a", "c"], 5)
+
+    def test_repeated_section_is_refused(self, tmp_path):
+        # The IDMP, DLEN and POST sections of a 100-passage index appended to a 2-passage one:
+        # either copy would load. An unknown tag may not repeat either.
+        other = tmp_path / "other.bin"
+        save_index(build_index(make_corpus([f"w{i} x" for i in range(100)])), str(other))
+        raw = other.read_bytes()
+        (conf_length,) = struct.unpack_from("<Q", raw, 16)  # CONF is the first section
+        index = build_index(make_corpus(["a b", "a c"]))
+        for tail, tag in ((raw[24 + conf_length :], "IDMP"), (2 * (b"XTRA" + struct.pack("<Q", 0)), "XTRA")):
+            path = self.with_tail(index, tmp_path / "index.bin", tail)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate section {tag}")):
+                load_index(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "index.bin"
         save_index(build_index(make_corpus(["a b", "a c"])), str(path))

@@ -579,9 +579,23 @@ class TestDistillLoss:
             )
             assert loss >= 0.0
 
+    def test_matrix_rows_equal_each_row_alone(self):
+        student, teacher = np.random.default_rng(65).standard_normal((2, 5, 7))
+        losses, grad = distill_loss(student, teacher, tau=0.7)
+        for i in range(5):
+            loss, row_grad = distill_loss(student[i], teacher[i], tau=0.7)
+            assert isinstance(loss, float) and loss == losses[i]
+            assert np.array_equal(row_grad, grad[i])
+
     def test_validation(self):
         with pytest.raises(ValueError, match="length"):
             distill_loss(np.zeros(3), np.zeros(4), tau=1.0)
+        with pytest.raises(ValueError, match="length"):
+            distill_loss(np.zeros((2, 3)), np.zeros((3, 3)), tau=1.0)
+        with pytest.raises(ValueError, match="length"):
+            distill_loss(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), tau=1.0)
+        with pytest.raises(ValueError, match="at least 2"):
+            distill_loss(np.zeros((3, 1)), np.zeros((3, 1)), tau=1.0)
         with pytest.raises(ValueError, match="at least 2"):
             distill_loss(np.zeros(1), np.zeros(1), tau=1.0)
 
