@@ -1,8 +1,8 @@
 """Passage embedding store with exact top-k inner-product search.
 
-Vectors live on disk as little-endian 32-bit floats, and in a store as one
-float64 matrix of the same values, read block by block straight into it.
-Scoring accumulates in 64-bit. Search is exact brute force over all rows.
+Vectors live on disk as little-endian 32-bit floats, and in a store as one float32 matrix of the same values plus
+each row's float64 L2 norm. A float32 pass screens every row, with a proven bound on its distance from the float64
+score (README "Search notes"); only rows whose upper bound reaches the k-th best lower bound are scored in float64.
 """
 
 from __future__ import annotations
@@ -20,24 +20,25 @@ from .ranking import RankedList, id_ranks, top_k, top_k_floor
 
 
 class PassageEmbeddingStore:
-    """Passage vectors, one row per id: a C-contiguous float64 matrix of float32 values, scored as it is."""
+    """Passage vectors, one row per id: a read-only C-contiguous float32 matrix and its float64 row norms."""
 
     def __init__(self, ids: list[str], vectors: np.ndarray):
-        vectors = np.asarray(vectors, dtype=np.float32)
+        vectors = np.array(vectors, dtype=np.float32, order="C")  # a copy: the bound's norms must stay its rows'
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D array")
-        if vectors.size and not np.isfinite(vectors).all():
+        if not np.isfinite(norms := row_norms(vectors)).all():  # a NaN or inf makes its row's norm so
             raise ValueError("vectors contain non-finite values")
-        self._take(ids, vectors.astype(np.float64, order="C"))
+        self._take(ids, vectors, norms)
 
-    def _take(self, ids: list[str], vectors: np.ndarray) -> PassageEmbeddingStore:
-        """This store, holding ``vectors`` (float64, C-contiguous, finite float32 values) without a copy."""
+    def _take(self, ids: list[str], vectors: np.ndarray, norms: np.ndarray) -> PassageEmbeddingStore:
+        """This store, holding ``vectors`` (float32, C-contiguous, finite) and their ``norms`` without a copy."""
         if vectors.shape[1] < 1:
             raise ValueError("vector dimension must be >= 1")
         if len(ids) != vectors.shape[0]:
             raise ValueError(f"id count {len(ids)} != vector count {vectors.shape[0]}")
         check_ids(ids, "passage id")
-        self.ids, self.vectors = list(ids), vectors
+        vectors.flags.writeable = norms.flags.writeable = False
+        self.ids, self.vectors, self.norms = list(ids), vectors, norms
         return self
 
     @cached_property
@@ -97,21 +98,28 @@ def read_manifest(path: str, *names: str) -> tuple[int, ...]:
     return manifests[0]
 
 
-def read_f32(path: str, shape: tuple[int, ...], nonfinite: str) -> np.ndarray:
-    """A little-endian f32 blob as float64 ``shape``, size checked first; ValueError ``nonfinite`` on NaN or inf."""
-    count = math.prod(shape)
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The float64 L2 norm of each row of 2-D float32 ``rows``."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+
+
+def read_f32(path: str, count: int, dim: int, nonfinite: str, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """A little-endian f32 blob as ``dtype`` ``count`` x ``dim`` and its :func:`row_norms`, size checked first, read
+    about BLOCK_BYTES at a time (into the result if ``dtype`` is "<f4"); ValueError ``nonfinite`` on NaN or inf."""
     with open(path, "rb", buffering=0) as fh:
-        if (size := os.fstat(fh.fileno()).st_size) != 4 * count:
-            raise ValueError(f"{path}: holds {size / 4:.12g} floats, manifest declares {'x'.join(map(str, shape))}")
-        out, buf = np.empty(count), np.empty(max(1, min(count, BLOCK_BYTES // 4)), dtype="<f4")
-        for first in range(0, count, len(buf)):
-            block = buf[: count - first]
+        if (size := os.fstat(fh.fileno()).st_size) != 4 * count * dim:
+            raise ValueError(f"{path}: holds {size / 4:.12g} floats, manifest declares {count}x{dim}")
+        out, norms, step = np.empty((count, dim), dtype), np.empty(count), max(1, BLOCK_BYTES // (4 * max(dim, 1)))
+        buf = None if out.dtype == np.dtype("<f4") else np.empty((min(count, step), dim), "<f4")
+        for first in range(0, count, step):
+            block = out[first : first + step] if buf is None else buf[: count - first]
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path}: changed while being read")
-            if not np.isfinite(block).all():
+            norms[first : first + len(block)] = row_norms(block)
+            if not np.isfinite(norms[first : first + len(block)]).all():  # a NaN or inf makes its row's norm so
                 raise ValueError(nonfinite)
-            out[first : first + len(block)] = block
-    return out.reshape(shape)
+            out[first : first + len(block)] = block  # a no-op when read in place
+    return out, norms
 
 
 def write_lines(path: str, lines: list[str]) -> None:
@@ -135,7 +143,7 @@ def save_embeddings(store: PassageEmbeddingStore, manifest_path: str) -> None:
     """Write manifest JSON plus <base>.f32 vector and <base>.ids id files."""
     base = sidecar_base(manifest_path)
     write_manifest(manifest_path, dim=store.dim, count=store.count)
-    store.vectors.astype("<f4").tofile(base + ".f32")
+    store.vectors.astype("<f4", copy=False).tofile(base + ".f32")
     write_lines(base + ".ids", store.ids)
 
 
@@ -143,16 +151,16 @@ def load_embeddings(manifest_path: str) -> PassageEmbeddingStore:
     """Load a store saved by :func:`save_embeddings`; round-trips byte-exactly."""
     dim, count = read_manifest(manifest_path, "dim", "count")
     base = sidecar_base(manifest_path)
-    vectors = read_f32(base + ".f32", (count, dim), f"{manifest_path}: vectors contain non-finite values")
+    vectors, norms = read_f32(base + ".f32", count, dim, f"{manifest_path}: vectors contain non-finite values", "<f4")
     ids = read_lines(base + ".ids", count, "ids")
-    try:  # the vectors are float64 and checked finite already: no second copy
-        return PassageEmbeddingStore.__new__(PassageEmbeddingStore)._take(ids, vectors)
+    try:  # the vectors are checked finite and their norms computed already: no second copy
+        return PassageEmbeddingStore.__new__(PassageEmbeddingStore)._take(ids, vectors, norms)
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
 
 
-# Queries per pass over the store, row blocks per span (a chunk's scores never span the store: at most two spans
-# per query), and the bytes of a block: about 1 MB, so a block read once serves every query of a chunk from L2.
+# Queries per pass over the store, row blocks per span (a chunk's screen never spans the store: at most two spans
+# per query), and the bytes of a float64 block: about 1 MB, so a block read once serves a chunk from L2.
 QUERY_CHUNK = 32
 SPAN_BLOCKS = 16
 BLOCK_BYTES = 1 << 20
@@ -171,14 +179,11 @@ def pieces(count: int, step: int) -> list[tuple[int, int]]:
 
 
 def score_chunk(vectors: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
-    """``out[j] = vectors @ queries[j]`` for each query, bit for bit, one row block at a time.
+    """``out[j] = vectors @ queries[j]`` for each query, bit for bit, one matrix-vector product per row block.
 
-    Each block is scored by one matrix-vector product per query, so the block is read from memory
-    once per chunk instead of once per query. Blocks are the :func:`pieces` of :func:`block_rows`:
-    a row's bits then equal those of one product over the whole store (at one BLAS thread), where a
-    short last block would not, and so do a span's that starts at a multiple of the block size.
-    Every query takes the same blocks, however many share its chunk, so its bits do not depend on
-    the other queries at any thread count.
+    Blocks are the :func:`pieces` of :func:`block_rows`: a row's bits then equal those of one product over
+    the whole store (at one BLAS thread), where a short last block's would not, and do not depend on the
+    other queries of a chunk at any thread count. This defines the float64 scores :func:`rescore` gives.
     """
     for a, b in pieces(vectors.shape[0], block_rows(vectors.shape[1])):
         block = vectors[a:b]
@@ -186,16 +191,40 @@ def score_chunk(vectors: np.ndarray, queries: np.ndarray, out: np.ndarray) -> No
             np.matmul(block, query, out=row[a:b])
 
 
+def screen_queries(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row q of ``queries``: float32(2^s q), where ||2^s q|| is in [0.5, 1) unless q is 0, C * ||2^s q|| and A."""
+    top = np.frexp(np.abs(queries).max(axis=1))[1]  # 2^-top q has its largest entry in [0.5, 1)
+    norm, exp = np.frexp(np.linalg.norm(np.ldexp(queries, -top[:, None]), axis=1))
+    scale, d, u32, u64 = -(top + exp), queries.shape[1], 2.0**-24, 2.0**-53
+    c = 1.01 * (math.expm1(d * u32) * (1 + u32) + u32 + math.expm1(d * u64))  # README "Search notes"
+    return np.ldexp(queries, scale[:, None]).astype(np.float32), c * norm, d * (2.0**-148 + np.ldexp(1.0, scale - 1074))
+
+
+def rescore(store: PassageEmbeddingStore, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """float64 scores of ascending ``rows``, bit for bit those :func:`score_chunk` gives them over the whole store:
+    rows gathered, widened and zero-padded to a multiple of ROW_ALIGN score as in place; the tail, in the last block."""
+    split, step = int(np.searchsorted(rows, store.count // ROW_ALIGN * ROW_ALIGN)), block_rows(store.dim)
+    scores, out = np.empty(len(rows)), np.empty((1, 2 * step))  # a piece, as the last block, is under 2 * step rows
+    for a, b in pieces(split, step):
+        gathered = np.empty((-(-(b - a) // ROW_ALIGN) * ROW_ALIGN, store.dim))
+        gathered[: b - a], gathered[b - a :] = store.vectors[rows[a:b]], 0.0
+        score_chunk(gathered, query[None], out)
+        scores[a:b] = out[0, : b - a]
+    if split < len(rows):
+        first = pieces(store.count, step)[-1][0]
+        score_chunk(store.vectors[first:].astype(np.float64), query[None], out)
+        scores[split:] = out[0, rows[split:] - first]
+    return scores
+
+
 def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int) -> list[RankedList]:
     """Exact top-k by inner product for each row of ``queries``; ties broken by ascending passage id.
 
-    Every query is checked before any is scored: its squared L2 norm must be finite, so no score of
-    a finite float32 store can overflow. Each result equals :func:`search_dense` of that row alone,
-    bit for bit. The store is scored in :func:`pieces` of SPAN_BLOCKS blocks; after each span a
-    query keeps only rows at or above the k-th best score it has kept (:func:`top_k_floor`). A row
-    below that floor has k rows strictly above it, so :func:`top_k` of the kept rows is exact. The
-    kept rows are cut once they pass max(2k, twice their count after the last cut), so a query whose
-    scores all tie, and whose every row stays, is cut a logarithmic number of times, not every span.
+    Every query is checked before any is scored: its squared L2 norm must be finite, so no float64 score of a
+    finite float32 store can overflow. Each result equals :func:`search_dense` of that row alone, bit for bit.
+    After each span is screened a query keeps the rows whose upper bound reaches its floor, the k-th best lower
+    bound it has kept, and cuts them to it once they pass max(2k, twice their count after the last cut), so
+    even a query whose bounds all tie is cut a logarithmic number of times; then once more, and rescores them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -205,24 +234,37 @@ def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int)
     if not _finite_norms(queries):
         raise ValueError("query vector contains non-finite values or its squared norm overflows")
     spans = pieces(store.count, SPAN_BLOCKS * block_rows(store.dim))
-    scores = np.empty((min(QUERY_CHUNK, len(queries)), store.count - spans[-1][0]))
+    buffer = np.empty(min(QUERY_CHUNK, len(queries)) * (store.count - spans[-1][0]), dtype=np.float32)
     results = []
     for first in range(0, len(queries), QUERY_CHUNK):
         chunk = queries[first : first + QUERY_CHUNK]
-        floors, kept, cut_above = [-math.inf] * len(chunk), [None] * len(chunk), [0] * len(chunk)
+        (q32, rel, under), n = screen_queries(chunk), len(chunk)
+        floors, kept, cut_at = [-math.inf] * n, [None] * n, [0] * n
         for a, b in spans:
-            score_chunk(store.vectors[a:b], chunk, scores)
-            for j, row in enumerate(scores[: len(chunk), : b - a]):
-                if a == 0:  # the first span is cut on its own; gathers copy, so no result shares ``scores``
-                    floors[j], hit = top_k_floor(row, k) if b > k else (-math.inf, np.arange(b))
-                    kept[j], cut_above[j] = (hit, row[hit]), 2 * max(k, len(hit))
-                elif len(hit := np.flatnonzero(row >= floors[j])):
-                    rows, vals = np.concatenate((kept[j][0], hit + a)), np.concatenate((kept[j][1], row[hit]))
-                    if len(rows) > cut_above[j]:
-                        floors[j], cut = top_k_floor(vals, k)
-                        rows, vals, cut_above[j] = rows[cut], vals[cut], 2 * max(k, len(cut))
-                    kept[j] = rows, vals
-        results += [top_k(rows, vals, store.ids, store._id_ranks, k) for rows, vals in kept]
+            screen = buffer[: n * (b - a)].reshape(n, b - a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(q32, store.vectors[a:b].T, out=screen)
+            if (wild := None if np.isfinite(screen).all() else ~np.isfinite(screen)) is not None:
+                screen[wild] = 0.0  # with e = inf below: an overflowed score bounds its row by (-inf, inf)
+            for j, s in enumerate(screen):
+                err = store.norms[a:b] * rel[j] + under[j]  # each row's bound e
+                if wild is not None:
+                    err[wild[j]] = math.inf
+                upper = s + err
+                if a == 0:  # the first span is cut on its own; gathers copy, so nothing shares ``buffer``
+                    lower = s - err
+                    floors[j], hit = top_k_floor(lower, k, upper) if b > k else (-math.inf, np.arange(b))
+                    kept[j], cut_at[j] = (hit, lower[hit], upper[hit]), len(hit)
+                elif len(hit := np.flatnonzero(upper >= floors[j])):
+                    new = hit + a, s[hit] - err[hit], upper[hit]
+                    rows, lower, upper = kept[j] = [np.concatenate(pair) for pair in zip(kept[j], new)]
+                    if len(rows) > 2 * max(k, cut_at[j]):
+                        floors[j], cut = top_k_floor(lower, k, upper)
+                        kept[j], cut_at[j] = (rows[cut], lower[cut], upper[cut]), len(cut)
+        for query, (rows, lower, upper), at in zip(chunk, kept, cut_at):
+            if len(rows) > max(k, at):  # rows kept since the last cut may have raised the floor
+                rows = rows[top_k_floor(lower, k, upper)[1]]
+            results.append(top_k(rows, rescore(store, rows, query), store.ids, store._id_ranks, k))
     return results
 
 

@@ -118,14 +118,12 @@ def score_order(scores: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     return order
 
 
-def top_k_floor(scores: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    """The k-th best of ``scores`` (more than ``k``) and the positions of every score at or above it.
-
-    Ties with it are all kept for the ids to decide; a score below it has k scores strictly above it.
-    """
+def top_k_floor(scores: np.ndarray, k: int, upper: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """The k-th best of ``scores`` (more than ``k``) and the positions whose ``upper`` (default: the score)
+    is at or above it. Ties with it are all kept for the ids to decide; a score below it has k strictly above."""
     cut = len(scores) - k
     floor = np.partition(scores, cut)[cut]
-    return floor, np.flatnonzero(scores >= floor)
+    return floor, np.flatnonzero((scores if upper is None else upper) >= floor)
 
 
 def top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str], ranks: np.ndarray, k: int) -> RankedList:

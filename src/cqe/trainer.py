@@ -85,7 +85,7 @@ class CosineTeacher:
     def scores(self, texts: Sequence[str], ids: Sequence[str]) -> np.ndarray:
         """float64 ``len(texts) x len(ids)`` cosines; 0.0 where either vector is zero."""
         rows = self._store.rows(ids)
-        vecs = self._store.vectors[rows]
+        vecs = self._store.vectors[rows].astype(np.float64)
         norms = self._norms[rows]
         for j in np.flatnonzero(np.isnan(norms)).tolist():
             v = vecs[j]
@@ -454,8 +454,8 @@ class ToyQueryEncoder:
         dim, vocab_size = read_manifest(manifest_path, "dim", "vocab_size")
         base = sidecar_base(manifest_path)
         nonfinite = f"{manifest_path}: parameters contain non-finite values"
-        embedding = read_f32(base + ".emb.f32", (vocab_size, dim), nonfinite)
-        projection = read_f32(base + ".proj.f32", (dim, dim), nonfinite)
+        embedding = read_f32(base + ".emb.f32", vocab_size, dim, nonfinite)[0]
+        projection = read_f32(base + ".proj.f32", dim, dim, nonfinite)[0]
         tokens = read_lines(base + ".vocab", vocab_size, "tokens")
         vocab = {t: i for i, t in enumerate(tokens)}
         if len(vocab) != vocab_size:
@@ -610,7 +610,7 @@ def train(
         batch = [sampler.sample(order[i % len(order)]) for i in range(first, first + config.batch_size)]
         # positives and negatives in first-seen order
         pool_ids = list(dict.fromkeys(pid for inst in batch for pid in (inst.positive_id, inst.negative_id)))
-        passage_vecs = store.vectors[store.rows(pool_ids)]
+        passage_vecs = store.vectors[store.rows(pool_ids)].astype(np.float64)
         teacher_scores = None
         if config.use_soft_labels:
             teacher_scores = teacher.scores([inst.rewrite for inst in batch], pool_ids)

@@ -590,13 +590,16 @@ class TestFileBackedMatrices:
         encoder = ToyQueryEncoder.load(workspace["encoder"])
         path = str(tmp_path / "turns.jsonl")
         save_token_matrices({"turn_1": encoder.encode([], ["topic0"])}, path)
+        command = ["converse", "--index", workspace["index"], "--store", workspace["store"], "--matrices", path]
+        monkeypatch.setattr("sys.stdin", io.StringIO("topic0\n"))
+        assert run_cli(command) == 0
+        first_turn = capsys.readouterr().out
+        assert first_turn.startswith("turn 1 (0 context tokens)\n") and "results:\n  1. " in first_turn
+        # The number of turns is known only as stdin is read, so a turn's missing matrix ends the
+        # transcript after the turns before it, with nothing of the failing turn printed.
         monkeypatch.setattr("sys.stdin", io.StringIO("topic0\nsecond utterance\n"))
-        rc = run_cli(
-            ["converse", "--index", workspace["index"], "--store", workspace["store"],
-             "--matrices", path]
-        )
-        assert rc == 1
-        assert "turn_2" in capsys.readouterr().err
+        assert run_cli(command) == 1
+        assert capsys.readouterr() == (first_turn, "error: no token matrix for turn 'turn_2'\n")
 
 
 class TestQuerySourceChecks:

@@ -1,5 +1,6 @@
 """Embedding store IO and exact inner-product search."""
 
+import itertools
 import json
 import math
 import os
@@ -85,6 +86,31 @@ class TestStore:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             PassageEmbeddingStore(["a"], bad)
+
+
+    def test_store_copies_its_input_and_is_read_only(self):
+        # The screen's bound reads the norms computed at construction, so the rows must not change after it.
+        rng = np.random.default_rng(24)
+        vectors = rng.standard_normal((40, 6)).astype(np.float32)
+        store = PassageEmbeddingStore([f"d{i:02d}" for i in range(40)], vectors)
+        queries = rng.standard_normal((3, 6))
+        before = [exact(ranked) for ranked in search_dense_many(store, queries, 5)]
+        vectors *= -1000.0  # an alias would now rank these rows last, with norms 1000x the stored ones
+        vectors[7] = 1e30
+        assert [exact(ranked) for ranked in search_dense_many(store, queries, 5)] == before
+        for array in (store.vectors, store.norms):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert np.allclose(store.norms, np.linalg.norm(store.vectors.astype(np.float64), axis=1), rtol=1e-14, atol=0)
+
+    def test_loaded_store_is_read_only(self, tmp_path):
+        manifest = str(tmp_path / "s.json")
+        save_embeddings(random_store(np.random.default_rng(25), 5, 3), manifest)
+        loaded = load_embeddings(manifest)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.vectors[1, 2] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.norms[1] = 0.0
 
 
 class TestIO:
@@ -254,8 +280,8 @@ class TestSearchDense:
         assert got.docids() == sorted(ids)[:k]
         assert {e.score for e in got} == {1.5}
 
-    def test_loaded_store_holds_one_float64_matrix(self, tmp_path):
-        count, dim = 10_000, 128  # a float32 read plus a float64 copy peaks at about 1.63x here
+    def test_loaded_store_holds_one_float32_matrix_and_float64_norms(self, tmp_path):
+        count, dim = 10_000, 128  # a float64 store alone would be 1.97x the float32 matrix and norms here
         manifest = str(tmp_path / "s.json")
         save_embeddings(random_store(np.random.default_rng(12), count, dim), manifest)
         tracemalloc.start()
@@ -265,11 +291,12 @@ class TestSearchDense:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert store.vectors.dtype == np.float64 and store.vectors.flags.c_contiguous
+        assert store.vectors.dtype == np.float32 and store.vectors.flags.c_contiguous
+        assert store.norms.dtype == np.float64 and store.norms.shape == (count,)
         arrays = [name for name, value in vars(store).items() if isinstance(value, np.ndarray)]
-        assert sorted(arrays) == ["_id_ranks", "vectors"] and store._id_ranks.dtype.kind != "f"
+        assert sorted(arrays) == ["_id_ranks", "norms", "vectors"] and store._id_ranks.dtype.kind != "f"
         ids_bytes = sys.getsizeof(store.ids) + sum(map(sys.getsizeof, store.ids))
-        assert peak <= 1.3 * 8 * count * dim + ids_bytes
+        assert peak <= 1.5 * (4 * count * dim + 8 * count) + ids_bytes
 
 
 class TestSearchDenseMany:
@@ -345,15 +372,15 @@ class TestSearchDenseMany:
     def test_all_tie_query_is_cut_a_logarithmic_number_of_times(self, monkeypatch):
         # 16 spans of 16 64-row blocks. A zero query ties on every row, so every cut keeps them all:
         # cut after spans 1, 3, 7 and 15 (each time the kept rows pass twice their count at the last
-        # cut), not after every span.
+        # cut), not after every span, and once more over all 16 spans before the rows are rescored.
         monkeypatch.setattr(dense, "BLOCK_BYTES", 1)
         count = 16 * dense.SPAN_BLOCKS * dense.ROW_ALIGN
         store = random_store(np.random.default_rng(19), count, 2)
         cuts = []
 
-        def top_k_floor(scores, k):
+        def top_k_floor(scores, k, upper=None):
             cuts.append(len(scores))
-            return real_top_k_floor(scores, k)
+            return real_top_k_floor(scores, k, upper)
 
         real_top_k_floor = dense.top_k_floor
         monkeypatch.setattr(dense, "top_k_floor", top_k_floor)
@@ -362,7 +389,8 @@ class TestSearchDenseMany:
             cuts.clear()
             got = search_dense_many(store, queries, k)
             span = dense.SPAN_BLOCKS * dense.ROW_ALIGN
-            assert cuts == [n * span for n in (1, 3, 7, 15) for _ in queries]  # span by span, query by query
+            # span by span, query by query, then the final cut query by query
+            assert cuts == [n * span for n in (1, 3, 7, 15) for _ in queries] + [16 * span] * len(queries)
             assert all(exact(ranked) == exact(reference_search_dense(store, queries[0], k)) for ranked in got)
 
     def test_no_score_buffer_spans_the_store(self, monkeypatch):
@@ -382,6 +410,103 @@ class TestSearchDenseMany:
             tracemalloc.stop()
         assert [len(ranked) for ranked in got] == [10] * len(queries)
         assert peak < dense.QUERY_CHUNK * count * 8 / 4, peak
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 8),
+        st.sampled_from([1, 3, dense.QUERY_CHUNK + 1]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["normal", "coarse", "near ties", "wide rows", "wide entries", "near float32 max"]),
+        st.sampled_from(["normal", "coarse", "zero", "extreme norms"]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_screen_matches_float64_brute_force_bit_for_bit(
+        self, count, dim, n_queries, seed, rows, scale, small_blocks, data
+    ):
+        # Tail rows (past the last multiple of ROW_ALIGN, or every row when count < 64), ties that
+        # straddle the cut, near-ties below float32 resolution, subnormal and huge float32 values,
+        # zero queries and query norms from about 1e-300 to 1e150.
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, count + 5))
+        vectors = {
+            "normal": lambda: rng.standard_normal((count, dim)),
+            "coarse": lambda: rng.integers(-2, 3, (count, dim)),
+            "near ties": lambda: rng.standard_normal(dim).astype(np.float32)
+            * (1 + rng.integers(-3, 4, (count, dim)) * 2.0**-23),
+            "wide rows": lambda: rng.standard_normal((count, dim)) * 10.0 ** rng.uniform(-40, 38, (count, 1)),
+            "wide entries": lambda: rng.standard_normal((count, dim)) * 10.0 ** rng.uniform(-40, 38, (count, dim)),
+            "near float32 max": lambda: rng.choice([-1.0, 1.0], (count, dim))
+            * rng.uniform(0.5, 1.0, (count, dim)) * float(np.finfo(np.float32).max),
+        }[rows]()
+        queries = rng.integers(-2, 3, (n_queries, dim)) * 0.5 if scale == "coarse" else rng.standard_normal((n_queries, dim))
+        if scale == "zero":
+            queries[rng.random(n_queries) < 0.5] = 0.0
+        elif scale == "extreme norms":
+            queries *= 10.0 ** rng.uniform(-300, 150, (n_queries, 1))
+        store = PassageEmbeddingStore([f"p{i}" for i in rng.permutation(count)], vectors.astype(np.float32))
+        with pytest.MonkeyPatch.context() as mp:
+            if small_blocks:
+                mp.setattr(dense, "BLOCK_BYTES", 1)
+            got = search_dense_many(store, queries, k)
+        for query, result in zip(queries, got):
+            assert exact(result) == exact(reference_search_dense(store, query, k))
+
+    def test_screen_bound_keeps_a_float32_misorder_exact(self, monkeypatch):
+        # Two rows whose float32 screen scores order them one way and whose float64 scores the other:
+        # with the bound the search returns the float64 winner; with a zero bound it loses it.
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            query, pair = rng.standard_normal(16), np.repeat(rng.standard_normal((1, 16), dtype=np.float32), 2, axis=0)
+            pair[1] = np.nextafter(pair[1], rng.choice([-np.inf, np.inf], 16).astype(np.float32))
+            screen = np.empty((1, 2), dtype=np.float32)
+            np.matmul(dense.screen_queries(query[None])[0], pair.T, out=screen)
+            wide = pair.astype(np.float64) @ query
+            if screen[0, 0] > screen[0, 1] and wide[0] < wide[1]:
+                break
+        else:
+            pytest.fail("no misordered pair found")
+        store = PassageEmbeddingStore(["a", "b"], pair)
+        assert exact(search_dense(store, query, 1)) == [("b", 1, float.hex(wide[1]))]
+        screen_queries = dense.screen_queries
+
+        def unbounded(queries):
+            q32, rel, under = screen_queries(queries)
+            return q32, 0 * rel, 0 * under
+
+        monkeypatch.setattr(dense, "screen_queries", unbounded)
+        assert search_dense(store, query, 1).docids() == ["a"]
+
+    def test_rescored_rows_stay_near_k(self, monkeypatch):
+        # Random rows rarely fall within the bound of the floor: at most k + 8 rows are widened and rescored.
+        rng = np.random.default_rng(26)
+        store = random_store(rng, 20_000, 128)
+        rescored = []
+
+        def rescore(store, rows, query):
+            rescored.append(len(rows))
+            return real_rescore(store, rows, query)
+
+        real_rescore = dense.rescore
+        monkeypatch.setattr(dense, "rescore", rescore)
+        queries = rng.standard_normal((8, 128))
+        for span_blocks, k in itertools.product((2, dense.SPAN_BLOCKS), (1, 10, 1000)):  # ten spans, then one
+            monkeypatch.setattr(dense, "SPAN_BLOCKS", span_blocks)
+            rescored.clear()
+            assert [len(ranked) for ranked in search_dense_many(store, queries, k)] == [k] * len(queries)
+            assert len(rescored) == len(queries) and max(rescored) <= k + 8, (span_blocks, k, rescored)
+
+    def test_float64_underflow_is_inside_the_bound(self):
+        # q.v underflows to 0.0 in float64 while the scaled screen tells the rows apart: every row ties
+        # and the ids decide, so the bound's underflow term must keep them all.
+        count = 40
+        vectors = np.arange(1, count + 1, dtype=np.float32)[:, None] * np.float32(1e-30)
+        store = PassageEmbeddingStore([f"p{(i * 7) % count:02d}" for i in range(count)], vectors)
+        query = np.array([1e-300])
+        assert not (vectors.astype(np.float64) @ query).any()
+        for k in (1, 5, count):
+            assert exact(search_dense(store, query, k)) == exact(reference_search_dense(store, query, k))
 
     def test_search_dense_is_one_row_of_many(self):
         store = random_store(np.random.default_rng(13), 40, 5)
@@ -561,6 +686,50 @@ def test_query_scores_do_not_depend_on_chunk_mates_at_two_threads():
     assert proc.stdout.splitlines()[-1] == f"checked {checked} failures 0", proc.stdout
 
 
+GATHER_CHECK = """
+import numpy as np
+from cqe import dense
+from cqe.ranking import top_k
+
+rng = np.random.default_rng(3)
+failures = checked = 0
+for dim in (1, 3, 96, 128, 129):
+    b = dense.block_rows(dim)
+    # below ROW_ALIGN, around it, then several blocks and (at 17 blocks) two spans
+    for count in (5, 63, 64, 65, 300) if dim < 4 else (b + 3, 2 * b - 1, 3 * b + 7, 17 * b + 33):
+        store = dense.PassageEmbeddingStore([f"p{i}" for i in range(count)], rng.standard_normal((count, dim), dtype=np.float32))
+        queries = rng.standard_normal((3, dim))
+        whole = np.empty((3, count))
+        dense.score_chunk(store.vectors.astype(np.float64), queries, whole)  # the float64 store's scores
+        for query, scores in zip(queries, whole):
+            rows = np.sort(rng.choice(count, int(rng.integers(1, count + 1)), replace=False))
+            checked += 1
+            if not np.array_equal(dense.rescore(store, rows, query).view(np.int64), scores[rows].view(np.int64)):
+                failures += 1
+                print("rescore differs", count, dim)
+        # the whole search: every row ranked, against those scores
+        for query, scores, ranked in zip(queries, whole, dense.search_dense_many(store, queries, count)):
+            want = top_k(np.arange(count), scores, store.ids, store._id_ranks, count)
+            checked += 1
+            if [(e.docid, e.score.hex()) for e in ranked] != [(e.docid, e.score.hex()) for e in want]:
+                failures += 1
+                print("search differs", count, dim)
+print("checked", checked, "failures", failures)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_gathered_rescoring_equals_the_float64_store_bit_for_bit(threads):
+    # Survivors are gathered, widened and padded to a multiple of ROW_ALIGN, or taken from the last
+    # block: their bits must equal those of the blocks of a float64 store at the same BLAS thread count.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS=threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", GATHER_CHECK], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "checked 132 failures 0", proc.stdout
+
+
 passage_ids = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(
     lambda s: not WHITESPACE.search(s)
 )
@@ -579,5 +748,5 @@ def test_store_round_trip_keeps_ids_and_float32_bytes(ids, dim, data):
         blobs = [Path(tmp, name).read_bytes() for name in ("store.f32", "again.f32")]
     assert blobs[0] == blobs[1] == vectors.tobytes()
     assert loaded.ids == ids
-    assert loaded.vectors.dtype == np.float64 and loaded.vectors.shape == (len(ids), dim)
-    assert loaded.vectors.astype("<f4").tobytes() == vectors.tobytes()
+    assert loaded.vectors.dtype == np.float32 and loaded.vectors.shape == (len(ids), dim)
+    assert loaded.vectors.tobytes() == vectors.tobytes()
