@@ -154,14 +154,14 @@ def _query_source(args, cfg: EngineConfig, dim: int | None = None):
         if dim not in (None, encoder.dim):
             raise ValueError(f"{path}: encoder dim {encoder.dim} does not match store dim {dim}")
         return None, lambda qid, context, query: encoder.encode(context, query)
-    matrices = load_token_matrices(_input_path(cfg.query_matrices, "query matrices"))
+    matrices = load_token_matrices(path := _input_path(cfg.query_matrices, "query matrices"))
     for qid, matrix in matrices.items():
         if dim not in (None, matrix.dim):
             raise ValueError(f"{qid}: query dimension ({matrix.dim},) does not match store dim {dim}")
 
     def turn(qid: str, context: list[str], query: list[str]) -> TokenEmbeddingMatrix:
         if qid not in matrices:
-            raise ValueError(f"no token matrix for turn {qid!r}")
+            raise ValueError(f"{path}: no token matrix for turn {qid!r}")
         return matrices[qid]
 
     return matrices, turn
@@ -216,7 +216,7 @@ def _cmd_search_hybrid(args, cfg: EngineConfig) -> int:
     store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
     matrices = _query_matrices(args, cfg, store.dim)
     runs = {
-        qid: hybrid_search(index, store, m, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k)
+        qid: hybrid_search(index, store, m, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k)[1]
         for qid, m in matrices.items()
     }
     return _write_runs(args, runs)
@@ -338,16 +338,17 @@ def _cmd_converse(args, cfg: EngineConfig) -> int:
             continue
         turn_number += 1
         matrix = turn(f"{args.qid_prefix}{turn_number}", context, query)
+        bag, ranked = hybrid_search(index, store, matrix, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k)
 
         print(f"turn {turn_number} ({len(context)} context tokens)")
-        print(f"rewrite: {' '.join(decontextualize(matrix, cfg.hybrid_rewrite))}")
+        print(f"rewrite: {' '.join(bag)}")
         print("token norms (l2, normalized by context mean):")
         for i, row in enumerate(token_norm_report(matrix)):
             kind = "context" if i < matrix.context_len else "query"
             normalized = "-" if row.normalized_norm is None else f"{row.normalized_norm:.4f}"
             print(f"  [{kind}] {row.token} {row.l2_norm:.4f} {normalized}")
         print("results:")
-        for e in hybrid_search(index, store, matrix, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k):
+        for e in ranked:
             print(f"  {e.rank}. {e.docid} {e.score:.6f}")
         context += query
     return 0

@@ -103,22 +103,20 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
 
 
-def read_f32(path: str, count: int, dim: int, nonfinite: str, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """A little-endian f32 blob as ``dtype`` ``count`` x ``dim`` and its :func:`row_norms`, size checked first, read
-    about BLOCK_BYTES at a time (into the result if ``dtype`` is "<f4"); ValueError ``nonfinite`` on NaN or inf."""
+def read_f32(path: str, count: int, dim: int, nonfinite: str) -> tuple[np.ndarray, np.ndarray]:
+    """A little-endian f32 blob as ``count`` x ``dim`` "<f4" and its :func:`row_norms`, size checked first, read
+    in place about BLOCK_BYTES at a time; ValueError ``nonfinite`` on NaN or inf."""
     with open(path, "rb", buffering=0) as fh:
         if (size := os.fstat(fh.fileno()).st_size) != 4 * count * dim:
             raise ValueError(f"{path}: holds {size / 4:.12g} floats, manifest declares {count}x{dim}")
-        out, norms, step = np.empty((count, dim), dtype), np.empty(count), max(1, BLOCK_BYTES // (4 * max(dim, 1)))
-        buf = None if out.dtype == np.dtype("<f4") else np.empty((min(count, step), dim), "<f4")
+        out, norms, step = np.empty((count, dim), "<f4"), np.empty(count), max(1, BLOCK_BYTES // (4 * max(dim, 1)))
         for first in range(0, count, step):
-            block = out[first : first + step] if buf is None else buf[: count - first]
+            block = out[first : first + step]
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path}: changed while being read")
             norms[first : first + len(block)] = row_norms(block)
             if not np.isfinite(norms[first : first + len(block)]).all():  # a NaN or inf makes its row's norm so
                 raise ValueError(nonfinite)
-            out[first : first + len(block)] = block  # a no-op when read in place
     return out, norms
 
 
@@ -151,7 +149,7 @@ def load_embeddings(manifest_path: str) -> PassageEmbeddingStore:
     """Load a store saved by :func:`save_embeddings`; round-trips byte-exactly."""
     dim, count = read_manifest(manifest_path, "dim", "count")
     base = sidecar_base(manifest_path)
-    vectors, norms = read_f32(base + ".f32", count, dim, f"{manifest_path}: vectors contain non-finite values", "<f4")
+    vectors, norms = read_f32(base + ".f32", count, dim, f"{manifest_path}: vectors contain non-finite values")
     ids = read_lines(base + ".ids", count, "ids")
     try:  # the vectors are checked finite and their norms computed already: no second copy
         return PassageEmbeddingStore.__new__(PassageEmbeddingStore)._take(ids, vectors, norms)

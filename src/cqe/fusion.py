@@ -69,19 +69,19 @@ def hybrid_search(
     fusion: FusionConfig,
     depth: int,
     k: int,
-) -> RankedList:
-    """Top ``k`` of the fused sparse and dense lists for one query turn.
+) -> tuple[list[str], RankedList]:
+    """(the rewritten bag of words that sparse search took, the top ``k`` of the fused lists) for one query turn.
 
-    Dense search takes the pooled ``matrix``, sparse search its rewritten
-    bag of words, each to ``depth``; :func:`hybrid_combine` fuses them.
-    When one list is empty the other is returned as is.
+    Dense search takes the pooled ``matrix``, sparse search its
+    :func:`decontextualize` bag, each to ``depth``; :func:`hybrid_combine`
+    fuses them. When one list is empty the other is returned as is.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     dense = search_dense(store, pool(matrix), depth)
-    sparse = search_sparse(index, decontextualize(matrix, rewrite), depth)
+    sparse = search_sparse(index, bag := decontextualize(matrix, rewrite), depth)
     fused = hybrid_combine(sparse, dense, fusion) if sparse and dense else sparse or dense
-    return fused.head(k)
+    return bag, fused.head(k)
 
 
 def rrf(
@@ -93,6 +93,6 @@ def rrf(
         raise ValueError("rrf requires at least one list")
     accum: dict[str, float] = {}
     for ranked in lists:
-        for entry in ranked:
-            accum[entry.docid] = accum.get(entry.docid, 0.0) + 1.0 / (config.rrf_k + entry.rank)
+        for docid, rank in zip(ranked.columns()[0], ranked.ranks()):
+            accum[docid] = accum.get(docid, 0.0) + 1.0 / (config.rrf_k + rank)
     return RankedList.from_scores(accum.items(), k)

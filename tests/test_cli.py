@@ -374,6 +374,37 @@ class TestConverse:
         second = self.converse(workspace, monkeypatch, capsys)
         assert first == second
 
+    def test_each_turn_rewrites_once_and_prints_the_searched_bag(self, workspace, monkeypatch, capsys):
+        import cqe.core
+        import cqe.fusion
+
+        rewrites, searched = [], []
+        original = cqe.core.decontextualize
+
+        def counted(*args, **kwargs):
+            rewrites.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):  # every cqe module that bound it by name
+            if name == "cqe" or name.startswith("cqe."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        search_sparse = cqe.fusion.search_sparse
+
+        def spy(index, query_tokens, k):
+            searched.append(list(query_tokens))
+            return search_sparse(index, query_tokens, k)
+
+        monkeypatch.setattr(cqe.fusion, "search_sparse", spy)
+        monkeypatch.setattr("sys.stdin", io.StringIO("topic0 filler overview\nwhy did it change over time\n"))
+        assert run_cli(["converse", "--index", workspace["index"], "--store", workspace["store"],
+                        "--encoder", workspace["encoder"], "--k", "5"]) == 0
+        printed = [line[len("rewrite: "):] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("rewrite: ")]
+        assert len(rewrites) == 2
+        assert printed == [" ".join(bag) for bag in searched] and len(searched) == 2
+
 
 class TestConfig:
     def test_module_defaults(self):
@@ -599,7 +630,7 @@ class TestFileBackedMatrices:
         # transcript after the turns before it, with nothing of the failing turn printed.
         monkeypatch.setattr("sys.stdin", io.StringIO("topic0\nsecond utterance\n"))
         assert run_cli(command) == 1
-        assert capsys.readouterr() == (first_turn, "error: no token matrix for turn 'turn_2'\n")
+        assert capsys.readouterr() == (first_turn, f"error: {path}: no token matrix for turn 'turn_2'\n")
 
 
 class TestQuerySourceChecks:
@@ -991,7 +1022,7 @@ class TestHybridSearchRoute:
         qids = [(s, i) for s in planted.sessions for i in range(len(s.turns))]
         assert set(runs) == {s.qid(i) for s, i in qids}
         for session, i in qids:
-            want = hybrid_search(index, store, encoder.encode(*session.tokens_for_turn(i)), rewrite, fusion, 50, 7)
+            _, want = hybrid_search(index, store, encoder.encode(*session.tokens_for_turn(i)), rewrite, fusion, 50, 7)
             got = runs[session.qid(i)]
             assert got.docids() == want.docids()
             assert [e.score for e in got] == [e.score for e in want]

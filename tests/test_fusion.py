@@ -212,6 +212,8 @@ class TestRRF:
             lists.append(
                 RankedList.from_scores([(d, float(10 - r)) for r, d in enumerate(order)])
             )
+        # a run file's list keeps the file's ranks, which need not be 1..n
+        lists.append(RankedList.from_columns(docs[:4], np.array([4.0, 3.0, 2.0, 1.0]), [2, 5, 5, 11]))
         fused = rrf(lists, FusionConfig(rrf_k=60))
         expected = {}
         for ranked in lists:
@@ -271,7 +273,8 @@ class TestHybridSearch:
         for matrix in self.turn_matrices(planted):
             sparse = search_sparse(planted_index, decontextualize(matrix, self.REWRITE), 20)
             dense = search_dense(planted.store, pool(matrix), 20)
-            got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+            bag, got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+            assert bag == decontextualize(matrix, self.REWRITE)
             if sparse and dense:
                 fused_turns += 1
                 assert got.entries == hybrid_combine(sparse, dense, self.FUSION).entries[:5]
@@ -281,7 +284,8 @@ class TestHybridSearch:
         rng = np.random.default_rng(47)
         matrix = TokenEmbeddingMatrix(["[cls]", "[sep]"], rng.standard_normal((2, planted.store.dim)), 0)
         assert decontextualize(matrix, self.REWRITE) == []
-        got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+        bag, got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+        assert bag == []
         assert got.entries == search_dense(planted.store, pool(matrix), 20).entries[:5]
 
     @pytest.mark.parametrize("k", [1, 7, 10_000])
@@ -289,7 +293,8 @@ class TestHybridSearch:
         for matrix in self.turn_matrices(planted):
             sparse = search_sparse(planted_index, decontextualize(matrix, self.REWRITE), 20)
             dense = search_dense(planted.store, pool(matrix), 20)
-            got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, k)
+            bag, got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, k)
+            assert bag == decontextualize(matrix, self.REWRITE)
             full = reference_hybrid_combine(sparse, dense, self.FUSION) if sparse else dense
             assert exact(got) == exact(full)[:k]
             assert len(got) == min(k, len(full))

@@ -50,3 +50,24 @@ def test_workload_passes_its_oracles_on_tiny_inputs(workload, tiny_inputs, tmp_p
     assert proc.returncode == 0, proc.stdout + proc.stderr
     got = json.loads(result.read_text())
     assert (got["correct"], got["failed"]) == (True, 0), got["report"]["failures"]
+
+
+# Targets that no longer resolve, each with the reason it is left as it is. The benchmark refresh
+# (ROADMAP item 2) renames this one to `CosineTeacher.scores` when it next changes the harness.
+STALE_TRACER_TARGETS = {"cqe.trainer:CosineTeacher.score": "renamed to CosineTeacher.scores"}
+
+RESOLVE_TARGETS = """
+import json, sys, types
+sys.path.insert(0, "perfbench")
+import tracing, workload
+_, specs = workload.tracer_for(types.SimpleNamespace(meta={"df": {}}))
+print(json.dumps([target for target, *_ in specs if tracing._resolve(target) is None]))
+"""
+
+
+def test_every_tracer_target_resolves():
+    """A rename in cqe fails here, where the tracer would silently read 0 for that layer."""
+    proc = subprocess.run([sys.executable, "-c", RESOLVE_TARGETS], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert sorted(json.loads(proc.stdout)) == sorted(STALE_TRACER_TARGETS)
