@@ -213,7 +213,7 @@ def _cmd_search_dense(args, cfg: EngineConfig) -> int:
 
 def _cmd_search_hybrid(args, cfg: EngineConfig) -> int:
     index = load_index(_input_path(cfg.sparse_index, "index"))
-    store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
+    store = load_embeddings(_input_path(cfg.dense_store, "dense store"), index.table)
     matrices = _query_matrices(args, cfg, store.dim)
     runs = {
         qid: hybrid_search(index, store, m, cfg.hybrid_rewrite, cfg.fusion, args.depth, args.k)[1]
@@ -248,7 +248,7 @@ def _cmd_build_weak_labels(args, cfg: EngineConfig) -> int:
     if args.teacher_scores:
         teacher = TableTeacher.from_file(_input_path(args.teacher_scores, "teacher scores"))
     else:
-        teacher = CosineTeacher(load_embeddings(_input_path(cfg.dense_store, "dense store")))
+        teacher = CosineTeacher(load_embeddings(_input_path(cfg.dense_store, "dense store"), index.table))
     labels = build_weak_labels(
         corpus, sessions, index, teacher, candidate_depth=args.depth, pool_size=args.pool_size
     )
@@ -318,7 +318,7 @@ def _cmd_compare(args, cfg: EngineConfig) -> int:
 
 def _cmd_converse(args, cfg: EngineConfig) -> int:
     index = load_index(_input_path(cfg.sparse_index, "index"))
-    store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
+    store = load_embeddings(_input_path(cfg.dense_store, "dense store"), index.table)
     _, turn = _query_source(args, cfg, store.dim)
 
     context, turn_number = [], 0  # the tokens and the count of the turns accepted since the last reset

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -81,6 +82,11 @@ class TokenEmbeddingMatrix:
         if not _finite_norms(self.vectors):
             raise ValueError("vectors hold a row with a non-finite squared norm")
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The L2 norm of each row, computed once per matrix."""
+        return np.linalg.norm(self.vectors, axis=1)
+
     @property
     def query_len(self) -> int:
         return len(self.tokens) - self.context_len
@@ -137,11 +143,10 @@ def decompose(matrix: TokenEmbeddingMatrix, passage: np.ndarray) -> list[TokenCo
     score(matrix, passage).
     """
     passage = _check_dim(matrix, passage)
-    norms = np.linalg.norm(matrix.vectors, axis=1)
     contributions = matrix.vectors @ passage
     return [
         TokenContribution(tok, float(n), float(c))
-        for tok, n, c in zip(matrix.tokens, norms, contributions)
+        for tok, n, c in zip(matrix.tokens, matrix.norms, contributions)
     ]
 
 
@@ -158,10 +163,9 @@ def token_norm_report(matrix: TokenEmbeddingMatrix) -> list[TokenNorm]:
     denominator; with no context rows (or all-zero context) the
     normalized values are undefined and reported as None.
     """
-    norms = np.linalg.norm(matrix.vectors, axis=1)
-    denom = float(norms[: matrix.context_len].mean()) if matrix.context_len > 0 else 0.0
+    denom = float(matrix.norms[: matrix.context_len].mean()) if matrix.context_len > 0 else 0.0
     out = []
-    for tok, n in zip(matrix.tokens, norms):
+    for tok, n in zip(matrix.tokens, matrix.norms):
         normalized = float(n) / denom if denom > 0.0 else None
         out.append(TokenNorm(tok, float(n), normalized))
     return out
@@ -178,8 +182,7 @@ def decontextualize(
     """
     config = config or RewriteConfig()
     bag = [tok for tok in matrix.query_tokens if tok.lower() not in SPECIAL_TOKENS]
-    norms = np.linalg.norm(matrix.vectors[: matrix.context_len], axis=1)
-    for tok, n in zip(matrix.context_tokens, norms):
+    for tok, n in zip(matrix.context_tokens, matrix.norms):
         if tok.lower() not in SPECIAL_TOKENS and n >= config.gamma:
             bag.append(tok)
     return bag

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .core import _finite_norms
 from .corpus import check_ids, read_jsonl, write_jsonl
-from .ranking import RankedList, id_ranks, top_k, top_k_floor
+from .ranking import PassageTable, RankedList, top_k, top_k_floor
 
 
 class PassageEmbeddingStore:
@@ -30,24 +29,21 @@ class PassageEmbeddingStore:
             raise ValueError("vectors contain non-finite values")
         self._take(ids, vectors, norms)
 
-    def _take(self, ids: list[str], vectors: np.ndarray, norms: np.ndarray) -> PassageEmbeddingStore:
-        """This store, holding ``vectors`` (float32, C-contiguous, finite) and their ``norms`` without a copy."""
+    def _take(
+        self, ids: list[str], vectors: np.ndarray, norms: np.ndarray, table: PassageTable | None = None
+    ) -> PassageEmbeddingStore:
+        """This store, holding ``vectors`` (float32, C-contiguous, finite) and their ``norms`` without a copy, and
+        ``table`` where ``ids`` is its (checked) id list, else a table of ``ids``."""
         if vectors.shape[1] < 1:
             raise ValueError("vector dimension must be >= 1")
         if len(ids) != vectors.shape[0]:
             raise ValueError(f"id count {len(ids)} != vector count {vectors.shape[0]}")
-        check_ids(ids, "passage id")
+        if table is None or ids is not table.ids:
+            check_ids(ids, "passage id")
+            table = PassageTable(list(ids))
         vectors.flags.writeable = norms.flags.writeable = False
-        self.ids, self.vectors, self.norms = list(ids), vectors, norms
+        self.table, self.ids, self.vectors, self.norms = table, table.ids, vectors, norms
         return self
-
-    @cached_property
-    def _row(self) -> dict[str, int]:
-        return dict(zip(self.ids, range(len(self.ids))))
-
-    @cached_property
-    def _id_ranks(self) -> np.ndarray:
-        return id_ranks(self.ids)
 
     @property
     def dim(self) -> int:
@@ -58,12 +54,12 @@ class PassageEmbeddingStore:
         return self.vectors.shape[0]
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._row
+        return passage_id in self.table.row
 
     def rows(self, passage_ids: Sequence[str]) -> np.ndarray:
         """The row of each of ``passage_ids``; KeyError naming the first unknown id."""
         try:
-            return np.fromiter(map(self._row.__getitem__, passage_ids), np.intp, len(passage_ids))
+            return np.fromiter(map(self.table.row.__getitem__, passage_ids), np.intp, len(passage_ids))
         except KeyError as exc:
             raise KeyError(f"unknown passage id {exc.args[0]!r}") from None
 
@@ -125,13 +121,15 @@ def write_lines(path: str, lines: list[str]) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def read_lines(path: str, count: int, what: str) -> list[str]:
-    """The lines of a UTF-8 line file, which must hold ``count`` ``what``."""
+def read_lines(path: str, count: int, what: str, known: list[str] | None = None) -> list[str]:
+    """The lines of a UTF-8 line file, which must hold ``count`` ``what``: ``known`` itself where the file's text
+    is exactly those lines, each ended by a newline, so no second list of them is built."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    lines = known if known is not None and text == "\n".join(known) + "\n" else text.splitlines()
     if len(lines) != count:
         raise ValueError(f"{path}: {len(lines)} {what} != declared count {count}")
     return lines
@@ -145,14 +143,15 @@ def save_embeddings(store: PassageEmbeddingStore, manifest_path: str) -> None:
     write_lines(base + ".ids", store.ids)
 
 
-def load_embeddings(manifest_path: str) -> PassageEmbeddingStore:
-    """Load a store saved by :func:`save_embeddings`; round-trips byte-exactly."""
+def load_embeddings(manifest_path: str, table: PassageTable | None = None) -> PassageEmbeddingStore:
+    """Load a store saved by :func:`save_embeddings`; round-trips byte-exactly. The store keeps ``table``, an
+    index's, where its ids file holds exactly the table's ids in row order."""
     dim, count = read_manifest(manifest_path, "dim", "count")
     base = sidecar_base(manifest_path)
     vectors, norms = read_f32(base + ".f32", count, dim, f"{manifest_path}: vectors contain non-finite values")
-    ids = read_lines(base + ".ids", count, "ids")
+    ids = read_lines(base + ".ids", count, "ids", getattr(table, "ids", None))
     try:  # the vectors are checked finite and their norms computed already: no second copy
-        return PassageEmbeddingStore.__new__(PassageEmbeddingStore)._take(ids, vectors, norms)
+        return PassageEmbeddingStore.__new__(PassageEmbeddingStore)._take(ids, vectors, norms, table)
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
 
@@ -262,7 +261,7 @@ def search_dense_many(store: PassageEmbeddingStore, queries: np.ndarray, k: int)
         for query, (rows, lower, upper), at in zip(chunk, kept, cut_at):
             if len(rows) > max(k, at):  # rows kept since the last cut may have raised the floor
                 rows = rows[top_k_floor(lower, k, upper)[1]]
-            results.append(top_k(rows, rescore(store, rows, query), store.ids, store._id_ranks, k))
+            results.append(top_k(rows, rescore(store, rows, query), store.table, k))
     return results
 
 

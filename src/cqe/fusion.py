@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import RewriteConfig, TokenEmbeddingMatrix, decontextualize, pool
 from .dense import PassageEmbeddingStore, search_dense
-from .ranking import RankedList, score_order
+from .ranking import PassageTable, RankedList, top_k
 from .sparse import InvertedIndex, search_sparse
 
 
@@ -31,26 +31,27 @@ def hybrid_combine(
     """Combine sparse and dense lists as alpha * sparse score + dense score.
 
     A document missing from one list takes that list's minimum observed
-    score as a substitute. The output, built from columns, covers the full
-    union of both lists in :meth:`RankedList.from_scores` order; callers
-    cut it to the depth they need with :meth:`RankedList.head`.
+    score as a substitute. The output covers the full union of both lists
+    in :meth:`RankedList.from_scores` order; callers cut it to the depth
+    they need with :meth:`RankedList.head`. Lists of one :class:`PassageTable`
+    meet by row; others by id, through a table of the union's ids.
     """
     config = config or FusionConfig()
     if not sparse or not dense:
         raise ValueError("hybrid_combine requires two non-empty lists")
-    slot: dict[str, int] = {}  # union id -> position, sparse ids first
-    sides = [
-        (scores, [slot.setdefault(d, len(slot)) for d in ids])
-        for ids, scores in (sparse.columns(), dense.columns())
-    ]
-    sp, ds = (_spread(scores, pos, len(slot)) for scores, pos in sides)
+    table, rows = sparse.table, (sparse.rows, dense.rows)
+    if table is None or table is not dense.table:
+        slot: dict[str, int] = {}  # union id -> its row, sparse ids first
+        rows = [np.array([slot.setdefault(d, len(slot)) for d in r.columns()[0]], np.intp) for r in (sparse, dense)]
+        table = PassageTable(list(slot))
+    union, slots = np.unique(np.concatenate(rows), return_inverse=True)
+    sides = zip((sparse, dense), np.split(slots, [len(sparse)]))
+    sp, ds = (_spread(ranked.columns()[1], pos, len(union)) for ranked, pos in sides)
     fused = config.alpha * sp + ds  # the same IEEE multiply and add as on Python floats
-    union = list(slot)
-    order = score_order(fused, union)
-    return RankedList.from_columns([union[i] for i in order.tolist()], fused[order])
+    return top_k(union, fused, table, len(union))
 
 
-def _spread(scores: np.ndarray, pos: list[int], n: int) -> np.ndarray:
+def _spread(scores: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:
     """``scores`` at positions ``pos`` of ``n`` slots, the others filled with the list's minimum.
 
     The filler is the first minimal score in rank order, the one ``min()``

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+
+class PassageTable:
+    """Passage ids in row order, with their :func:`id_ranks` and id -> row map, each built on first use. An index
+    and a store loaded over the same ids hold one table, so lists drawn from both fuse by row."""
+
+    def __init__(self, ids: list[str]):
+        self.ids = ids
+
+    ranks = cached_property(lambda self: id_ranks(self.ids))
+    row = cached_property(lambda self: dict(zip(self.ids, range(len(self.ids)))))
 
 
 class RankedEntry(NamedTuple):
@@ -25,6 +37,9 @@ class RankedList:
     :attr:`entries` and iteration build :class:`RankedEntry` tuples from
     the columns on each read.
     """
+
+    table: PassageTable | None = None  # set by top_k, with the ``rows`` of the ids there
+    rows: np.ndarray | None = None
 
     def __init__(self, entries: Iterable[RankedEntry] = ()):
         entries = list(entries)
@@ -65,9 +80,10 @@ class RankedList:
         return self._ranks
 
     def head(self, k: int) -> RankedList:
-        """The first ``k`` results, each column cut."""
+        """The first ``k`` results, each column cut and copied, so a kept head holds no longer list's arrays."""
         ranked = RankedList()
-        ranked._ids, ranked._scores, ranked._ranks = self._ids[:k], self._scores[:k], self._ranks[:k]
+        ranked._ids, ranked._scores, ranked._ranks = self._ids[:k], self._scores[:k].copy(), self._ranks[:k]
+        ranked.table, ranked.rows = self.table, None if self.rows is None else self.rows[:k].copy()
         return ranked
 
     def docids(self) -> list[str]:
@@ -126,16 +142,19 @@ def top_k_floor(scores: np.ndarray, k: int, upper: np.ndarray | None = None) -> 
     return floor, np.flatnonzero((scores if upper is None else upper) >= floor)
 
 
-def top_k(rows: np.ndarray, scores: np.ndarray, ids: Sequence[str], ranks: np.ndarray, k: int) -> RankedList:
-    """Exact top-k of candidate ``rows`` by descending score, then ascending id.
+def top_k(rows: np.ndarray, scores: np.ndarray, table: PassageTable, k: int) -> RankedList:
+    """Exact top-k of candidate ``rows`` of ``table`` by descending score, then ascending id.
 
-    ``scores[j]`` is the score of row ``rows[j]``; ``ids`` and ``ranks``
-    (their :func:`id_ranks`) are indexed by row. Only the candidates
-    :func:`top_k_floor` keeps are fully sorted. The result equals
-    :meth:`RankedList.from_scores` over all candidates, cut at ``k``.
+    ``scores[j]`` is the score of row ``rows[j]``. Only the candidates
+    :func:`top_k_floor` keeps are fully sorted. The result, which keeps
+    ``table`` and its rows, equals :meth:`RankedList.from_scores` over all
+    candidates, cut at ``k``.
     """
     if len(rows) > k:
         kept = top_k_floor(scores, k)[1]
         rows, scores = rows[kept], scores[kept]
-    order = np.lexsort((ranks[rows], -scores))[:k]
-    return RankedList.from_columns([ids[row] for row in rows[order].tolist()], scores[order])
+    order = np.lexsort((table.ranks[rows], -scores))[:k]
+    rows = rows[order]
+    ranked = RankedList.from_columns([table.ids[row] for row in rows.tolist()], scores[order])
+    ranked.table, ranked.rows = table, rows
+    return ranked

@@ -15,13 +15,12 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .corpus import Corpus, check_ids, tokenize
-from .ranking import RankedList, id_ranks, top_k
+from .ranking import PassageTable, RankedList, top_k
 
 MAGIC = b"CQESPIDX"
 FORMAT_VERSION = 1
@@ -46,7 +45,8 @@ class InvertedIndex:
     The postings of all terms are two flat, C-contiguous u32 columns,
     ``ordinals`` and ``tfs`` (term frequencies); ``spans`` maps each term
     to the slice of its postings there, sorted by ordinal. Ordinals follow
-    corpus order and map back to passage ids, as does ``doc_lengths`` (u32).
+    corpus order and are the rows of the passage ``table``, as are those of
+    ``doc_lengths`` (u32).
     """
 
     def __init__(
@@ -61,7 +61,8 @@ class InvertedIndex:
         self.doc_lengths = np.array(doc_lengths, dtype=U32)
         if len(ids) != len(self.doc_lengths):
             raise ValueError("ids and doc_lengths must have equal length")
-        self.ids = list(ids)
+        self.table = PassageTable(list(ids))
+        self.ids = self.table.ids
         self.config = config
         self.doc_count = len(ids)
         total = int(self.doc_lengths.sum(dtype=np.int64))  # exact, so the mean rounds once
@@ -79,17 +80,9 @@ class InvertedIndex:
         span = self.spans.get(term)
         return None if span is None else (self.ordinals[span], self.tfs[span])
 
-    @cached_property
-    def _ordinal(self) -> dict[str, int]:
-        return {pid: i for i, pid in enumerate(self.ids)}
-
-    @cached_property
-    def _id_ranks(self) -> np.ndarray:
-        return id_ranks(self.ids)
-
     def ordinal(self, passage_id: str) -> int:
         try:
-            return self._ordinal[passage_id]
+            return self.table.row[passage_id]
         except KeyError:
             raise ValueError(f"unknown passage id {passage_id!r}") from None
 
@@ -187,7 +180,7 @@ def search_sparse(index: InvertedIndex, query_tokens: Iterable[str], k: int) -> 
         weight = _tf_weight(tfs, index.doc_lengths[ordinals], index.avg_doc_length, index.config)
         accum[ordinals] += multiplicity * idf * weight
     rows = np.flatnonzero(accum > 0.0)
-    return top_k(rows, accum[rows], index.ids, index._id_ranks, k)
+    return top_k(rows, accum[rows], index.table, k)
 
 
 # ---------------------------------------------------------------------------

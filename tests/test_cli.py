@@ -406,6 +406,47 @@ class TestConverse:
         assert printed == [" ".join(bag) for bag in searched] and len(searched) == 2
 
 
+class TestFusionOverShuffledStore:
+    """search-hybrid and converse write the bytes the string-keyed reference fusion gives: over the planted store,
+    whose ids match the index's so both share one table, and over a copy with its rows shuffled, which does not."""
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_run_and_transcript_equal_the_reference_fusion(self, shuffled, workspace, tmp_path, monkeypatch, capsys):
+        import cqe.fusion
+        from cqe.dense import load_embeddings
+        from cqe.sparse import load_index
+        from test_fusion import reference_hybrid_combine
+
+        store = workspace["store"]
+        if shuffled:
+            planted = load_embeddings(store)
+            order = np.random.default_rng(51).permutation(planted.count)
+            store = str(tmp_path / "shuffled.json")
+            save_embeddings(PassageEmbeddingStore([planted.ids[i] for i in order], planted.vectors[order]), store)
+        index = load_index(workspace["index"])
+        assert (load_embeddings(store, index.table).table is index.table) is not shuffled
+        fused, outputs = [], {}
+
+        def reference(sparse, dense, config):
+            fused.append(len(sparse))
+            return reference_hybrid_combine(sparse, dense, config)
+
+        for name, combine in (("reference", reference), ("library", cqe.fusion.hybrid_combine)):
+            monkeypatch.setattr(cqe.fusion, "hybrid_combine", combine)
+            run = tmp_path / name / "run.txt"
+            run.parent.mkdir()
+            assert run_cli(["search-hybrid", "--index", workspace["index"], "--store", store, "--encoder",
+                            workspace["encoder"], "--sessions", workspace["sessions"], "--depth", "40", "--k", "15",
+                            "--output", str(run)]) == 0
+            capsys.readouterr()
+            monkeypatch.setattr("sys.stdin", io.StringIO(TestConverse.SCRIPT))
+            assert run_cli(["converse", "--index", workspace["index"], "--store", store, "--encoder",
+                            workspace["encoder"], "--depth", "40", "--k", "5"]) == 0
+            outputs[name] = run.read_bytes(), capsys.readouterr().out
+        assert len(fused) > 3
+        assert outputs["library"] == outputs["reference"]
+
+
 class TestConfig:
     def test_module_defaults(self):
         cfg = cli.EngineConfig()

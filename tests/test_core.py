@@ -169,6 +169,17 @@ class TestTokenNormReport:
         assert all(r.normalized_norm is None for r in report)
 
 
+    def test_report_rewrite_and_decomposition_share_one_norm_pass(self, monkeypatch):
+        m = random_matrix(np.random.default_rng(61), 7, 5, context_len=4)
+        want = [float(n) for n in np.linalg.norm(m.vectors, axis=1)]  # each row on its own, as before
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(a) or norm(*a, **kw))
+        decontextualize(m, RewriteConfig(gamma=0.0))
+        assert [r.l2_norm for r in token_norm_report(m)] == [c.l2_norm for c in decompose(m, np.ones(5))] == want
+        assert len(calls) == 1
+
+
 class TestDecontextualize:
     def context_query_matrix(self):
         # context norms: 12, 11, 3, 2; query rows are unit-ish

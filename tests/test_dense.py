@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqe import dense
-from cqe.corpus import WHITESPACE
+from cqe.corpus import WHITESPACE, Corpus, Passage
 from cqe.dense import (
     PassageEmbeddingStore,
     load_embeddings,
@@ -26,7 +26,8 @@ from cqe.dense import (
     search_dense,
     search_dense_many,
 )
-from cqe.ranking import RankedList, id_ranks, top_k
+from cqe.ranking import PassageTable, RankedList, top_k
+from cqe.sparse import build_index, search_sparse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,7 +50,7 @@ def reference_search_dense(store, query, k):
     if store.count == 0:
         return RankedList()
     scores = store.vectors.astype(np.float64) @ query
-    return top_k(np.arange(store.count), scores, store.ids, id_ranks(store.ids), k)
+    return top_k(np.arange(store.count), scores, PassageTable(store.ids), k)
 
 
 def exact(ranked):
@@ -193,6 +194,81 @@ class TestIO:
             load_embeddings(manifest)
 
 
+def load_or_error(manifest, table=None):
+    """The store ``load_embeddings`` gives, or the text of the ValueError it raises."""
+    try:
+        return load_embeddings(manifest, table)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSharedTable:
+    """A store loaded with the index's table keeps it exactly when its ids file holds the index's ids."""
+
+    def index_and_store(self, tmp_path, count=12, dim=3):
+        ids = [f"p{(i * 5) % count:02d}" for i in range(count)]  # row order is not id order
+        index = build_index(Corpus([Passage(pid, f"w{i % 3} common") for i, pid in enumerate(ids)]))
+        manifest = str(tmp_path / "s.json")
+        save_embeddings(PassageEmbeddingStore(ids, np.random.default_rng(31).standard_normal((count, dim))), manifest)
+        return index, manifest
+
+    def test_matching_ids_share_the_index_table(self, tmp_path):
+        index, manifest = self.index_and_store(tmp_path)
+        store = load_embeddings(manifest, index.table)
+        assert store.table is index.table and store.ids is index.ids
+        query = np.ones(store.dim)
+        assert exact(search_dense(store, query, 5)) == exact(search_dense(load_embeddings(manifest), query, 5))
+        search_sparse(index, ["common"], 5)
+        assert store.table.ranks is index.table.ranks  # one id-rank array, built by whichever search came first
+        assert store.rows(index.ids[3:6]).tolist() == [3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["reordered id", "changed id", "no trailing newline", "crlf", "invalid utf-8", "duplicate id", "wrong count"],
+    )
+    def test_other_ids_load_as_without_the_table(self, case, tmp_path):
+        index, manifest = self.index_and_store(tmp_path)
+        path = tmp_path / "s.ids"
+        lines = path.read_bytes().split(b"\n")[:-1]
+        edit = {
+            "reordered id": lambda: lines[1:2] + lines[:1] + lines[2:],
+            "changed id": lambda: [*lines[:4], b"q99", *lines[5:]],
+            "no trailing newline": lambda: lines,
+            "crlf": lambda: [line + b"\r" for line in lines],
+            "invalid utf-8": lambda: [*lines[:2], b"p\xff", *lines[3:]],
+            "duplicate id": lambda: [*lines[:2], lines[0], *lines[3:]],
+            "wrong count": lambda: lines[:-1],
+        }[case]()
+        path.write_bytes(b"\n".join(edit) + (b"" if case == "no trailing newline" else b"\n"))
+        want, got = load_or_error(manifest), load_or_error(manifest, index.table)
+        if isinstance(want, str):
+            assert case in ("invalid utf-8", "duplicate id", "wrong count")
+            assert got == want
+            return
+        assert got.ids == want.ids
+        assert (got.table is index.table) == (case == "crlf")  # text-mode reads see "\r\n" as "\n"
+        queries = np.random.default_rng(32).standard_normal((4, got.dim))
+        for mine, theirs in zip(search_dense_many(got, queries, 6), search_dense_many(want, queries, 6)):
+            assert exact(mine) == exact(theirs)
+
+    def test_load_with_a_matching_table_builds_no_second_id_list(self, tmp_path):
+        count = 20_000
+        ids = [f"p{i:06d}" for i in range(count)]
+        manifest = str(tmp_path / "s.json")
+        save_embeddings(PassageEmbeddingStore(ids, np.ones((count, 1), dtype=np.float32)), manifest)
+        table = PassageTable(load_embeddings(manifest).ids)
+        ids_bytes = sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))
+        peaks = []
+        for given_table in (table, None):
+            tracemalloc.start()
+            try:
+                store = load_embeddings(manifest, given_table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert store.ids == ids and peaks[0] < ids_bytes < peaks[1]  # without the table, the load reads the ids
+
+
 class TestSearchDense:
     def test_orthonormal_rows(self):
         store = PassageEmbeddingStore(["a", "b", "c"], np.eye(3, dtype=np.float32))
@@ -294,7 +370,7 @@ class TestSearchDense:
         assert store.vectors.dtype == np.float32 and store.vectors.flags.c_contiguous
         assert store.norms.dtype == np.float64 and store.norms.shape == (count,)
         arrays = [name for name, value in vars(store).items() if isinstance(value, np.ndarray)]
-        assert sorted(arrays) == ["_id_ranks", "norms", "vectors"] and store._id_ranks.dtype.kind != "f"
+        assert sorted(arrays) == ["norms", "vectors"] and store.table.ranks.dtype.kind != "f"
         ids_bytes = sys.getsizeof(store.ids) + sum(map(sys.getsizeof, store.ids))
         assert peak <= 1.5 * (4 * count * dim + 8 * count) + ids_bytes
 
@@ -401,7 +477,7 @@ class TestSearchDenseMany:
         count = 20_000
         store = random_store(rng, count, 4)
         queries = rng.standard_normal((2 * dense.QUERY_CHUNK, 4))
-        store._id_ranks  # built once per store, not per search
+        store.table.ranks  # built once per store, not per search
         tracemalloc.start()
         try:
             got = search_dense_many(store, queries, 10)
@@ -516,7 +592,7 @@ class TestSearchDenseMany:
     def test_zero_queries_build_nothing(self):
         store = random_store(np.random.default_rng(15), 5, 3)
         assert search_dense_many(store, np.empty((0, 3)), 4) == []
-        assert "_id_ranks" not in vars(store)
+        assert "ranks" not in vars(store.table)
 
     def test_largest_accepted_query_scores_stay_finite(self):
         store = PassageEmbeddingStore(["a", "b"], np.full((2, 4), np.finfo(np.float32).max, dtype=np.float32))
@@ -543,7 +619,7 @@ class TestSearchDenseMany:
         store = random_store(np.random.default_rng(16), 6, 4)
         with pytest.raises(ValueError, match=re.escape(message)):
             search_dense_many(store, queries, k)
-        assert "_id_ranks" not in vars(store)
+        assert "ranks" not in vars(store.table)
 
     @pytest.mark.parametrize(
         "query,k,message",
@@ -630,7 +706,7 @@ for dim in (128, 129):
         store = dense.PassageEmbeddingStore([f"p{i}" for i in range(count)], rng.standard_normal((count, dim), dtype=np.float32))
         queries = rng.standard_normal((3, dim))
         for query, ranked in zip(queries, dense.search_dense_many(store, queries, count)):
-            want = top_k(np.arange(count), store.vectors @ query, store.ids, store._id_ranks, count)
+            want = top_k(np.arange(count), store.vectors @ query, store.table, count)
             checked += 1
             if [(e.docid, e.score.hex()) for e in ranked] != [(e.docid, e.score.hex()) for e in want]:
                 failures += 1
@@ -709,7 +785,7 @@ for dim in (1, 3, 96, 128, 129):
                 print("rescore differs", count, dim)
         # the whole search: every row ranked, against those scores
         for query, scores, ranked in zip(queries, whole, dense.search_dense_many(store, queries, count)):
-            want = top_k(np.arange(count), scores, store.ids, store._id_ranks, count)
+            want = top_k(np.arange(count), scores, store.table, count)
             checked += 1
             if [(e.docid, e.score.hex()) for e in ranked] != [(e.docid, e.score.hex()) for e in want]:
                 failures += 1

@@ -9,7 +9,7 @@ from cqe.core import RewriteConfig, TokenEmbeddingMatrix, decontextualize, pool
 from cqe.corpus import tokenize
 from cqe.dense import search_dense
 from cqe.fusion import FusionConfig, hybrid_combine, hybrid_search, rrf
-from cqe.ranking import RankedEntry, RankedList
+from cqe.ranking import PassageTable, RankedEntry, RankedList, top_k
 from cqe.sparse import search_sparse
 from cqe.trainer import ToyQueryEncoder
 
@@ -125,6 +125,45 @@ class TestHybridCombineExact:
         other = RankedList.from_scores([("b", 0.25)])
         for sparse, dense in ((one, other), (one, one), (other, one)):
             assert exact(hybrid_combine(sparse, dense)) == exact(reference_hybrid_combine(sparse, dense))
+
+
+@st.composite
+def table_pairs(draw):
+    """(sparse, dense) lists built by top_k over one table, whose row order is not its id order."""
+    ids = draw(st.lists(st.text("abcz", min_size=1, max_size=3), min_size=1, max_size=14, unique=True))
+    table = PassageTable(ids)
+    rows = st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=len(ids), unique=True)
+    sparse = draw(rows)
+    mode = draw(st.sampled_from(["overlap", "same", "disjoint", "one"]))
+    if mode == "disjoint" and len(sparse) < len(ids):
+        dense = draw(st.lists(st.sampled_from(sorted(set(range(len(ids))) - set(sparse))), min_size=1, unique=True))
+    else:
+        dense = sparse if mode == "same" else sparse[:1] if mode == "one" else draw(rows)
+    return tuple(
+        top_k(np.array(r, dtype=np.intp), np.array([draw(TIE_SCORES) for _ in r]), table, len(r))
+        for r in (sparse, dense)
+    )
+
+
+class TestHybridCombineRows:
+    @settings(max_examples=300, deadline=None)
+    @given(table_pairs(), ALPHAS)
+    def test_rows_of_one_table_equal_reference_bit_for_bit(self, pair, alpha):
+        sparse, dense = pair
+        assert sparse.table is dense.table
+        config = FusionConfig(alpha=alpha)
+        got = hybrid_combine(sparse, dense, config)
+        assert exact(got) == exact(reference_hybrid_combine(sparse, dense, config))
+        assert got.table is sparse.table and [got.table.ids[r] for r in got.rows.tolist()] == got.docids()
+        # the same lists without their table meet by id, to the same result
+        assert exact(hybrid_combine(as_columns(sparse), as_columns(dense), config)) == exact(got)
+
+    def test_ties_break_by_id_not_by_row(self):
+        table = PassageTable(["c", "b", "a", "d"])  # row order is not id order
+        sparse = top_k(np.array([0, 1]), np.array([2.0, 1.0]), table, 2)
+        dense = top_k(np.array([2, 3]), np.array([0.5, 0.5]), table, 2)
+        got = hybrid_combine(sparse, dense, FusionConfig(alpha=0.0))
+        assert got.docids() == ["a", "b", "c", "d"] and got.rows.tolist() == [2, 1, 0, 3]
 
 
 class TestHybridCombine:

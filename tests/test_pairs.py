@@ -63,3 +63,39 @@ def test_parse_reads_the_last_json_line_and_the_report_digest():
     lines = ["w seed 1 trace 0: correct", 'report {"sha256_output": "ff", "seed": 1}',
              '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}']
     assert pairs.parse(lines) == {"correct": True, "attempted": 1, "failed": 0, "metrics": {}, "sha256_output": "ff"}
+
+
+def test_verdicts_follow_wins_quartiles_and_bounds():
+    # (parent, change) per pair, lower is better
+    gain = [(10.0 + 0.1 * i, 9.0 + 0.1 * i) for i in range(10)]
+    assert pairs.verdict(gain, higher=False, bound=0.1) == "gain"
+    assert pairs.verdict([(-p, -c) for p, c in gain], higher=True, bound=0.1) == "gain"
+    # wins 8 of 10: not a gain, however far apart the medians
+    eight = gain[:8] + [(10.0, 10.5), (10.0, 10.5)]
+    assert pairs.verdict(eight, higher=False, bound=0.1) == "level"
+    # wins every pair, but by less than the parent's q1..q3 distance
+    close = [(10.0 + i, 9.9 + i) for i in range(10)]
+    assert pairs.verdict(close, higher=False, bound=1.0) == "level"
+    # median 20% worse, beyond a 10% bound; within a 25% one
+    worse = [(10.0, 12.0)] * 10
+    assert pairs.verdict(worse, higher=False, bound=0.1) == "worse"
+    assert pairs.verdict(worse, higher=False, bound=0.25) == "level"
+    assert pairs.verdict([(c, p) for p, c in worse], higher=True, bound=0.1) == "worse"
+    # parent runs spread 10..19: a q1..q3 distance wider than a 10% bound
+    wide = [(10.0 + i, 10.0 + (i + 5) % 10) for i in range(10)]
+    assert pairs.verdict(wide, higher=False, bound=0.1) == "unresolved"
+    assert pairs.verdict(wide, higher=False, bound=None) == "level"
+    # wide spreads, but every change run beats every parent run
+    apart = [(20.0 + 2 * i, 10.0 + 0.5 * i) for i in range(10)]
+    assert pairs.verdict(apart, higher=False, bound=0.1) == "gain"
+    assert pairs.verdict([(20.0 + 2 * i, 19.0 + 0.1 * i) for i in range(10)], False, 0.1) == "level"
+
+
+def test_pairs_print_a_verdict_per_metric(tmp_path, capsys):
+    parent = checkout(tmp_path, "parent", [1.0] * 10, "abc")
+    change = checkout(tmp_path, "change", [0.5] * 10, "abc")
+    assert pairs.main([parent, change, "--workload", "w", "--pairs", "10", "--seconds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert next(line for line in out if line.startswith("metric ")).split()[-2:] == ["verdict", "better"]
+    for name in ("wall_s ", "queries_per_s "):
+        assert next(line for line in out if line.startswith(name)).split()[-4:] == ["gain", "10", "of", "10"]

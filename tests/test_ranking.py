@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqe.ranking import RankedEntry, RankedList, id_ranks, score_order, top_k
+from cqe.ranking import PassageTable, RankedEntry, RankedList, score_order, top_k
 
 SCORED = [("b", 2.0), ("a", 2.0), ("c", 0.5), ("d", -0.0), ("e", -1.25)]
 
@@ -99,7 +99,7 @@ def test_score_order_matches_from_scores(scored):
 def test_top_k_column_form_matches_from_scores(scored, k):
     ids = list(scored)
     rows = np.arange(len(ids))
-    got = top_k(rows, np.array([scored[d] for d in ids]), ids, id_ranks(ids), k)
+    got = top_k(rows, np.array([scored[d] for d in ids]), PassageTable(ids), k)
     expected = RankedList.from_scores(scored.items(), k=k)
     assert got == expected
     assert [(e.docid, e.score.hex(), e.rank) for e in got] == [

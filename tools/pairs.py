@@ -7,9 +7,9 @@ checkout's root, so each side imports its own ``src/`` and keeps its own
 input cache. Pair 1 runs PARENT_DIR first, pair 2 CHANGE_DIR first, and so
 on, so drift over a session (a busy neighbour, a warming page cache) falls
 on both sides alike. For each end-to-end metric of CHANGE_DIR's
-``BENCHMARK.json`` it prints both medians, the parent's quartiles and the
-number of pairs in which the change was better, then whether
-``sha256_output`` matched in every pair. Exits 1 if a run fails, reports an
+``BENCHMARK.json`` it prints both medians, the parent's quartiles, a
+verdict (see :func:`verdict`) and the number of pairs in which the change
+was better, then whether ``sha256_output`` matched in every pair. Exits 1 if a run fails, reports an
 incorrect result or a failed operation, or if any pair's digests differ.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -43,9 +44,44 @@ def parse(lines: list[str]) -> dict:
     return result
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) of ``values``; a single value is all three."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (statistics.median(values),) * 3
+
+
+def spread(values: list[float]) -> float:
+    """The q1..q3 distance of ``values`` relative to their median."""
+    q1, median, q3 = quartiles(values)
+    return (q3 - q1) / abs(median) if median else math.inf if q3 > q1 else 0.0
+
+
+def verdict(values: list[tuple[float, float]], higher: bool, bound: float | None) -> str:
+    """One metric's (parent, change) ``values``, one pair each, judged against its relative ``bound``.
+
+    ``worse``: the change's median is worse than the parent's by more than the bound. ``gain``: the change is
+    better in at least 9 of 10 pairs (ties count for neither) and the medians differ by more than the parent's
+    q1..q3 distance. ``unresolved``: either side's q1..q3 spread is wider than the bound, and some change run is
+    no better than some parent run. ``level``: anything else.
+    """
+    if higher:  # judged on negated values, so that lower is better throughout
+        values = [(-p, -c) for p, c in values]
+    parents, changes = [p for p, _ in values], [c for _, c in values]
+    before, after = statistics.median(parents), statistics.median(changes)
+    bound = math.inf if bound is None else bound
+    if after - before > bound * abs(before):
+        return "worse"
+    q1, _, q3 = quartiles(parents)
+    if 10 * sum(c < p for p, c in values) >= 9 * len(values) and before - after > q3 - q1:
+        return "gain"
+    if max(spread(parents), spread(changes)) > bound and max(changes) >= min(parents):
+        return "unresolved"
+    return "level"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> tuple[list[str], bool]:
     """Table lines for (parent, change) result ``pairs`` over the declared ``metrics``, and whether all was well."""
-    lines = [f"{'metric':16s} {'parent':>12s} {'change':>12s} {'change/parent':>14s} {'parent q1..q3':>24s}  better"]
+    lines = [f"{'metric':16s} {'parent':>12s} {'change':>12s} {'change/parent':>14s} {'parent q1..q3':>24s} "
+             f"{'verdict':>10s}  better"]
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
@@ -53,11 +89,11 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> tuple[list
         if not values:
             continue
         before, after = statistics.median(v[0] for v in values), statistics.median(v[1] for v in values)
-        q1, _, q3 = statistics.quantiles([v[0] for v in values], n=4) if len(values) > 1 else (before,) * 3
+        q1, _, q3 = quartiles([v[0] for v in values])
         wins = sum((c > p) if higher else (c < p) for p, c in values)
         ratio = f"{after / before:.4f}" if before else "-"
-        lines.append(f"{name:16s} {before:12.6g} {after:12.6g} {ratio:>14s} {f'{q1:.6g}..{q3:.6g}':>24s}  "
-                     f"{wins} of {len(values)}")
+        lines.append(f"{name:16s} {before:12.6g} {after:12.6g} {ratio:>14s} {f'{q1:.6g}..{q3:.6g}':>24s} "
+                     f"{verdict(values, higher, metric.get('bound')):>10s}  {wins} of {len(values)}")
     same = [p["sha256_output"] == c["sha256_output"] for p, c in pairs]
     lines.append(f"sha256_output identical in {sum(same)} of {len(pairs)} pairs")
     sound = [r["correct"] and not r["failed"] for pair in pairs for r in pair]
