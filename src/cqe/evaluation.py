@@ -169,10 +169,9 @@ def write_run(path: str, runs: Mapping[str, RankedList], tag: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(runs):
             ranked = runs[qid]
-            ids, scores = ranked.columns()
             fh.writelines(
                 f"{qid} Q0 {docid} {rank} {score!r} {tag}\n"
-                for docid, rank, score in zip(ids, ranked.ranks(), scores.tolist())
+                for docid, rank, score in zip(ranked.docids(), ranked.ranks(), ranked.scores().tolist())
             )
 
 

@@ -46,7 +46,7 @@ def hybrid_combine(
         table = PassageTable(list(slot))
     union, slots = np.unique(np.concatenate(rows), return_inverse=True)
     sides = zip((sparse, dense), np.split(slots, [len(sparse)]))
-    sp, ds = (_spread(ranked.columns()[1], pos, len(union)) for ranked, pos in sides)
+    sp, ds = (_spread(ranked.scores(), pos, len(union)) for ranked, pos in sides)
     fused = config.alpha * sp + ds  # the same IEEE multiply and add as on Python floats
     return top_k(union, fused, table, len(union))
 

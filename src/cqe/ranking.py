@@ -31,19 +31,20 @@ class RankedList:
     Ties are broken by ascending docid so runs are reproducible. Lists
     built through :meth:`from_scores` always satisfy the invariants.
 
-    A list is three columns: ids in rank order, their float64 scores and
-    their ranks, as given to the constructor or to :meth:`from_columns`
-    (run files may number ranks freely), else 1..n.
-    :attr:`entries` and iteration build :class:`RankedEntry` tuples from
-    the columns on each read.
+    A list is columns in rank order: float64 scores, ranks (as given to
+    the constructor or to :meth:`from_columns`, since run files may number
+    ranks freely, else 1..n) and ids. A list from :func:`top_k` holds no
+    id column but its ``table`` and the ``rows`` of its ids there: its ids
+    are built from them on each read and not kept. :attr:`entries` and
+    iteration build :class:`RankedEntry` tuples on each read.
     """
 
-    table: PassageTable | None = None  # set by top_k, with the ``rows`` of the ids there
+    table: PassageTable | None = None  # set by top_k with ``rows``, in place of an id column
     rows: np.ndarray | None = None
 
     def __init__(self, entries: Iterable[RankedEntry] = ()):
         entries = list(entries)
-        self._ids = [e.docid for e in entries]
+        self._ids: list[str] | None = [e.docid for e in entries]
         self._scores = np.array([e.score for e in entries], dtype=np.float64)
         self._ranks: Sequence[int] = [e.rank for e in entries]
 
@@ -69,11 +70,17 @@ class RankedList:
 
     @property
     def entries(self) -> list[RankedEntry]:
-        return list(map(RankedEntry, self._ids, self._scores.tolist(), self._ranks))
+        ids, scores = self.columns()
+        return list(map(RankedEntry, ids, scores.tolist(), self._ranks))
 
     def columns(self) -> tuple[list[str], np.ndarray]:
-        """(ids in rank order, float64 scores): the list's own columns, not copies."""
-        return self._ids, self._scores
+        """(ids in rank order, float64 scores): the list's own columns, not copies; a :func:`top_k` list's ids
+        are built on this call."""
+        return (self._ids if self.table is None else self.docids()), self._scores
+
+    def scores(self) -> np.ndarray:
+        """The float64 score column, in rank order; not a copy. No id is read."""
+        return self._scores
 
     def ranks(self) -> Sequence[int]:
         """The rank column, in rank order; not a copy."""
@@ -82,18 +89,16 @@ class RankedList:
     def head(self, k: int) -> RankedList:
         """The first ``k`` results, each column cut and copied, so a kept head holds no longer list's arrays."""
         ranked = RankedList()
-        ranked._ids, ranked._scores, ranked._ranks = self._ids[:k], self._scores[:k].copy(), self._ranks[:k]
-        ranked.table, ranked.rows = self.table, None if self.rows is None else self.rows[:k].copy()
+        ranked._scores, ranked._ranks, ranked.table = self._scores[:k].copy(), self._ranks[:k], self.table
+        ranked._ids, ranked.rows = (self._ids[:k], None) if self.table is None else (None, self.rows[:k].copy())
         return ranked
 
     def docids(self) -> list[str]:
-        return list(self._ids)
-
-    def scores(self) -> dict[str, float]:
-        return dict(zip(self._ids, self._scores.tolist()))
+        """The ids in rank order, as a new list."""
+        return list(self._ids) if self.table is None else [self.table.ids[row] for row in self.rows.tolist()]
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._scores)
 
     def __iter__(self) -> Iterator[RankedEntry]:
         return iter(self.entries)
@@ -147,14 +152,14 @@ def top_k(rows: np.ndarray, scores: np.ndarray, table: PassageTable, k: int) -> 
 
     ``scores[j]`` is the score of row ``rows[j]``. Only the candidates
     :func:`top_k_floor` keeps are fully sorted. The result, which keeps
-    ``table`` and its rows, equals :meth:`RankedList.from_scores` over all
-    candidates, cut at ``k``.
+    ``table`` and its rows and builds no id, equals
+    :meth:`RankedList.from_scores` over all candidates, cut at ``k``.
     """
     if len(rows) > k:
         kept = top_k_floor(scores, k)[1]
         rows, scores = rows[kept], scores[kept]
     order = np.lexsort((table.ranks[rows], -scores))[:k]
-    rows = rows[order]
-    ranked = RankedList.from_columns([table.ids[row] for row in rows.tolist()], scores[order])
-    ranked.table, ranked.rows = table, rows
+    ranked = RankedList()
+    ranked._ids, ranked._scores, ranked._ranks = None, scores[order], range(1, len(order) + 1)
+    ranked.table, ranked.rows = table, rows[order]
     return ranked

@@ -25,7 +25,7 @@ from .corpus import Corpus, read_jsonl, str_fields, str_lists, tokenize, unique,
 from .core import Session, TokenEmbeddingMatrix
 from .dense import PassageEmbeddingStore, read_f32, read_lines, read_manifest, sidecar_base
 from .dense import write_lines, write_manifest
-from .ranking import RankedList
+from .ranking import top_k
 from .sparse import InvertedIndex, search_sparse
 
 UNK_TOKEN = "<unk>"
@@ -186,7 +186,7 @@ def build_weak_labels(
                 continue
             ids = candidates.docids()
             scores = np.asarray(teacher.scores([turn.manual_rewrite], ids), dtype=np.float64)
-            rescored = RankedList.from_scores(list(zip(ids, scores[0].tolist())))
+            rescored = top_k(candidates.rows, scores[0], candidates.table, len(candidates))
             pool_ids, pool_scores = rescored.head(pool_size).columns()
             turns.append(
                 TurnLabels(

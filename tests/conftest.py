@@ -36,6 +36,11 @@ def session_vocab(sessions):
     return [tok for s in sessions for t in s.turns for tok in tokenize(t.raw_utterance)]
 
 
+def holds_no_ids(ranked):
+    """True when no attribute of ``ranked`` is a list, so its ids can only be built on read."""
+    return not any(isinstance(value, list) for value in vars(ranked).values())
+
+
 def dense_recall(encoder, dataset, qids, cutoff=10):
     """Mean dense recall over the given turns, encoded with full context."""
     by_qid = {s.qid(i): (s, i) for s in dataset.sessions for i in range(len(s.turns))}

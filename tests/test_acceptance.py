@@ -203,7 +203,7 @@ def test_criterion_4_hybrid_fusion():
 
         alpha = float(rng.uniform(0, 0.5))
         combined = hybrid_combine(sparse, dense, FusionConfig(alpha=alpha))
-        sp, ds = sparse.scores(), dense.scores()
+        sp, ds = dict(zip(*sparse.columns())), dict(zip(*dense.columns()))
         min_sp, min_ds = min(sp.values()), min(ds.values())
         expected = {}
         for d in set(sp) | set(ds):

@@ -1,16 +1,20 @@
 """Hybrid min-substitution combination and reciprocal rank fusion."""
 
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import holds_no_ids
+from cqe import fusion
 from cqe.core import RewriteConfig, TokenEmbeddingMatrix, decontextualize, pool
 from cqe.corpus import tokenize
-from cqe.dense import search_dense
+from cqe.dense import load_embeddings, save_embeddings, search_dense
 from cqe.fusion import FusionConfig, hybrid_combine, hybrid_search, rrf
 from cqe.ranking import PassageTable, RankedEntry, RankedList, top_k
-from cqe.sparse import search_sparse
+from cqe.sparse import build_index, search_sparse
 from cqe.trainer import ToyQueryEncoder
 
 
@@ -26,7 +30,7 @@ def random_lists(rng, n_docs=30, overlap=10):
 
 def oracle_hybrid(sparse, dense, alpha):
     """Evaluate the three substitution cases one docid at a time."""
-    sp, ds = sparse.scores(), dense.scores()
+    sp, ds = dict(zip(*sparse.columns())), dict(zip(*dense.columns()))
     min_sp, min_ds = min(sp.values()), min(ds.values())
     out = {}
     for d in set(sp) | set(ds):
@@ -63,6 +67,11 @@ def exact(ranked):
 def as_columns(ranked):
     """The same results as a column-form list."""
     return RankedList.from_columns(ranked.docids(), np.array([e.score for e in ranked]))
+
+
+def eager(ranked):
+    """The same results as a list from :meth:`RankedList.from_scores`, which keeps its ids and no table."""
+    return RankedList.from_scores(list(zip(ranked.docids(), ranked.scores().tolist())))
 
 
 # Few distinct scores, signed zeros and tiny values force equal fused scores.
@@ -118,7 +127,7 @@ class TestHybridCombineExact:
         dense = RankedList.from_scores([("c", -0.0)])
         got = hybrid_combine(sparse, dense, FusionConfig(alpha=1.0))
         assert exact(got) == exact(reference_hybrid_combine(sparse, dense, FusionConfig(alpha=1.0)))
-        assert got.scores()["c"].hex() == "-0x0.0p+0"
+        assert dict(zip(*got.columns()))["c"].hex() == "-0x0.0p+0"
 
     def test_one_element_lists(self):
         one = RankedList.from_scores([("a", 2.0)])
@@ -155,8 +164,11 @@ class TestHybridCombineRows:
         got = hybrid_combine(sparse, dense, config)
         assert exact(got) == exact(reference_hybrid_combine(sparse, dense, config))
         assert got.table is sparse.table and [got.table.ids[r] for r in got.rows.tolist()] == got.docids()
-        # the same lists without their table meet by id, to the same result
+        # the same lists without their table meet by id, to the same result, also when one side keeps its table
         assert exact(hybrid_combine(as_columns(sparse), as_columns(dense), config)) == exact(got)
+        for mixed in ((sparse, eager(dense)), (eager(sparse), dense)):
+            assert exact(hybrid_combine(*mixed, config)) == exact(reference_hybrid_combine(*mixed, config))
+            assert exact(hybrid_combine(*mixed, config)) == exact(got)
 
     def test_ties_break_by_id_not_by_row(self):
         table = PassageTable(["c", "b", "a", "d"])  # row order is not id order
@@ -171,19 +183,19 @@ class TestHybridCombine:
         sparse = RankedList.from_scores([("x", 10.0), ("y", 1.0)])
         dense = RankedList.from_scores([("x", 0.80), ("y", 0.2)])
         combined = hybrid_combine(sparse, dense, FusionConfig(alpha=0.1))
-        assert combined.scores()["x"] == pytest.approx(1.80)
+        assert dict(zip(*combined.columns()))["x"] == pytest.approx(1.80)
 
     def test_sparse_only_doc_takes_dense_minimum(self):
         sparse = RankedList.from_scores([("x", 12.0), ("y", 1.0)])
         dense = RankedList.from_scores([("y", 0.9), ("z", 0.30)])
         combined = hybrid_combine(sparse, dense, FusionConfig(alpha=0.1))
-        assert combined.scores()["x"] == pytest.approx(1.50)
+        assert dict(zip(*combined.columns()))["x"] == pytest.approx(1.50)
 
     def test_dense_only_doc_takes_sparse_minimum(self):
         sparse = RankedList.from_scores([("x", 12.0), ("y", 2.0)])
         dense = RankedList.from_scores([("y", 0.9), ("z", 0.30)])
         combined = hybrid_combine(sparse, dense, FusionConfig(alpha=0.1))
-        assert combined.scores()["z"] == pytest.approx(0.1 * 2.0 + 0.30)
+        assert dict(zip(*combined.columns()))["z"] == pytest.approx(0.1 * 2.0 + 0.30)
 
     def test_matches_case_oracle(self):
         rng = np.random.default_rng(41)
@@ -203,7 +215,7 @@ class TestHybridCombine:
             dense_ids = set(dense.docids())
             inside = [e.docid for e in combined if e.docid in dense_ids]
             assert inside == dense.docids()
-            min_dense = min(dense.scores().values())
+            min_dense = min(dict(zip(*dense.columns())).values())
             for e in combined:
                 if e.docid not in dense_ids:
                     assert e.score <= min_dense
@@ -240,7 +252,7 @@ class TestRRF:
         first = RankedList.from_scores([("x", 2.0), ("y", 1.0)])
         second = RankedList.from_scores([("y", 9.0), ("z", 8.0), ("x", 7.0)])
         fused = rrf([first, second], FusionConfig(rrf_k=60))
-        assert fused.scores()["x"] == pytest.approx(1 / 61 + 1 / 63)
+        assert dict(zip(*fused.columns()))["x"] == pytest.approx(1 / 61 + 1 / 63)
 
     def test_matches_reciprocal_sum_oracle(self):
         rng = np.random.default_rng(44)
@@ -296,6 +308,20 @@ class TestRRF:
             rrf(lists, k=0)
 
 
+class CountingIds(Sequence):
+    """A passage table's ids that count every id read through them."""
+
+    def __init__(self, ids):
+        self.ids, self.reads = ids, 0
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        self.reads += len(range(len(self.ids))[i]) if isinstance(i, slice) else 1
+        return self.ids[i]
+
+
 class TestHybridSearch:
     REWRITE = RewriteConfig(gamma=RewriteConfig.HYBRID_GAMMA)
     FUSION = FusionConfig(alpha=0.3)
@@ -337,6 +363,30 @@ class TestHybridSearch:
             full = reference_hybrid_combine(sparse, dense, self.FUSION) if sparse else dense
             assert exact(got) == exact(full)[:k]
             assert len(got) == min(k, len(full))
+
+    def test_a_turn_builds_only_the_ids_it_returns(self, planted, planted_index, tmp_path, monkeypatch):
+        index = build_index(planted.corpus)  # its own: the test swaps its table's ids
+        save_embeddings(planted.store, manifest := str(tmp_path / "store.json"))
+        store = load_embeddings(manifest, index.table)
+        assert store.table is index.table
+        index.table.ranks  # built before the count starts: it reads every id once per table
+        index.table.ids = counting = CountingIds(index.table.ids)
+        searched = []  # the sparse and dense lists hybrid_search fuses
+        for name in ("search_sparse", "search_dense"):
+            search = getattr(fusion, name)
+            monkeypatch.setattr(fusion, name, lambda *a, search=search: searched.append(search(*a)) or searched[-1])
+        fused_turns = 0
+        for matrix in self.turn_matrices(planted):
+            want = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 1000, 10)[1]
+            searched.clear()
+            counting.reads = 0
+            got = hybrid_search(index, store, matrix, self.REWRITE, self.FUSION, 1000, 10)[1]
+            assert 0 < len(got) <= 10 and counting.reads == 0
+            assert all(r.table is index.table and holds_no_ids(r) for r in searched)
+            fused_turns += all(searched) and sum(map(len, searched)) > 10
+            entries = got.entries  # what converse prints
+            assert counting.reads == len(got) and exact(RankedList(entries)) == exact(want)
+        assert fused_turns > 0
 
     def test_k_must_be_positive(self, planted, planted_index):
         matrix = self.turn_matrices(planted)[0]

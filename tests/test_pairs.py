@@ -12,15 +12,15 @@ spec.loader.exec_module(pairs)
 
 METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "queries_per_s", "better": "higher"}]
 
-# A stand-in for perfbench/run.py: logs its checkout's name, then prints a report line
-# and the final JSON line; wall_s is read from the checkout's wall.txt, one value per run.
+# A stand-in for perfbench/run.py: logs its checkout's name and workload, then prints a report
+# line and the final JSON line; wall_s is read from the checkout's wall.txt, one value per run.
 STUB = textwrap.dedent("""
     import json, os, sys
     name = os.path.basename(os.getcwd())
     with open("../log.txt", "a") as fh:
-        fh.write(name + "\\n")
+        fh.write(name + " " + sys.argv[sys.argv.index("--workload") + 1] + "\\n")
     walls = open("wall.txt").read().split()
-    n = sum(1 for line in open("../log.txt") if line.strip() == name)
+    n = sum(1 for line in open("../log.txt") if line.split()[0] == name)
     wall = float(walls[n - 1])
     print("report " + json.dumps({"sha256_output": open("digest.txt").read().strip()}))
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "queries_per_s": {"value": 100 / wall, "unit": "1/s"}}
@@ -28,13 +28,14 @@ STUB = textwrap.dedent("""
 """)
 
 
-def checkout(tmp_path, name, walls, digest):
+def checkout(tmp_path, name, walls, digest, metrics=METRICS, workloads=("w",)):
     root = tmp_path / name
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB)
     (root / "wall.txt").write_text(" ".join(map(str, walls)))
     (root / "digest.txt").write_text(digest)
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    bench = {"workloads": [{"name": w} for w in workloads], "end_to_end": metrics}
+    (root / "BENCHMARK.json").write_text(json.dumps(bench))
     return str(root)
 
 
@@ -42,7 +43,7 @@ def test_pairs_alternate_order_and_report_medians_and_wins(tmp_path, capsys):
     parent = checkout(tmp_path, "parent", [1.0, 1.2, 1.1], "abc")
     change = checkout(tmp_path, "change", [0.9, 1.3, 0.8], "abc")
     assert pairs.main([parent, change, "--workload", "w", "--pairs", "3", "--seconds", "1"]) == 0
-    log = (tmp_path / "log.txt").read_text().split()
+    log = [line.split()[0] for line in (tmp_path / "log.txt").read_text().splitlines()]
     assert log == ["parent", "change", "change", "parent", "parent", "change"]
     out = capsys.readouterr().out
     wall = next(line for line in out.splitlines() if line.startswith("wall_s "))
@@ -99,3 +100,29 @@ def test_pairs_print_a_verdict_per_metric(tmp_path, capsys):
     assert next(line for line in out if line.startswith("metric ")).split()[-2:] == ["verdict", "better"]
     for name in ("wall_s ", "queries_per_s "):
         assert next(line for line in out if line.startswith(name)).split()[-4:] == ["gain", "10", "of", "10"]
+
+
+def test_pairs_interleave_every_declared_workload_with_a_table_each(tmp_path, capsys):
+    parent = checkout(tmp_path, "parent", [1.0, 2.0, 1.0, 2.0], "abc", workloads=("a", "b"))
+    change = checkout(tmp_path, "change", [0.9, 1.8, 0.9, 1.8], "abc", workloads=("a", "b"))
+    assert pairs.main([parent, change, "--pairs", "2", "--seconds", "1"]) == 0
+    log = (tmp_path / "log.txt").read_text().splitlines()
+    assert log == ["parent a", "change a", "parent b", "change b", "change a", "parent a", "change b", "parent b"]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out if " alternating pairs " in line] == ["a", "b"]
+    walls = [line.split()[1:3] for line in out if line.startswith("wall_s ")]
+    assert walls == [["1", "0.9"], ["2", "1.8"]]
+
+    (tmp_path / "log.txt").unlink()
+    assert pairs.main([parent, change, "--workload", "b", "--pairs", "2", "--seconds", "1"]) == 0
+    assert (tmp_path / "log.txt").read_text().split()[1::2] == ["b"] * 4
+
+
+def test_pairs_fail_when_a_verdict_is_worse(tmp_path, capsys):
+    bounded = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
+    parent = checkout(tmp_path, "parent", [1.0] * 3, "abc", metrics=bounded)
+    change = checkout(tmp_path, "change", [1.5] * 3, "abc", metrics=bounded)
+    assert pairs.main([parent, change, "--pairs", "3", "--seconds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert next(line for line in out.splitlines() if line.startswith("wall_s ")).split()[-4] == "worse"
+    assert "sha256_output identical in 3 of 3 pairs" in out

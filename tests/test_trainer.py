@@ -17,6 +17,7 @@ from scipy import stats
 from conftest import dense_recall
 from cqe.core import Session, Turn, token_norm_report
 from cqe.corpus import WHITESPACE, Corpus, Passage, tokenize
+from cqe.ranking import RankedList
 from cqe.sparse import bm25_score, build_index, search_sparse
 from cqe.trainer import (
     UNK_TOKEN,
@@ -272,6 +273,26 @@ class TestBuildWeakLabels:
 
         labels = build_weak_labels(corpus, sessions, index, Preferring())
         assert labels[0].positives == ["p2", "p3", "p1"]
+
+    def test_tied_table_teacher_scores_label_like_from_scores(self):
+        ids = ["p9", "p3", "p7", "p1", "p5", "p2", "p8"]  # row order is not id order
+        corpus = Corpus([Passage(pid, f"apple w{i % 2}") for i, pid in enumerate(ids)])
+        sessions = [Session("s", [Turn("about apple", "apple"), Turn("and w1", "apple w1")])]
+        tied = [1.0, 0.0, -0.0, 1.0, 0.5, -0.0, 1.0]
+        teacher = TableTeacher({(t.manual_rewrite, pid): s for t in sessions[0].turns for pid, s in zip(ids, tied)})
+        index = build_index(corpus)
+        got = build_weak_labels(corpus, sessions, index, teacher, pool_size=5)
+        want = []
+        for i, turn in enumerate(sessions[0].turns):
+            pool = search_sparse(index, tokenize(turn.manual_rewrite), 1000).docids()
+            rescored = RankedList.from_scores(list(zip(pool, teacher.scores([turn.manual_rewrite], pool)[0].tolist())))
+            teacher_pool = [(e.docid, e.score) for e in rescored.head(5)]
+            want.append(TurnLabels(sessions[0].qid(i), turn.manual_rewrite, rescored.head(3).docids(), pool[:5],
+                                   teacher_pool))
+        assert got == want and len(got) == 2
+        assert [[(d, type(s), s.hex()) for d, s in t.teacher_pool] for t in got] == [
+            [(d, float, s.hex()) for d, s in t.teacher_pool] for t in want
+        ]
 
     def test_bm25_teacher_reproduces_bm25_top3(self, planted, planted_index):
         teacher = _BM25Teacher(planted_index)
