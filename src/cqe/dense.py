@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Sequence
 
 import numpy as np
 
@@ -52,16 +51,6 @@ class PassageEmbeddingStore:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
-
-    def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self.table.row
-
-    def rows(self, passage_ids: Sequence[str]) -> np.ndarray:
-        """The row of each of ``passage_ids``; KeyError naming the first unknown id."""
-        try:
-            return np.fromiter(map(self.table.row.__getitem__, passage_ids), np.intp, len(passage_ids))
-        except KeyError as exc:
-            raise KeyError(f"unknown passage id {exc.args[0]!r}") from None
 
 
 # Store and encoder files: a manifest, one JSON line {<size>: int, ..., "dtype": "f32le"}, and

@@ -32,17 +32,17 @@ def hybrid_combine(
 
     A document missing from one list takes that list's minimum observed
     score as a substitute. The output covers the full union of both lists
-    in :meth:`RankedList.from_scores` order; callers cut it to the depth
-    they need with :meth:`RankedList.head`. Lists of one :class:`PassageTable`
-    meet by row; others by id, through a table of the union's ids.
+    by descending score, then ascending id; callers cut it to the depth they
+    need with :meth:`RankedList.head`. Lists of one :class:`PassageTable`
+    meet by row; lists of two by id, through a table of the union's ids.
     """
     config = config or FusionConfig()
     if not sparse or not dense:
         raise ValueError("hybrid_combine requires two non-empty lists")
     table, rows = sparse.table, (sparse.rows, dense.rows)
-    if table is None or table is not dense.table:
+    if table is not dense.table:
         slot: dict[str, int] = {}  # union id -> its row, sparse ids first
-        rows = [np.array([slot.setdefault(d, len(slot)) for d in r.columns()[0]], np.intp) for r in (sparse, dense)]
+        rows = [np.array([slot.setdefault(d, len(slot)) for d in r.docids()], np.intp) for r in (sparse, dense)]
         table = PassageTable(list(slot))
     union, slots = np.unique(np.concatenate(rows), return_inverse=True)
     sides = zip((sparse, dense), np.split(slots, [len(sparse)]))
@@ -94,6 +94,6 @@ def rrf(
         raise ValueError("rrf requires at least one list")
     accum: dict[str, float] = {}
     for ranked in lists:
-        for docid, rank in zip(ranked.columns()[0], ranked.ranks()):
+        for docid, rank in zip(ranked.docids(), ranked.ranks()):
             accum[docid] = accum.get(docid, 0.0) + 1.0 / (config.rrf_k + rank)
     return RankedList.from_scores(accum.items(), k)

@@ -80,12 +80,6 @@ class InvertedIndex:
         span = self.spans.get(term)
         return None if span is None else (self.ordinals[span], self.tfs[span])
 
-    def ordinal(self, passage_id: str) -> int:
-        try:
-            return self.table.row[passage_id]
-        except KeyError:
-            raise ValueError(f"unknown passage id {passage_id!r}") from None
-
 
 def build_index(corpus: Corpus, config: BM25Config | None = None) -> InvertedIndex:
     """Index a tokenized corpus; the corpus must be non-empty.
@@ -144,7 +138,7 @@ def bm25_score(index: InvertedIndex, query_tokens: Iterable[str], passage_id: st
     Terms absent from the passage contribute 0; the score is additive
     over query-term multiplicity.
     """
-    ordinal = index.ordinal(passage_id)
+    ordinal = int(index.table.rows([passage_id])[0])
     doc_length = int(index.doc_lengths[ordinal])
     ordinals = memoryview(index.ordinals)  # bisects in C with Python ints, no numpy call per term
     score = 0.0

@@ -84,7 +84,7 @@ class CosineTeacher:
 
     def scores(self, texts: Sequence[str], ids: Sequence[str]) -> np.ndarray:
         """float64 ``len(texts) x len(ids)`` cosines; 0.0 where either vector is zero."""
-        rows = self._store.rows(ids)
+        rows = self._store.table.rows(ids)
         vecs = self._store.vectors[rows].astype(np.float64)
         norms = self._norms[rows]
         for j in np.flatnonzero(np.isnan(norms)).tolist():
@@ -598,7 +598,7 @@ def train(
         raise ValueError("no labeled turns to train on")
     labeled = {pid for t in labels for pid in t.positives + t.bm25_pool}
     labeled.update(pid for t in labels for pid, _ in t.teacher_pool)
-    _require_ids(labeled, store, "passage store is missing labeled ids")
+    _require_ids(labeled, store.table.row, "passage store is missing labeled ids")
     if config.use_soft_labels:
         _require_ids(labeled, corpus, "corpus is missing labeled ids")
 
@@ -610,7 +610,7 @@ def train(
         batch = [sampler.sample(order[i % len(order)]) for i in range(first, first + config.batch_size)]
         # positives and negatives in first-seen order
         pool_ids = list(dict.fromkeys(pid for inst in batch for pid in (inst.positive_id, inst.negative_id)))
-        passage_vecs = store.vectors[store.rows(pool_ids)].astype(np.float64)
+        passage_vecs = store.vectors[store.table.rows(pool_ids)].astype(np.float64)
         teacher_scores = None
         if config.use_soft_labels:
             teacher_scores = teacher.scores([inst.rewrite for inst in batch], pool_ids)

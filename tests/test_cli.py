@@ -24,6 +24,7 @@ from cqe.sparse import InvertedIndex, build_index, save_index
 from cqe.synth import write_planted_dataset
 from cqe.trainer import ToyQueryEncoder, load_weak_labels, save_weak_labels
 from test_dense import reference_search_dense
+from test_fusion import reference_rrf
 
 
 @pytest.fixture(scope="session")
@@ -243,6 +244,28 @@ class TestFuseRRF:
         assert fused.docids() == expected.docids()
         for got, want in zip(fused, expected):
             assert got.score == pytest.approx(want.score, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [None, 2, 3])
+    def test_file_equals_reference_lines(self, k, tmp_path):
+        # a and e tie (1/62 + 1/65 either way round) and take id order; run b numbers its ranks freely
+        runs = {
+            "a": [("q1", "b", 1, 2.0), ("q1", "a", 2, 2.0), ("q1", "c", 3, 1.0), ("q1", "f", 4, 0.5),
+                  ("q1", "e", 5, 0.5), ("q2", "x", 1, 1.0)],
+            "b": [("q1", "e", 2, 0.5), ("q1", "a", 5, 0.4), ("q1", "d", 5, 0.3), ("q1", "b", 11, 0.1)],
+        }
+        for name, rows in runs.items():
+            (tmp_path / name).write_text("".join(f"{q} Q0 {d} {r} {s!r} {name}\n" for q, d, r, s in rows))
+        out = tmp_path / "fused.txt"
+        argv = ["fuse-rrf", "--runs", str(tmp_path / "a"), str(tmp_path / "b"), "--output", str(out)]
+        with pytest.warns(UserWarning, match="rank 2 at position 1"):
+            assert run_cli([*argv, *(["--k", str(k)] if k else [])]) == 0
+        want = ""
+        for q in ("q1", "q2"):
+            per_run = [[(d, s, r) for qid, d, r, s in rows if qid == q] for rows in runs.values()]
+            want += "".join(f"{q} Q0 {d} {r} {s!r} rrf\n" for d, s, r in reference_rrf(per_run, 60.0, k))
+        assert out.read_bytes() == want.encode()
+        tie = 1 / 62 + 1 / 65
+        assert want.startswith(f"q1 Q0 a 1 {tie!r} rrf\nq1 Q0 e 2 {tie!r} rrf\n")
 
 
 class TestEval:
@@ -1077,6 +1100,15 @@ class TestLabellingInputs:
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == "error: pool-size must be >= 1, got -1\n"
+
+    def test_passage_absent_from_store_ends_labelling(self, planted, workspace, tmp_path, capsys):
+        store, manifest = planted.store, str(tmp_path / "store.json")
+        save_embeddings(PassageEmbeddingStore(store.ids[1:], store.vectors[1:]), manifest)  # the first row dropped
+        argv = ["build-weak-labels", "--corpus", workspace["corpus"], "--index", workspace["index"],
+                "--store", manifest, "--sessions", workspace["sessions"], "--output", str(tmp_path / "labels.jsonl")]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: unknown passage id {store.ids[0]!r}\n"
 
     def corpus_without_labeled_passage(self, workspace, tmp_path):
         """A copy of the corpus without the first positive of the training labels, and that id."""

@@ -67,12 +67,12 @@ class TestStore:
     def test_basic_lookup(self):
         store = PassageEmbeddingStore(["a", "b", "c"], np.arange(12, dtype=np.float32).reshape(3, 4))
         assert store.count == 3 and store.dim == 4
-        assert np.array_equal(store.vectors[store.rows(["b"])[0]], np.array([4, 5, 6, 7], dtype=np.float32))
+        assert np.array_equal(store.vectors[store.table.rows(["b"])[0]], np.array([4, 5, 6, 7], dtype=np.float32))
 
     def test_rows_give_each_position(self):
         store = PassageEmbeddingStore(["b", "a", "c"], np.zeros((3, 2), dtype=np.float32))
-        assert store.rows(["b", "a", "c"]).tolist() == [0, 1, 2]
-        assert store.rows(["c", "b", "c"]).tolist() == [2, 0, 2]
+        assert store.table.rows(["b", "a", "c"]).tolist() == [0, 1, 2]
+        assert store.table.rows(["c", "b", "c"]).tolist() == [2, 0, 2]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate passage id 'a'"):
@@ -136,7 +136,8 @@ class TestIO:
         save_embeddings(store, manifest)
         loaded = load_embeddings(manifest)
         for pid in store.ids:
-            assert np.array_equal(loaded.vectors[loaded.rows([pid])[0]], store.vectors[store.rows([pid])[0]])
+            (got,), (want,) = loaded.table.rows([pid]), store.table.rows([pid])
+            assert np.array_equal(loaded.vectors[got], store.vectors[want])
 
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -220,7 +221,7 @@ class TestSharedTable:
         assert exact(search_dense(store, query, 5)) == exact(search_dense(load_embeddings(manifest), query, 5))
         search_sparse(index, ["common"], 5)
         assert store.table.ranks is index.table.ranks  # one id-rank array, built by whichever search came first
-        assert store.rows(index.ids[3:6]).tolist() == [3, 4, 5]
+        assert store.table.rows(index.ids[3:6]).tolist() == [3, 4, 5]
 
     @pytest.mark.parametrize(
         "case",

@@ -65,12 +65,12 @@ def exact(ranked):
 
 
 def as_columns(ranked):
-    """The same results as a column-form list."""
+    """The same results as a list from :meth:`RankedList.from_columns`, over a table of its own ids."""
     return RankedList.from_columns(ranked.docids(), np.array([e.score for e in ranked]))
 
 
 def eager(ranked):
-    """The same results as a list from :meth:`RankedList.from_scores`, which keeps its ids and no table."""
+    """The same results as a list from :meth:`RankedList.from_scores`, over a table of its own ids."""
     return RankedList.from_scores(list(zip(ranked.docids(), ranked.scores().tolist())))
 
 
@@ -306,6 +306,39 @@ class TestRRF:
         assert rrf(lists, k=10_000).entries == full.entries
         with pytest.raises(ValueError, match="k must be >= 1"):
             rrf(lists, k=0)
+
+
+def reference_rrf(lists, rrf_k, k=None):
+    """rrf in plain Python over lists of (id, score, rank): 1 / (rrf_k + rank) added over the lists in order,
+    then (id, score, rank) rows by (-score, id), cut at ``k``."""
+    accum = {}
+    for ranked in lists:
+        for docid, _, rank in ranked:
+            accum[docid] = accum.get(docid, 0.0) + 1.0 / (rrf_k + rank)
+    items = sorted(accum.items(), key=lambda it: (-it[1], it[0]))[:k]
+    return [(d, s, r) for r, (d, s) in enumerate(items, start=1)]
+
+
+@st.composite
+def rrf_lists(draw):
+    """Lists over few short ids and few distinct scores, so fused scores tie, with a run file's list whose
+    ranks are free, such as [2, 5, 5, 11], among them."""
+    ids = st.text("ab", min_size=1, max_size=2)
+    scored = st.dictionaries(ids, st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=6)
+    lists = [RankedList.from_scores(draw(scored).items()) for _ in range(draw(st.integers(1, 3)))]
+    free = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    ranks = sorted(draw(st.lists(st.sampled_from([2, 5, 11]), min_size=len(free), max_size=len(free))))
+    lists.insert(draw(st.integers(0, len(lists))), RankedList.from_columns(free, np.zeros(len(free)), ranks))
+    return lists
+
+
+@settings(max_examples=200, deadline=None)
+@given(rrf_lists(), st.sampled_from([60.0, 1.0, 0.5]))
+def test_rrf_matches_reference_bit_for_bit(lists, rrf_k):
+    n = len({d for ranked in lists for d in ranked.docids()})
+    for k in [None, *range(1, n + 2)]:
+        want = [(d, s.hex(), r) for d, s, r in reference_rrf(lists, rrf_k, k)]
+        assert exact(rrf(lists, FusionConfig(rrf_k=rrf_k), k)) == want
 
 
 class CountingIds(Sequence):

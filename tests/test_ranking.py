@@ -1,4 +1,4 @@
-"""Ranked lists in their forms (entries, columns, rows of a passage table) and the exact orderings behind them."""
+"""Ranked lists from each constructor, all rows of a passage table, and the exact ordering behind them."""
 
 import numpy as np
 import pytest
@@ -6,65 +6,89 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import holds_no_ids
-from cqe.ranking import PassageTable, RankedEntry, RankedList, score_order, top_k
+from cqe.evaluation import read_run
+from cqe.ranking import PassageTable, RankedEntry, RankedList, top_k
 
 SCORED = [("b", 2.0), ("a", 2.0), ("c", 0.5), ("d", -0.0), ("e", -1.25)]
 
 
-def both_forms(scored):
-    """(entry-built, column-built) lists of the same results."""
-    entries = RankedList.from_scores(scored)
-    columns = RankedList.from_columns(entries.docids(), np.array([e.score for e in entries]))
-    return entries, columns
+def built_alike():
+    """{constructor: list} of the results SCORED ranks to, built each way a list is made."""
+    ranked = RankedList.from_scores(SCORED)
+    ids, scores = ranked.docids(), ranked.scores()
+    table = PassageTable(sorted(ids, reverse=True))  # row order is not id order
+    return {
+        "from_scores": ranked,
+        "entries": RankedList(ranked.entries),
+        "from_columns": RankedList.from_columns(ids, scores.copy()),
+        "top_k": top_k(table.rows(ids)[::-1].copy(), scores[::-1].copy(), table, len(ids)),
+        "head": RankedList.from_scores([*SCORED, ("f", -9.0)]).head(len(SCORED)),
+    }
 
 
-class TestTwoForms:
+def test_every_constructor_holds_one_form(tmp_path):
+    run = tmp_path / "run.txt"
+    run.write_text("q Q0 b 1 2.0 t\nq Q0 a 2 1.0 t\n")
+    ids = ["x", "y"]
+    lists = {
+        "empty": RankedList(), "empty columns": RankedList.from_columns([], np.empty(0)),
+        "own ids": RankedList.from_columns(ids, np.array([1.0, 0.0])), "read_run": read_run(str(run))["q"],
+        **built_alike(),
+    }
+    assert lists["own ids"].table.ids is ids  # kept, not copied
+    for name, ranked in lists.items():
+        assert set(vars(ranked)) == {"table", "rows", "_scores", "_ranks"}, name
+        assert isinstance(ranked.table, PassageTable) and ranked.rows.dtype.kind == "i", name
+        assert [ranked.table.ids[r] for r in ranked.rows.tolist()] == ranked.docids(), name
+
+
+class TestConstructors:
     def test_equal_and_read_alike(self):
-        entries, columns = both_forms(SCORED)
-        assert columns == entries and entries == columns
-        assert columns.docids() == entries.docids() == ["a", "b", "c", "d", "e"]
-        assert dict(zip(*columns.columns())) == dict(zip(*entries.columns()))
-        assert list(columns) == list(entries)
-        assert columns.entries == entries.entries
-        assert [e.rank for e in columns] == [1, 2, 3, 4, 5]
-        assert len(columns) == len(entries) == 5
-        assert bool(columns) and bool(entries)
-        assert repr(columns) == repr(entries)
+        lists = built_alike()
+        want = lists.pop("from_scores")
+        for name, got in lists.items():
+            assert got == want and want == got, name
+            assert got.docids() == want.docids() == ["a", "b", "c", "d", "e"]
+            assert dict(zip(*got.columns())) == dict(zip(*want.columns()))
+            assert got.scores().tobytes() == want.scores().tobytes()
+            assert list(got) == list(want) and got.entries == want.entries
+            assert [e.rank for e in got] == [1, 2, 3, 4, 5]
+            assert len(got) == 5 and bool(got) and repr(got) == repr(want)
 
-    def test_reads_alike_after_its_entries_are_built(self):
-        entries, columns = both_forms(SCORED)
-        ids, scores = columns.columns()
-        assert columns.entries == entries.entries  # the entries now replace the columns
-        assert columns.docids() == ids and dict(zip(*columns.columns())) == dict(zip(ids, scores.tolist()))
-        again_ids, again_scores = columns.columns()
-        assert again_ids == ids and again_scores.tobytes() == scores.tobytes()
-        assert columns.head(2) == entries.head(2) and len(columns) == 5
+    def test_ids_are_built_on_each_read(self):
+        for ranked in built_alike().values():
+            ids, scores = ranked.columns()
+            again_ids, again_scores = ranked.columns()
+            assert again_ids == ids and again_ids is not ids and again_scores is scores
+            assert ranked.docids() == ids and ranked.docids() is not ranked.docids()
 
     def test_entries_hold_python_numbers(self):
-        _, columns = both_forms(SCORED)
-        for e in columns:
-            assert type(e) is RankedEntry and type(e.score) is float and type(e.rank) is int
-        assert dict(zip(*columns.columns()))["d"].hex() == "-0x0.0p+0"
+        for ranked in built_alike().values():
+            for e in ranked:
+                assert type(e) is RankedEntry and type(e.score) is float and type(e.rank) is int
+            assert dict(zip(*ranked.columns()))["d"].hex() == "-0x0.0p+0"
 
     @pytest.mark.parametrize("k", [1, 3, 5, 8])
-    def test_head_cuts_both_forms_alike(self, k):
-        entries, columns = both_forms(SCORED)
-        assert columns.head(k) == entries.head(k) == RankedList(entries.entries[:k])
-        assert len(columns.head(k)) == min(k, 5)
+    def test_head_cuts_every_list_alike(self, k):
+        for ranked in built_alike().values():
+            head = ranked.head(k)
+            assert head == RankedList(ranked.entries[:k]) and len(head) == min(k, 5)
+            assert head.table is ranked.table and head.rows.base is None  # its own rows, the same table
 
     def test_order_matters(self):
-        entries, columns = both_forms(SCORED)
-        assert columns != RankedList(entries.entries[::-1])
-        assert columns != entries.entries
+        ranked = built_alike()["from_columns"]
+        assert ranked != RankedList(ranked.entries[::-1])
+        assert ranked != ranked.entries
 
     def test_empty_lists_are_falsy(self):
-        for empty in (RankedList(), RankedList([]), RankedList.from_columns([], np.empty(0))):
+        empties = (RankedList(), RankedList([]), RankedList.from_columns([], np.empty(0)), RankedList.from_scores([]))
+        for empty in empties:
             assert not empty and len(empty) == 0
             assert empty.docids() == [] and dict(zip(*empty.columns())) == {} and list(empty) == []
-        assert RankedList() == RankedList.from_columns([], np.empty(0))
+        assert RankedList() == RankedList.from_columns([], np.empty(0)) == RankedList.from_scores([])
 
     def test_positional_constructor_keeps_entries_as_given(self):
-        # Run files may hold ranks that do not count from 1; the entry form keeps them.
+        # Run files may hold ranks that do not count from 1; the constructor keeps them.
         ranked = RankedList([RankedEntry("x", 3.0, 7), RankedEntry("y", 1.0, 9)])
         assert [e.rank for e in ranked] == [7, 9]
         ids, scores = ranked.columns()
@@ -78,18 +102,9 @@ scores_and_ids = st.dictionaries(short_ids, tie_scores, min_size=1, max_size=30)
 
 
 def reference_from_scores(scored, k=None):
-    """from_scores as a Python sort by (-score, id), the rule score_order must reproduce."""
+    """from_scores as a Python sort by (-score, id), the rule top_k must reproduce."""
     items = sorted(scored, key=lambda it: (-it[1], it[0]))[:k]
     return [(d, float(s).hex(), r) for r, (d, s) in enumerate(items, start=1)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(scores_and_ids)
-def test_score_order_matches_from_scores(scored):
-    # against the reference sort: from_scores itself orders with score_order
-    ids = list(scored)
-    order = score_order(np.array([scored[d] for d in ids]), ids)
-    assert [ids[i] for i in order.tolist()] == [d for d, _, _ in reference_from_scores(scored.items())]
 
 
 @st.composite
@@ -128,6 +143,7 @@ def test_top_k_lists_and_heads_read_like_from_scores(candidates):
         assert_read_alike(head, RankedList.from_scores(scored).head(k))
         assert head.table is table and holds_no_ids(head)
     assert holds_no_ids(full) and full.docids() is not full.docids()  # built on each read, not kept
+
 
 @settings(max_examples=200, deadline=None)
 @given(scores_and_ids)

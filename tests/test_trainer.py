@@ -119,7 +119,7 @@ class _ReferenceCosineTeacher:
 
     def score(self, query_text, passage_id):
         q = self.embedder.embed(query_text)
-        v = self.store.vectors[self.store.rows([passage_id])[0]].astype(np.float64)
+        v = self.store.vectors[self.store.table.rows([passage_id])[0]].astype(np.float64)
         nq = np.linalg.norm(q)
         nv = np.linalg.norm(v)
         if nq == 0.0 or nv == 0.0:
@@ -240,7 +240,7 @@ class TestCosineTeacherMemo:
         assert CosineTeacher(planted.store).scores(["..."], planted.store.ids[:3]).tolist() == [[0.0] * 3]
 
     def test_unknown_passage_id_is_refused(self, planted):
-        with pytest.raises(KeyError, match="unknown passage id 'nope'"):
+        with pytest.raises(ValueError, match="unknown passage id 'nope'"):
             CosineTeacher(planted.store).scores(["a"], [planted.store.ids[0], "nope"])
 
 
