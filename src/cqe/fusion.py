@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,10 +22,10 @@ class FusionConfig:
     rrf_k: float = 60.0
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not (self.rrf_k > 0.0):
-            raise ValueError(f"rrf_k must be > 0, got {self.rrf_k}")
+        if not (0.0 <= self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (0.0 < self.rrf_k < math.inf):
+            raise ValueError(f"rrf_k must be finite and > 0, got {self.rrf_k}")
 
 
 def hybrid_combine(
@@ -47,7 +50,10 @@ def hybrid_combine(
     union, slots = np.unique(np.concatenate(rows), return_inverse=True)
     sides = zip((sparse, dense), np.split(slots, [len(sparse)]))
     sp, ds = (_spread(ranked.scores(), pos, len(union)) for ranked, pos in sides)
-    fused = config.alpha * sp + ds  # the same IEEE multiply and add as on Python floats
+    with np.errstate(over="ignore"):
+        fused = config.alpha * sp + ds  # the same IEEE multiply and add as on Python floats
+    if not np.isfinite(fused).all():
+        raise ValueError(f"alpha {config.alpha} overflows a fused score")
     return top_k(union, fused, table, len(union))
 
 
@@ -60,6 +66,30 @@ def _spread(scores: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:
     out = np.full(n, scores[np.argmax(scores == scores.min())])
     out[pos] = scores
     return out
+
+
+_worker_lock = threading.Lock()
+_worker = None  # the one thread hybrid_search runs sparse search on, started by the first hybrid turn
+
+
+def _forget_worker() -> None:
+    """In a forked child the parent's worker thread does not exist; the child's first hybrid turn starts its own."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; where processes cannot fork there is nothing to forget
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _sparse_worker():
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor  # imported here: commands that never fuse skip it
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="cqe-sparse")
+    return _worker
 
 
 def hybrid_search(
@@ -76,11 +106,21 @@ def hybrid_search(
     Dense search takes the pooled ``matrix``, sparse search its
     :func:`decontextualize` bag, each to ``depth``; :func:`hybrid_combine`
     fuses them. When one list is empty the other is returned as is.
+
+    Sparse search runs on one long-lived worker thread while dense search
+    screens the store on the calling thread; both are deterministic over
+    read-only inputs, so the result does not depend on it. The call returns
+    or raises only once both are done, with dense search's error first.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    dense = search_dense(store, pool(matrix), depth)
-    sparse = search_sparse(index, bag := decontextualize(matrix, rewrite), depth)
+    query, bag = pool(matrix), decontextualize(matrix, rewrite)
+    pending = _sparse_worker().submit(search_sparse, index, bag, depth)
+    try:
+        dense = search_dense(store, query, depth)
+    finally:
+        pending.exception()  # waits for sparse search without raising its error
+    sparse = pending.result()
     fused = hybrid_combine(sparse, dense, fusion) if sparse and dense else sparse or dense
     return bag, fused.head(k)
 

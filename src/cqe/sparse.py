@@ -33,8 +33,8 @@ class BM25Config:
     b: float = 0.68
 
     def __post_init__(self) -> None:
-        if not (self.k1 >= 0.0):
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not (0.0 <= self.k1 < math.inf):
+            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
         if not (0.0 <= self.b <= 1.0):
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 

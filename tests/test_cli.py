@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import pathlib
 import re
 import shutil
 import subprocess
@@ -193,6 +194,69 @@ class TestHybridConsistency:
             hybrid_runs = read_run(hybrid_out)
         for qid in dense_runs:
             assert hybrid_runs[qid].docids() == dense_runs[qid].docids()
+
+
+class TestNonFiniteSettings:
+    """A setting that makes scores infinite is refused with one error line, before any output is written."""
+
+    def refused(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("topic0 overview\n"))  # a turn for converse
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(argv)
+        out, err = capsys.readouterr()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert rc == 1 and "Traceback" not in err and err.count("\n") == 1 and err.startswith("error: ")
+        return out, err
+
+    def hybrid(self, workspace, out, *flags):
+        return ["search-hybrid", "--index", workspace["index"], "--store", workspace["store"], "--encoder",
+                workspace["encoder"], "--sessions", workspace["sessions"], "--k", "3", "--output", str(out), *flags]
+
+    @pytest.mark.parametrize("alpha, message", [
+        ("inf", "alpha must be finite and >= 0, got inf"),
+        ("1e308", "alpha 1e+308 overflows a fused score"),
+    ])
+    def test_search_hybrid_alpha(self, alpha, message, workspace, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run.txt"
+        _, err = self.refused(self.hybrid(workspace, out, "--alpha", alpha), capsys, monkeypatch)
+        assert err == f"error: {message}\n" and not out.exists()
+
+    def test_alpha_from_a_config_file(self, workspace, tmp_path, capsys, monkeypatch):
+        config, out = tmp_path / "config.json", tmp_path / "run.txt"
+        config.write_text('{"fusion": {"alpha": 1e999}}')
+        _, err = self.refused(self.hybrid(workspace, out, "--config", str(config)), capsys, monkeypatch)
+        assert err == f"error: {config}: alpha must be finite and >= 0, got inf\n" and not out.exists()
+
+    def test_converse_alpha(self, workspace, capsys, monkeypatch):
+        argv = ["converse", "--index", workspace["index"], "--store", workspace["store"],
+                "--encoder", workspace["encoder"], "--alpha", "inf"]
+        assert self.refused(argv, capsys, monkeypatch) == ("", "error: alpha must be finite and >= 0, got inf\n")
+
+    def test_fuse_rrf_k(self, tmp_path, capsys, monkeypatch):
+        run_path, out = str(tmp_path / "run.txt"), tmp_path / "fused.txt"
+        write_run(run_path, {"q1": RankedList.from_scores([("d1", 1.0), ("d2", 0.5)])}, "t")
+        argv = ["fuse-rrf", "--runs", run_path, run_path, "--rrf-k", "inf", "--output", str(out)]
+        _, err = self.refused(argv, capsys, monkeypatch)
+        assert err == "error: rrf_k must be finite and > 0, got inf\n" and not out.exists()
+
+    def test_index_sparse_k1(self, workspace, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "index.bin"
+        argv = ["index-sparse", "--corpus", workspace["corpus"], "--k1", "inf", "--output", str(out)]
+        _, err = self.refused(argv, capsys, monkeypatch)
+        assert err == "error: k1 must be finite and >= 0, got inf\n" and not out.exists()
+
+    def test_index_whose_conf_holds_an_infinite_k1(self, workspace, tmp_path, capsys, monkeypatch):
+        index, out = tmp_path / "index.bin", tmp_path / "run.txt"
+        raw = bytearray(pathlib.Path(workspace["index"]).read_bytes())
+        raw[24:32] = np.float64(np.inf).tobytes()  # CONF is the first section; k1 leads its payload
+        index.write_bytes(bytes(raw))
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"qid": "q", "text": "topic0 overview"}) + "\n")
+        argv = ["search-sparse", "--index", str(index), "--queries", str(queries), "--output", str(out)]
+        _, err = self.refused(argv, capsys, monkeypatch)
+        assert err == f"error: {index}: section CONF: k1 must be finite and >= 0, got inf\n" and not out.exists()
 
 
 class TestRewrite:

@@ -2,9 +2,18 @@
 
 import ast
 import glob
+import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+from cqe.core import save_token_matrices
+from cqe.corpus import tokenize
+from cqe.sparse import build_index, save_index
+from cqe.synth import write_planted_dataset
+from cqe.trainer import ToyQueryEncoder
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -44,3 +53,47 @@ def test_compare_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
     assert "p = " in proc.stdout
+
+
+# One CLI run in a fresh interpreter; the last line it prints: the exit code, whether
+# concurrent.futures was imported, and the live Python thread count.
+RUN_AND_COUNT = """
+import json, sys, threading
+from cqe import cli
+rc = cli.main(json.loads(sys.argv[1]))
+print(rc, "concurrent.futures" in sys.modules, threading.active_count())
+"""
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(planted, tmp_path_factory):
+    """The planted dataset's files, its index, and token matrices for two converse turns."""
+    root = tmp_path_factory.mktemp("threads")
+    paths = write_planted_dataset(planted, str(root))
+    paths["index"], paths["matrices"] = str(root / "index.bin"), str(root / "matrices.jsonl")
+    save_index(build_index(planted.corpus), paths["index"])
+    vocab = [tok for s in planted.sessions for t in s.turns for tok in tokenize(t.raw_utterance)]
+    encoder = ToyQueryEncoder.create(vocab, dim=planted.store.dim, seed=3)
+    save_token_matrices({"turn_1": encoder.encode([], ["topic0", "overview"]),
+                         "turn_2": encoder.encode(["topic0", "overview"], ["why", "change"])},
+                        paths["matrices"])
+    return paths
+
+
+def run_and_count(argv, stdin=""):
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_COUNT, json.dumps(argv)], input=stdin,
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_a_command_that_never_fuses_starts_no_thread(cli_inputs, tmp_path):
+    argv = ["search-dense", "--store", cli_inputs["store"], "--matrices", cli_inputs["matrices"],
+            "--k", "5", "--output", str(tmp_path / "run.txt")]
+    assert run_and_count(argv) == ["0", "False", "1"]
+
+
+def test_converse_starts_one_worker_thread(cli_inputs):
+    argv = ["converse", "--index", cli_inputs["index"], "--store", cli_inputs["store"],
+            "--matrices", cli_inputs["matrices"], "--k", "3"]
+    assert run_and_count(argv, "topic0 overview\nwhy change\nexit\n") == ["0", "True", "2"]

@@ -1,5 +1,11 @@
 """Hybrid min-substitution combination and reciprocal rank fusion."""
 
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -120,6 +126,15 @@ class TestHybridCombineExact:
         # alpha 0: every sparse-only document takes the dense minimum, 1.0
         got = hybrid_combine(sparse, tied, FusionConfig(alpha=0.0))
         assert got.docids() == ["a", "b", "c", "x", "y", "z"]
+
+    def test_overflowing_alpha_is_refused_without_a_warning(self):
+        sparse = RankedList.from_scores([("a", 2.0), ("b", 1.0)])
+        dense = RankedList.from_scores([("a", 0.5), ("c", 0.1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^alpha 1e\+308 overflows a fused score$"):
+                hybrid_combine(sparse, dense, FusionConfig(alpha=1e308))
+            assert len(hybrid_combine(sparse, dense, FusionConfig(alpha=1e307))) == 3
 
     def test_signed_zero_substitute_is_the_first_minimum(self):
         # The sparse minimum is a 0.0/-0.0 tie; min() takes the first in rank order ("a": -0.0).
@@ -421,6 +436,112 @@ class TestHybridSearch:
             assert counting.reads == len(got) and exact(RankedList(entries)) == exact(want)
         assert fused_turns > 0
 
+    @staticmethod
+    def loaded(planted, tmp_path):
+        """A fresh index and a store loaded over its table: no call has built the table's ranks yet."""
+        index = build_index(planted.corpus)
+        save_embeddings(planted.store, manifest := str(tmp_path / "store.json"))
+        store = load_embeddings(manifest, index.table)
+        assert store.table is index.table and "ranks" not in vars(index.table)
+        return index, store
+
+    def serial(self, index, store, matrix, depth, k):
+        """The fused list of both searches run one after the other on this thread."""
+        sparse = search_sparse(index, decontextualize(matrix, self.REWRITE), depth)
+        dense = search_dense(store, pool(matrix), depth)
+        return (hybrid_combine(sparse, dense, self.FUSION) if sparse and dense else sparse or dense).head(k)
+
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    def test_overlapped_search_equals_serial_reference(self, planted, tmp_path, k):
+        index, store = self.loaded(planted, tmp_path)
+        turns = self.turn_matrices(planted) * 3
+        # The first call meets the fresh table: both threads reach its ranks at once.
+        got = [hybrid_search(index, store, m, self.REWRITE, self.FUSION, 1000, k)[1] for m in turns]
+        assert all(len(r) == min(k, len(planted.corpus)) for r in got)
+        assert [exact(r) for r in got] == [exact(self.serial(index, store, m, 1000, k)) for m in turns]
+
+    def test_sparse_error_reaches_the_caller(self, planted, planted_index, monkeypatch):
+        matrix = self.turn_matrices(planted)[0]
+
+        def broken(*args):
+            raise ValueError("sparse side broke")
+
+        monkeypatch.setattr(fusion, "search_sparse", broken)
+        with pytest.raises(ValueError, match="^sparse side broke$"):
+            hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+
+    def test_dense_error_wins_once_both_halves_are_done(self, planted, planted_index, monkeypatch):
+        matrix, finished = self.turn_matrices(planted)[0], []
+
+        def slow_sparse(*args):
+            time.sleep(0.05)
+            finished.append(threading.current_thread() is not threading.main_thread())
+            raise ValueError("sparse side broke")
+
+        def dense(*args):
+            raise ValueError("dense side broke")
+
+        monkeypatch.setattr(fusion, "search_sparse", slow_sparse)
+        monkeypatch.setattr(fusion, "search_dense", dense)
+        with pytest.raises(ValueError, match="^dense side broke$"):
+            hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+        assert finished == [True]  # the sparse half ran on the worker and ended before the call raised
+        monkeypatch.undo()
+        got = hybrid_search(planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)[1]
+        assert exact(got) == exact(self.serial(planted_index, planted.store, matrix, 20, 5))
+
+    def test_one_worker_thread_serves_every_turn(self, planted, planted_index):
+        turns = self.turn_matrices(planted)
+        before = threading.active_count()
+        for i in range(200):
+            hybrid_search(planted_index, planted.store, turns[i % len(turns)], self.REWRITE, self.FUSION, 20, 5)
+        assert threading.active_count() <= before + 1
+
+    def test_concurrent_callers_share_one_worker(self, planted, tmp_path, monkeypatch):
+        """Callers on several threads, switching often, start one worker between them and get serial results."""
+        index, store = self.loaded(planted, tmp_path)
+        turns = self.turn_matrices(planted)
+        monkeypatch.setattr(fusion, "_worker", None)  # the first calls race to start it
+        workers = set()  # the threads sparse search ran on
+        monkeypatch.setattr(fusion, "search_sparse", lambda *a: workers.add(threading.current_thread()) or
+                            search_sparse(*a))
+        before, interval, got = threading.active_count(), sys.getswitchinterval(), {}
+
+        def caller(c):
+            got[c] = [hybrid_search(index, store, m, self.REWRITE, self.FUSION, 50, 10)[1] for m in turns]
+
+        callers = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in callers) and threading.active_count() == before + 1
+            assert len(workers) == 1 and workers.isdisjoint(callers)
+            want = [exact(self.serial(index, store, m, 50, 10)) for m in turns]
+            assert all([exact(r) for r in got[c]] == want for c in range(4))
+        finally:
+            fusion._worker.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, planted, planted_index):
+        matrix = self.turn_matrices(planted)[0]
+        args = (planted_index, planted.store, matrix, self.REWRITE, self.FUSION, 20, 5)
+        want = exact(hybrid_search(*args)[1])  # the parent's worker exists before the fork
+        pid = os.fork()
+        if pid == 0:  # the child: a turn that waited on the parent's worker would end by the alarm
+            code = 1
+            try:
+                signal.alarm(10)
+                code = 0 if exact(hybrid_search(*args)[1]) == want else 2
+            finally:
+                os._exit(code)  # never back into the test runner
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
     def test_k_must_be_positive(self, planted, planted_index):
         matrix = self.turn_matrices(planted)[0]
         with pytest.raises(ValueError, match="k must be >= 1"):
@@ -437,3 +558,8 @@ class TestFusionConfig:
             FusionConfig(alpha=-0.5)
         with pytest.raises(ValueError):
             FusionConfig(rrf_k=0.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                FusionConfig(alpha=bad)
+            with pytest.raises(ValueError, match="rrf_k must be finite"):
+                FusionConfig(rrf_k=bad)

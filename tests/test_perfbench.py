@@ -43,13 +43,16 @@ def tiny_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_passes_its_oracles_on_tiny_inputs(workload, tiny_inputs, tmp_path):
-    work, result = tmp_path / "work", tmp_path / "result.json"
-    work.mkdir()
-    proc = run("workload.py", "--workload", workload, "--data", tiny_inputs, "--work", work,
-               "--seconds", 0, "--seed", 1, "--result", result)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    got = json.loads(result.read_text())
-    assert (got["correct"], got["failed"]) == (True, 0), got["report"]["failures"]
+    """Traced too: the tracer wraps functions that hybrid search calls on its worker thread."""
+    for trace in (0, 1):
+        work, result = tmp_path / f"work{trace}", tmp_path / f"result{trace}.json"
+        work.mkdir()
+        proc = run("workload.py", "--workload", workload, "--data", tiny_inputs, "--work", work,
+                   "--seconds", 0, "--seed", 1, "--trace", trace, "--result", result)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        got = json.loads(result.read_text())
+        assert (got["correct"], got["failed"]) == (True, 0), got["report"]["failures"]
+        assert not [line for line in proc.stderr.splitlines() if line.startswith("trace:")], proc.stderr
 
 
 # Targets that no longer resolve, each with the reason it is left as it is. The benchmark refresh

@@ -75,6 +75,9 @@ class TestBM25Config:
             BM25Config(k1=-0.1)
         with pytest.raises(ValueError):
             BM25Config(b=1.5)
+        for k1 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="k1 must be finite"):
+                BM25Config(k1=k1)
 
 
 def pairs(index, term):
