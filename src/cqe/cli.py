@@ -266,10 +266,10 @@ def _cmd_train_toy(args, cfg: EngineConfig) -> int:
     vocab_tokens = [tok for s in sessions for turn in s.turns for tok in tokenize(turn.raw_utterance)]
     encoder = ToyQueryEncoder.create(vocab_tokens, dim=store.dim, seed=cfg.train.seed)
     teacher = CosineTeacher(store) if cfg.train.use_soft_labels else None
-    result = train(encoder, labels, sessions, store, cfg.train, teacher=teacher, corpus=corpus)
+    losses = train(encoder, labels, sessions, store, cfg.train, teacher=teacher, corpus=corpus)
     out = _output_path(args.output, "encoder checkpoint")
-    result.encoder.save(out)
-    first, last = (result.losses[0], result.losses[-1]) if result.losses else (math.nan, math.nan)
+    encoder.save(out)
+    first, last = (losses[0], losses[-1]) if losses else (math.nan, math.nan)
     print(
         f"trained {cfg.train.steps} steps (batch {cfg.train.batch_size}, "
         f"lr {cfg.train.learning_rate}): loss {first:.4f} -> {last:.4f}; saved {out}"
@@ -280,9 +280,8 @@ def _cmd_train_toy(args, cfg: EngineConfig) -> int:
 _METRICS = ("ndcg", "ndcg@3", "recall")
 
 
-def _evaluate(args, qrels_path: str, run_path: str):
+def _evaluate(args, run, qrels):
     """(report, label) for one run under ``args.metric``; ``ndcg@3`` is nDCG at cutoff 3."""
-    run, qrels = read_run(run_path), read_qrels(qrels_path)
     cutoff = 3 if args.metric == "ndcg@3" else args.cutoff
     if args.metric == "recall":
         return recall_at(run, qrels, cutoff or 1000, args.min_grade), f"recall@{cutoff or 1000}"
@@ -291,7 +290,7 @@ def _evaluate(args, qrels_path: str, run_path: str):
 
 def _cmd_eval(args, cfg: EngineConfig) -> int:
     qrels_path = _input_path(cfg.qrels, "qrels")
-    report, label = _evaluate(args, qrels_path, _input_path(args.run, "run"))
+    report, label = _evaluate(args, read_run(_input_path(args.run, "run")), read_qrels(qrels_path))
     if args.per_query:
         for qid in sorted(report.per_query):
             print(f"{qid} {report.per_query[qid]:.4f}")
@@ -302,8 +301,9 @@ def _cmd_eval(args, cfg: EngineConfig) -> int:
 
 def _cmd_compare(args, cfg: EngineConfig) -> int:
     qrels_path = _input_path(cfg.qrels, "qrels")
-    system, label = _evaluate(args, qrels_path, _input_path(args.run, "run"))
-    baseline, _ = _evaluate(args, qrels_path, _input_path(args.baseline, "baseline run"))
+    run, qrels = read_run(_input_path(args.run, "run")), read_qrels(qrels_path)
+    system, label = _evaluate(args, run, qrels)
+    baseline, _ = _evaluate(args, read_run(_input_path(args.baseline, "baseline run")), qrels)
     wins, ties = win_tie(system, baseline)
     qids = sorted(system.per_query)
     t, p = paired_t_test(

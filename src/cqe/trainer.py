@@ -246,76 +246,6 @@ def load_weak_labels(path: str) -> list[TurnLabels]:
 
 
 # ---------------------------------------------------------------------------
-# Triplet sampling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrainingInstance:
-    """One (conversational query, positive, negative) training triplet."""
-
-    qid: str
-    context_tokens: list[str]
-    query_tokens: list[str]
-    rewrite: str
-    positive_id: str
-    negative_id: str
-
-    def __post_init__(self) -> None:
-        if self.positive_id == self.negative_id:
-            raise ValueError("positive and negative must differ")
-
-
-class TripletSampler:
-    """Samples triplets: a uniform positive and a uniform eligible negative per call.
-
-    Negatives come from the BM25 pool, or from the teacher-reranked pool
-    when hard negatives are enabled, always excluding the positives. Every
-    call draws both with replacement; :func:`train` samples each turn once
-    per pass over the labels.
-    """
-
-    def __init__(
-        self,
-        labels: Sequence[TurnLabels],
-        sessions: Sequence[Session],
-        rng: np.random.Generator,
-        use_hard_negatives: bool = False,
-    ):
-        turns = {s.qid(i): (s, i) for s in sessions for i in range(len(s.turns))}
-        # per labelled turn: its labels, (context, query) tokens and eligible negatives
-        self._turns: dict[str, tuple[TurnLabels, tuple[list[str], list[str]], list[str]]] = {}
-        for lab in labels:
-            if lab.qid not in turns:
-                raise ValueError(f"labels refer to unknown turn {lab.qid!r}")
-            session, turn_index = turns[lab.qid]
-            pool = [d for d, _ in lab.teacher_pool] if use_hard_negatives else lab.bm25_pool
-            positives = set(lab.positives)
-            eligible = [d for d in pool if d not in positives]
-            self._turns[lab.qid] = (lab, session.tokens_for_turn(turn_index), eligible)
-        self._rng = rng
-
-    def sample(self, qid: str) -> TrainingInstance:
-        try:
-            lab, (context_tokens, query_tokens), eligible = self._turns[qid]
-        except KeyError:
-            raise ValueError(f"no labels for turn {qid!r}") from None
-        positive = lab.positives[int(self._rng.integers(len(lab.positives)))]
-        if not eligible:
-            raise ValueError(f"turn {qid!r} has no eligible negatives")
-        # a full permutation, not integers(): it keeps the random stream, so encoders keep their bytes
-        negative = eligible[int(self._rng.permutation(len(eligible))[-1])]
-        return TrainingInstance(
-            qid=qid,
-            context_tokens=list(context_tokens),
-            query_tokens=list(query_tokens),
-            rewrite=lab.rewrite,
-            positive_id=positive,
-            negative_id=negative,
-        )
-
-
-# ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
@@ -442,11 +372,16 @@ class ToyQueryEncoder:
         return ToyQueryEncoder(self.vocab, self.embedding.copy(), self.projection.copy())
 
     def save(self, manifest_path: str) -> None:
-        """Manifest JSON plus f32 parameter blobs and a vocab line file."""
+        """Manifest JSON plus f32 parameter blobs and a vocab line file; ValueError, before any write,
+        unless every parameter is finite as float32."""
+        with np.errstate(over="ignore"):
+            embedding, projection = self.embedding.astype("<f4"), self.projection.astype("<f4")
+        if not (np.isfinite(embedding).all() and np.isfinite(projection).all()):
+            raise ValueError(f"{manifest_path}: parameters overflow float32")
         base = sidecar_base(manifest_path)
         write_manifest(manifest_path, dim=self.dim, vocab_size=len(self.vocab))
-        self.embedding.astype("<f4").tofile(base + ".emb.f32")
-        self.projection.astype("<f4").tofile(base + ".proj.f32")
+        embedding.tofile(base + ".emb.f32")
+        projection.tofile(base + ".proj.f32")
         write_lines(base + ".vocab", sorted(self.vocab, key=self.vocab.get))
 
     @classmethod
@@ -484,10 +419,10 @@ class TrainConfig:
     use_soft_labels: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0.0):
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (0.0 < self.tau < math.inf):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        if not (0.0 <= self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
@@ -495,9 +430,19 @@ class TrainConfig:
 
 
 @dataclass
-class TrainResult:
-    encoder: ToyQueryEncoder
-    losses: list[float]
+class TrainingInstance:
+    """One (conversational query, positive, negative) training triplet."""
+
+    qid: str
+    context_tokens: list[str]
+    query_tokens: list[str]
+    rewrite: str
+    positive_id: str
+    negative_id: str
+
+    def __post_init__(self) -> None:
+        if self.positive_id == self.negative_id:
+            raise ValueError("positive and negative must differ")
 
 
 def batch_gradients(
@@ -583,18 +528,20 @@ def train(
     config: TrainConfig,
     teacher=None,
     corpus: Corpus | None = None,
-) -> TrainResult:
-    """Gradient-descent fine-tuning of the query encoder; passages stay frozen.
+) -> list[float]:
+    """Gradient-descent fine-tuning of ``encoder`` in place; passages stay frozen. Returns the loss of each step.
 
-    Batches cycle through the labeled turns in order, so each pass samples
-    every turn once. Soft-label runs need a teacher and the corpus, which
-    must hold every labeled id: one ``teacher.scores`` call per batch scores
-    every in-batch (query, passage) pair. Fully deterministic for a fixed seed.
+    The i-th instance takes label ``i % len(labels)``, so each pass over
+    the labels draws every turn once: a uniform positive, then a uniform
+    negative from the BM25 pool, or with hard negatives the teacher pool,
+    less the positives; both with replacement. Soft-label runs need a
+    teacher and the corpus, which must hold every labeled id: one
+    ``teacher.scores`` call per batch scores every in-batch (query,
+    passage) pair. Fully deterministic for a fixed seed.
     """
     if config.use_soft_labels and (teacher is None or corpus is None):
         raise ValueError("soft-label training requires a teacher and the corpus")
-    order = [t.qid for t in labels]
-    if not order:
+    if not labels:
         raise ValueError("no labeled turns to train on")
     labeled = {pid for t in labels for pid in t.positives + t.bm25_pool}
     labeled.update(pid for t in labels for pid, _ in t.teacher_pool)
@@ -602,12 +549,27 @@ def train(
     if config.use_soft_labels:
         _require_ids(labeled, corpus, "corpus is missing labeled ids")
 
+    turns = {s.qid(i): (s, i) for s in sessions for i in range(len(s.turns))}
+    records = []  # per label: the label, its turn's (context, query) tokens and its eligible negatives
+    for lab in labels:
+        if lab.qid not in turns:
+            raise ValueError(f"labels refer to unknown turn {lab.qid!r}")
+        session, turn_index = turns[lab.qid]
+        pool = [d for d, _ in lab.teacher_pool] if config.use_hard_negatives else lab.bm25_pool
+        positives = set(lab.positives)
+        records.append((lab, session.tokens_for_turn(turn_index), [d for d in pool if d not in positives]))
     rng = np.random.default_rng(config.seed)
-    sampler = TripletSampler(labels, sessions, rng, config.use_hard_negatives)
     losses: list[float] = []
     for step in range(config.steps):
-        first = step * config.batch_size
-        batch = [sampler.sample(order[i % len(order)]) for i in range(first, first + config.batch_size)]
+        batch = []
+        for i in range(step * config.batch_size, (step + 1) * config.batch_size):
+            lab, (context_tokens, query_tokens), eligible = records[i % len(records)]
+            positive = lab.positives[int(rng.integers(len(lab.positives)))]
+            if not eligible:
+                raise ValueError(f"turn {lab.qid!r} has no eligible negatives")
+            # a full permutation, not integers(): it keeps the random stream, so encoders keep their bytes
+            negative = eligible[int(rng.permutation(len(eligible))[-1])]
+            batch.append(TrainingInstance(lab.qid, context_tokens, query_tokens, lab.rewrite, positive, negative))
         # positives and negatives in first-seen order
         pool_ids = list(dict.fromkeys(pid for inst in batch for pid in (inst.positive_id, inst.negative_id)))
         passage_vecs = store.vectors[store.table.rows(pool_ids)].astype(np.float64)
@@ -622,4 +584,4 @@ def train(
         losses.append(loss)
         encoder.embedding -= config.learning_rate * grad_emb
         encoder.projection -= config.learning_rate * grad_proj
-    return TrainResult(encoder, losses)
+    return losses

@@ -55,10 +55,10 @@ def dense_recall(encoder, dataset, qids, cutoff=10):
 
 @pytest.fixture(scope="session")
 def planted_training(planted, planted_labels):
-    """(untrained encoder, trained result, training-label subset)."""
+    """(untrained encoder, trained encoder, training-label subset)."""
     held = set(planted.held_out_qids)
     train_labels = [t for t in planted_labels if t.qid not in held]
     encoder = ToyQueryEncoder.create(session_vocab(planted.sessions), dim=planted.store.dim, seed=0)
     untrained = encoder.copy()
-    result = train(encoder, train_labels, planted.sessions, planted.store, TrainConfig(seed=0))
-    return untrained, result, train_labels
+    train(encoder, train_labels, planted.sessions, planted.store, TrainConfig(seed=0))
+    return untrained, encoder, train_labels

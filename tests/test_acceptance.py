@@ -283,18 +283,18 @@ def acceptance_training(planted, planted_labels):
     encoder = ToyQueryEncoder.create(session_vocab(planted.sessions), dim=planted.store.dim, seed=0)
     untrained = encoder.copy()
     start = time.monotonic()
-    result = train(encoder, train_labels, planted.sessions, planted.store, TrainConfig(seed=0))
+    losses = train(encoder, train_labels, planted.sessions, planted.store, TrainConfig(seed=0))
     elapsed = time.monotonic() - start
-    return untrained, result, elapsed
+    return untrained, encoder, losses, elapsed
 
 
 def test_criterion_6_training_efficacy(planted, acceptance_training):
-    untrained, result, elapsed = acceptance_training
+    untrained, trained, losses, elapsed = acceptance_training
     before = dense_recall(untrained, planted, planted.held_out_qids)
-    after = dense_recall(result.encoder, planted, planted.held_out_qids)
-    tenth = max(1, len(result.losses) // 10)
-    first = float(np.mean(result.losses[:tenth]))
-    last = float(np.mean(result.losses[-tenth:]))
+    after = dense_recall(trained, planted, planted.held_out_qids)
+    tenth = max(1, len(losses) // 10)
+    first = float(np.mean(losses[:tenth]))
+    last = float(np.mean(losses[-tenth:]))
     ok = after > before and last < first and elapsed < 120.0
     report(
         6,
@@ -305,12 +305,12 @@ def test_criterion_6_training_efficacy(planted, acceptance_training):
 
 
 def test_criterion_7_norm_adaptation(planted, acceptance_training):
-    _, result, _ = acceptance_training
+    _, trained, _, _ = acceptance_training
     ok = True
     for si, session in enumerate(planted.sessions):
         last_turn = len(session.turns) - 1
         context, query = session.tokens_for_turn(last_turn)
-        matrix = result.encoder.encode(context, query)
+        matrix = trained.encode(context, query)
         norms = {r.token: r.l2_norm for r in token_norm_report(matrix)}
         normalized = {r.token: r.normalized_norm for r in token_norm_report(matrix)}
         topic = planted.topic_tokens[si]

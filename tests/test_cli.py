@@ -247,6 +247,20 @@ class TestNonFiniteSettings:
         _, err = self.refused(argv, capsys, monkeypatch)
         assert err == "error: k1 must be finite and >= 0, got inf\n" and not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning_rate must be finite and >= 0, got nan"),
+        ("--lr", "inf", "learning_rate must be finite and >= 0, got inf"),
+        ("--lr", "1e308", "{out}: parameters overflow float32"),
+        ("--tau", "inf", "tau must be finite and > 0, got inf"),
+    ])
+    def test_train_toy(self, flag, value, message, workspace, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "encoder.json"
+        argv = ["train-toy", "--labels", workspace["labels_train"], "--sessions", workspace["sessions"],
+                "--corpus", workspace["corpus"], "--store", workspace["store"], "--steps", "1",
+                flag, value, "--output", str(out)]
+        _, err = self.refused(argv, capsys, monkeypatch)
+        assert err == f"error: {message.format(out=out)}\n" and list(tmp_path.iterdir()) == []
+
     def test_index_whose_conf_holds_an_infinite_k1(self, workspace, tmp_path, capsys, monkeypatch):
         index, out = tmp_path / "index.bin", tmp_path / "run.txt"
         raw = bytearray(pathlib.Path(workspace["index"]).read_bytes())
@@ -378,7 +392,7 @@ class TestEval:
 
 
 class TestCompare:
-    def test_reports_wins_and_significance(self, tmp_path, capsys):
+    def test_reports_wins_and_significance(self, tmp_path, capsys, monkeypatch):
         qrels = {f"q{i}": {"a": 3, "b": 2} for i in range(6)}
         qrels_path = str(tmp_path / "qrels.txt")
         write_qrels(qrels, qrels_path)
@@ -387,6 +401,8 @@ class TestCompare:
         run_a, run_b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         write_run(run_a, better, "s")
         write_run(run_b, worse, "b")
+        reads = []
+        monkeypatch.setattr(cli, "read_qrels", lambda path: reads.append(path) or read_qrels(path))
         assert (
             run_cli(["compare", "--run", run_a, "--baseline", run_b,
                      "--qrels", qrels_path, "--metric", "ndcg@3"]) == 0
@@ -394,6 +410,7 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "wins 6 ties 0 losses 0" in out
         assert "t = " in out and "p = " in out
+        assert reads == [qrels_path]
 
 
 class TestTrainingPipeline:
@@ -1202,6 +1219,34 @@ class TestLabellingInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(dropped) in err
         assert run_cli([*argv[:-3], "--output", str(tmp_path / "plain.json")]) == 0  # only the teacher needs it
+
+    def train_toy_error(self, workspace, labels, tmp_path, capsys):
+        """The stderr of a failing train-toy over ``labels``, which leaves its output directory empty."""
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train-toy", "--labels", labels, "--sessions", workspace["sessions"], "--corpus", workspace["corpus"],
+                "--store", workspace["store"], "--steps", "2", "--output", str(out / "encoder.json")]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert list(out.iterdir()) == []
+        return capsys.readouterr().err
+
+    def test_labels_of_an_unknown_turn_end_training(self, workspace, tmp_path, capsys):
+        labels = load_weak_labels(workspace["labels_train"])
+        labels[-1].qid = "nosuch_1"
+        path = str(tmp_path / "labels.jsonl")
+        save_weak_labels(labels, path)
+        err = self.train_toy_error(workspace, path, tmp_path, capsys)
+        assert err == "error: labels refer to unknown turn 'nosuch_1'\n"
+
+    def test_pools_of_only_positives_end_training(self, workspace, tmp_path, capsys):
+        path = str(tmp_path / "labels.jsonl")
+        argv = ["build-weak-labels", "--corpus", workspace["corpus"], "--index", workspace["index"],
+                "--store", workspace["store"], "--sessions", workspace["sessions"], "--depth", "3", "--output", path]
+        assert run_cli(argv) == 0
+        assert all(len(t.bm25_pool) == len(t.teacher_pool) == 3 for t in load_weak_labels(path))
+        err = self.train_toy_error(workspace, path, tmp_path, capsys)
+        assert err == "error: turn 's0_1' has no eligible negatives\n"
 
 
 # Store and encoder manifests with their sidecar files; each case corrupts

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import dense_recall
+from cqe import trainer
 from cqe.core import Session, Turn, token_norm_report
 from cqe.corpus import WHITESPACE, Corpus, Passage, tokenize
+from cqe.dense import PassageEmbeddingStore
 from cqe.ranking import RankedList
 from cqe.sparse import bm25_score, build_index, search_sparse
 from cqe.trainer import (
@@ -27,7 +29,6 @@ from cqe.trainer import (
     ToyQueryEncoder,
     TrainConfig,
     TrainingInstance,
-    TripletSampler,
     TurnLabels,
     batch_gradients,
     build_weak_labels,
@@ -142,8 +143,6 @@ class _CountingEmbedder(HashingTextEmbedder):
 
 def _store_with_zero_row(planted):
     """The planted store with its fourth vector zeroed, and that passage's id."""
-    from cqe.dense import PassageEmbeddingStore
-
     vectors = planted.store.vectors.copy()
     vectors[3] = 0.0
     return PassageEmbeddingStore(planted.store.ids, vectors), planted.store.ids[3]
@@ -169,11 +168,11 @@ class TestCosineTeacherMemo:
         runs = []
         for teacher in (CosineTeacher(planted.store), _ReferenceCosineTeacher(planted.store)):
             encoder = untrained.copy()
-            result = train(
+            losses = train(
                 encoder, train_labels, planted.sessions, planted.store, cfg,
                 teacher=teacher, corpus=planted.corpus,
             )
-            runs.append((encoder.embedding, encoder.projection, result.losses))
+            runs.append((encoder.embedding, encoder.projection, losses))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
@@ -214,8 +213,6 @@ class TestCosineTeacherMemo:
 
     def test_random_store_scores_equal_the_float32_row_formula_bitwise(self):
         """The per-pair formula over the float32 rows, each widened to float64 on its own."""
-        from cqe.dense import PassageEmbeddingStore
-
         rng = np.random.default_rng(21)
         f32 = rng.standard_normal((300, 24)).astype(np.float32)
         f32[7] = 0.0
@@ -427,8 +424,8 @@ def multi_turn_labels():
     return labels, sessions, qids
 
 
-# Draws of seed 11 over three epochs, one sample per turn per epoch as in
-# train(); recorded before the sampler cached its per-turn work.
+# Draws of seed 11 over three epochs, one instance per turn per epoch;
+# recorded before the draws cached their per-turn work.
 PINNED_DRAWS = {
     False: [
         ("p0", "p3"), ("p2", "p6"), ("p3", "p6"), ("p5", "p7"), ("p1", "p6"), ("p3", "p0"),
@@ -441,54 +438,74 @@ PINNED_DRAWS = {
 }
 
 
-class TestTripletSampler:
+@pytest.fixture
+def handed(monkeypatch):
+    """The instances train() hands batch_gradients, in order, recorded by a stand-in that
+    returns zero gradients."""
+    instances = []
+
+    def record(encoder, batch, *_):
+        instances.extend(batch)
+        return 0.0, np.zeros_like(encoder.embedding), np.zeros_like(encoder.projection)
+
+    monkeypatch.setattr(trainer, "batch_gradients", record)
+    return instances
+
+
+def train_on(labels, sessions, seed, batch_size, steps=1, hard=False):
+    """train() a fresh encoder over a store of equal rows holding every labelled id."""
+    ids = sorted({d for lab in labels for d in lab.positives + lab.bm25_pool + [d for d, _ in lab.teacher_pool]})
+    store = PassageEmbeddingStore(ids, np.ones((len(ids), 2)))
+    cfg = TrainConfig(batch_size=batch_size, steps=steps, seed=seed, use_hard_negatives=hard)
+    train(ToyQueryEncoder.create([], dim=2), labels, sessions, store, cfg)
+
+
+def pairs(instances):
+    return [(inst.positive_id, inst.negative_id) for inst in instances]
+
+
+class TestTrainDraws:
     @pytest.mark.parametrize("hard", [False, True])
-    def test_draws_over_epochs_are_pinned(self, hard):
+    def test_draws_over_epochs_are_pinned(self, handed, hard):
         labels, sessions, qids = multi_turn_labels()
-        sampler = TripletSampler(labels, sessions, np.random.default_rng(11), use_hard_negatives=hard)
+        train_on(labels, sessions, 11, len(qids), steps=3, hard=hard)
+        assert [inst.qid for inst in handed] == qids * 3
         by_qid = {s.qid(i): (s, i) for s in sessions for i in range(len(s.turns))}
-        draws = []
-        for _ in range(3):
-            for qid in qids:
-                inst = sampler.sample(qid)
-                session, i = by_qid[qid]
-                assert (inst.context_tokens, inst.query_tokens) == session.tokens_for_turn(i)
-                draws.append((inst.positive_id, inst.negative_id))
-        assert draws == PINNED_DRAWS[hard]
+        for inst in handed:
+            session, i = by_qid[inst.qid]
+            assert (inst.context_tokens, inst.query_tokens) == session.tokens_for_turn(i)
+        assert pairs(handed) == PINNED_DRAWS[hard]
 
-    def test_single_eligible_negative_is_forced(self):
+    def test_single_eligible_negative_is_forced(self, handed):
         labels, sessions = single_turn_labels(1)
-        sampler = TripletSampler(labels, sessions, np.random.default_rng(0))
-        inst = sampler.sample("s_1")
-        assert inst.negative_id == "n0"
-        assert inst.positive_id in {"g1", "g2", "g3"}
-        assert inst.positive_id != inst.negative_id
+        train_on(labels, sessions, 0, 1)
+        [(positive, negative)] = pairs(handed)
+        assert negative == "n0"
+        assert positive in {"g1", "g2", "g3"}
 
-    def test_same_seed_gives_same_sequence(self):
+    def test_same_seed_gives_same_sequence(self, handed):
         labels, sessions = single_turn_labels(20)
-        seqs = []
         for _ in range(2):
-            sampler = TripletSampler(labels, sessions, np.random.default_rng(99))
-            seqs.append([(i.positive_id, i.negative_id) for i in (sampler.sample("s_1") for _ in range(30))])
-        assert seqs[0] == seqs[1]
+            train_on(labels, sessions, 99, 30)
+        assert pairs(handed[:30]) == pairs(handed[30:])
 
-    def test_negative_frequencies_near_uniform(self):
+    def test_negative_frequencies_near_uniform(self, handed):
         labels, sessions = single_turn_labels(50)
-        sampler = TripletSampler(labels, sessions, np.random.default_rng(7))
-        counts = Counter(sampler.sample("s_1").negative_id for _ in range(10000))
+        train_on(labels, sessions, 7, 10000)
+        counts = Counter(negative for _, negative in pairs(handed))
         assert sorted(counts) == sorted(f"n{i}" for i in range(50))
         # one goodness-of-fit test over all 50 cells, not a 3-sigma bound per cell
         assert stats.chisquare(list(counts.values())).pvalue >= 0.001
 
-    def test_positive_frequencies_near_uniform(self):
+    def test_positive_frequencies_near_uniform(self, handed):
         labels, sessions = single_turn_labels(10)
-        sampler = TripletSampler(labels, sessions, np.random.default_rng(8))
-        counts = Counter(sampler.sample("s_1").positive_id for _ in range(9000))
+        train_on(labels, sessions, 8, 9000)
+        counts = Counter(positive for positive, _ in pairs(handed))
         sigma = math.sqrt(9000 * (1 / 3) * (2 / 3))
         for positive in ("g1", "g2", "g3"):
             assert abs(counts[positive] - 3000) <= 3 * sigma
 
-    def test_hard_negatives_use_teacher_pool(self):
+    def test_hard_negatives_use_teacher_pool(self, handed):
         # a single hard negative: every draw takes it
         labels = [
             TurnLabels(
@@ -500,8 +517,22 @@ class TestTripletSampler:
             )
         ]
         sessions = [Session("s", [Turn("q", "q")])]
-        sampler = TripletSampler(labels, sessions, np.random.default_rng(3), use_hard_negatives=True)
-        assert {sampler.sample("s_1").negative_id for _ in range(5)} == {"hard1"}
+        train_on(labels, sessions, 3, 5, hard=True)
+        assert {negative for _, negative in pairs(handed)} == {"hard1"}
+
+    def test_unknown_turn_is_refused_before_any_draw(self, handed):
+        labels, sessions, _ = multi_turn_labels()
+        labels[3].qid = "nosuch_1"
+        with pytest.raises(ValueError, match=re.escape("labels refer to unknown turn 'nosuch_1'")):
+            train_on(labels, sessions, 0, 1)
+        assert handed == []
+
+    def test_turn_without_negatives_fails_at_its_first_draw(self, handed):
+        labels, sessions, qids = multi_turn_labels()
+        labels[1].bm25_pool = list(labels[1].positives)
+        with pytest.raises(ValueError, match=re.escape(f"turn {qids[1]!r} has no eligible negatives")):
+            train_on(labels, sessions, 0, 1, steps=4)
+        assert [inst.qid for inst in handed] == qids[:1]
 
 
 class TestContrastiveLoss:
@@ -774,8 +805,8 @@ class TestTrain:
         one = [train_labels[0]]
         encoder = untrained.copy()
         cfg = TrainConfig(steps=200, learning_rate=0.1, batch_size=1, seed=0)
-        result = train(encoder, one, planted.sessions, planted.store, cfg)
-        assert result.losses[-1] < result.losses[0]
+        losses = train(encoder, one, planted.sessions, planted.store, cfg)
+        assert losses[-1] < losses[0]
 
     def test_bitwise_deterministic(self, planted, planted_training):
         untrained, _, train_labels = planted_training
@@ -783,28 +814,28 @@ class TestTrain:
         runs = []
         for _ in range(2):
             encoder = untrained.copy()
-            result = train(encoder, train_labels, planted.sessions, planted.store, cfg)
-            runs.append((encoder.embedding.copy(), encoder.projection.copy(), result.losses))
+            losses = train(encoder, train_labels, planted.sessions, planted.store, cfg)
+            runs.append((encoder.embedding.copy(), encoder.projection.copy(), losses))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
 
     def test_recall_improves_on_held_out_turns(self, planted, planted_training):
-        untrained, result, _ = planted_training
+        untrained, trained, _ = planted_training
         before = dense_recall(untrained, planted, planted.held_out_qids)
-        after = dense_recall(result.encoder, planted, planted.held_out_qids)
+        after = dense_recall(trained, planted, planted.held_out_qids)
         assert after > before
 
     def test_soft_labels_run_and_descend(self, planted, planted_training):
         untrained, _, train_labels = planted_training
         encoder = untrained.copy()
         cfg = TrainConfig(steps=120, seed=0, use_soft_labels=True, use_hard_negatives=True)
-        result = train(
+        losses = train(
             encoder, train_labels, planted.sessions, planted.store, cfg,
             teacher=planted.teacher, corpus=planted.corpus,
         )
-        first = np.mean(result.losses[:12])
-        last = np.mean(result.losses[-12:])
+        first = np.mean(losses[:12])
+        last = np.mean(losses[-12:])
         assert last < first
 
     def test_soft_labels_require_teacher(self, planted, planted_training):
@@ -815,8 +846,6 @@ class TestTrain:
 
     def test_store_must_cover_label_ids(self, planted, planted_training):
         untrained, _, train_labels = planted_training
-        from cqe.dense import PassageEmbeddingStore
-
         tiny = PassageEmbeddingStore(
             planted.store.ids[:2], planted.store.vectors[:2]
         )
@@ -843,11 +872,11 @@ class TestTrain:
 
     def test_norm_adaptation_contrast(self, planted, planted_training):
         """A context term tied to positives outgrows the shared distractor."""
-        _, result, _ = planted_training
+        _, trained, _ = planted_training
         for si, session in enumerate(planted.sessions):
             last = len(session.turns) - 1
             context, query = session.tokens_for_turn(last)
-            report = token_norm_report(result.encoder.encode(context, query))
+            report = token_norm_report(trained.encode(context, query))
             by_token = {r.token: r.normalized_norm for r in report}
             assert by_token[planted.topic_tokens[si]] > by_token[planted.distractor_token]
 
@@ -864,6 +893,11 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                TrainConfig(tau=value)
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                TrainConfig(learning_rate=value)
 
 
 # The vocab file holds one token per line, so tokens may hold any character but whitespace.
