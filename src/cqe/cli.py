@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -477,15 +478,17 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 2
-    try:
-        cfg = _resolve(args)
-        for name in ("k", "depth", "pool_size", "cutoff"):  # counts, refused before any input is read
-            if (value := getattr(args, name, None)) is not None and value < 1:
-                raise ValueError(f"{name.replace('_', '-')} must be >= 1, got {value}")
-        return args.func(args, cfg)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores showwarning: only the command's warnings take the one-line form
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            cfg = _resolve(args)
+            for name in ("k", "depth", "pool_size", "cutoff"):  # counts, refused before any input is read
+                if (value := getattr(args, name, None)) is not None and value < 1:
+                    raise ValueError(f"{name.replace('_', '-')} must be >= 1, got {value}")
+            return args.func(args, cfg)
+        except (OSError, ValueError, KeyError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

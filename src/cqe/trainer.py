@@ -103,10 +103,10 @@ class CosineTeacher:
         return out
 
 
-def _finite_score(value, what: str) -> float:
-    """``value`` as a float; ValueError unless it is a number (not a bool) that a float holds finitely."""
+def _finite_score(value, pid: str) -> float:
+    """``value`` as a float; ValueError naming passage ``pid`` unless it is a non-bool number a float holds finitely."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
+        raise ValueError(f"teacher score of {pid!r} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -123,7 +123,7 @@ class TableTeacher:
 
         def record(obj: dict) -> tuple[tuple[str, str], float]:
             key = unique(str_fields(obj, "query", "id"), seen, "(query, id)")
-            return key, _finite_score(obj["score"], f"teacher score of {key[1]!r}")
+            return key, _finite_score(obj["score"], key[1])
 
         return cls(dict(read_jsonl(path, record)))
 
@@ -216,13 +216,6 @@ def save_weak_labels(labels: Sequence[TurnLabels], path: str) -> None:
     write_jsonl(path, rows)
 
 
-def _pool_entry(entry) -> tuple[str, float]:
-    if not isinstance(entry, dict):
-        raise TypeError("'teacher_pool' entries must be objects")
-    (pid,) = str_fields(entry, "id")
-    return pid, _finite_score(entry["score"], f"teacher score of {pid!r}")
-
-
 def load_weak_labels(path: str) -> list[TurnLabels]:
     """Read :func:`save_weak_labels` JSON-lines; qids are unique, id lists are lists of strings,
     ``positives`` is not empty and each ``teacher_pool`` entry is {"id": string, "score": finite number}."""
@@ -233,13 +226,13 @@ def load_weak_labels(path: str) -> list[TurnLabels]:
         positives, bm25_pool = str_lists(obj, "positives", "bm25_pool")
         if not positives:
             raise ValueError(f"turn {qid!r} has no positives")
-        pool = obj["teacher_pool"]
-        try:  # the whole pool at once; on any failure the per-entry loop below names the first bad entry
-            ids, scores = [entry["id"] for entry in pool], [_finite_score(entry["score"], "") for entry in pool]
-            bulk = {*map(type, ids)} <= {str}
-        except (KeyError, TypeError, ValueError):
-            bulk = False
-        teacher_pool = list(zip(ids, scores)) if bulk else [_pool_entry(entry) for entry in pool]
+        teacher_pool = []
+        for entry in obj["teacher_pool"]:
+            if not isinstance(entry, dict):
+                raise TypeError("'teacher_pool' entries must be objects")
+            if not isinstance(pid := entry["id"], str):  # str_fields' wording; calling it per entry costs 2/3 more
+                raise TypeError(f"'id' must be a string, got {type(pid).__name__}")
+            teacher_pool.append((pid, _finite_score(entry["score"], pid)))
         return TurnLabels(unique(qid, seen, "qid"), rewrite, positives, bm25_pool, teacher_pool)
 
     return read_jsonl(path, record)
@@ -576,12 +569,13 @@ def train(
         teacher_scores = None
         if config.use_soft_labels:
             teacher_scores = teacher.scores([inst.rewrite for inst in batch], pool_ids)
-        loss, grad_emb, grad_proj = batch_gradients(
-            encoder, batch, pool_ids, passage_vecs, config.tau, teacher_scores
-        )
-        if not math.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at step {step}")
-        losses.append(loss)
-        encoder.embedding -= config.learning_rate * grad_emb
-        encoder.projection -= config.learning_rate * grad_proj
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows end as a non-finite loss or in save
+            loss, grad_emb, grad_proj = batch_gradients(
+                encoder, batch, pool_ids, passage_vecs, config.tau, teacher_scores
+            )
+            if not math.isfinite(loss):
+                raise RuntimeError(f"non-finite loss at step {step}")
+            losses.append(loss)
+            encoder.embedding -= config.learning_rate * grad_emb
+            encoder.projection -= config.learning_rate * grad_proj
     return losses

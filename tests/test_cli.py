@@ -202,11 +202,8 @@ class TestNonFiniteSettings:
     def refused(self, argv, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("topic0 overview\n"))  # a turn for converse
         capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run_cli(argv)
+        rc = run_cli(argv)  # a RuntimeWarning fails the test (pyproject's filter); any other warning is a stderr line
         out, err = capsys.readouterr()
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert rc == 1 and "Traceback" not in err and err.count("\n") == 1 and err.startswith("error: ")
         return out, err
 
@@ -260,6 +257,19 @@ class TestNonFiniteSettings:
                 flag, value, "--output", str(out)]
         _, err = self.refused(argv, capsys, monkeypatch)
         assert err == f"error: {message.format(out=out)}\n" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        "--steps 3 --lr 1e308",
+        "--steps 20 --lr 1e308",
+        "--steps 3 --tau 1e-300",
+        "--steps 3 --lr 1e300 --soft-labels --hard-negatives",
+    ])
+    def test_train_toy_overflow_during_training(self, flags, workspace, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "encoder.json"
+        argv = ["train-toy", "--labels", workspace["labels_train"], "--sessions", workspace["sessions"],
+                "--corpus", workspace["corpus"], "--store", workspace["store"], *flags.split(), "--output", str(out)]
+        _, err = self.refused(argv, capsys, monkeypatch)
+        assert err == "error: non-finite loss at step 1\n" and list(tmp_path.iterdir()) == []
 
     def test_index_whose_conf_holds_an_infinite_k1(self, workspace, tmp_path, capsys, monkeypatch):
         index, out = tmp_path / "index.bin", tmp_path / "run.txt"
@@ -324,7 +334,7 @@ class TestFuseRRF:
             assert got.score == pytest.approx(want.score, rel=1e-12)
 
     @pytest.mark.parametrize("k", [None, 2, 3])
-    def test_file_equals_reference_lines(self, k, tmp_path):
+    def test_file_equals_reference_lines(self, k, tmp_path, capsys):
         # a and e tie (1/62 + 1/65 either way round) and take id order; run b numbers its ranks freely
         runs = {
             "a": [("q1", "b", 1, 2.0), ("q1", "a", 2, 2.0), ("q1", "c", 3, 1.0), ("q1", "f", 4, 0.5),
@@ -335,8 +345,10 @@ class TestFuseRRF:
             (tmp_path / name).write_text("".join(f"{q} Q0 {d} {r} {s!r} {name}\n" for q, d, r, s in rows))
         out = tmp_path / "fused.txt"
         argv = ["fuse-rrf", "--runs", str(tmp_path / "a"), str(tmp_path / "b"), "--output", str(out)]
-        with pytest.warns(UserWarning, match="rank 2 at position 1"):
-            assert run_cli([*argv, *(["--k", str(k)] if k else [])]) == 0
+        assert run_cli([*argv, *(["--k", str(k)] if k else [])]) == 0
+        assert capsys.readouterr().err == f"warning: {tmp_path / 'b'}: query 'q1' rank 2 at position 1\n"
+        with pytest.warns(UserWarning, match="rank 2 at position 1"):  # outside main, an ordinary warning
+            read_run(str(tmp_path / "b"))
         want = ""
         for q in ("q1", "q2"):
             per_run = [[(d, s, r) for qid, d, r, s in rows if qid == q] for rows in runs.values()]
@@ -675,6 +687,50 @@ class TestPathsFromConfig:
         assert results[0][0] and results[0] == results[1]
 
 
+STDERR_CHECK = """
+import contextlib, io, json, sys
+from cqe import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdin, err = io.StringIO("topic0 filler overview\\nexit\\n"), io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append((argv[0], cli.main(argv), err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_stderr_holds_only_error_and_warning_lines(path_inputs, tmp_path):
+    """Outside pytest's warning filters, every command's stderr is ``error:`` and ``warning:`` lines only."""
+    out, gap = str(tmp_path / "out"), tmp_path / "gap.txt"
+    gap.write_text("q1 Q0 a 2 1.0 gap\n")  # its rank gap warns
+    held_out = ("--qrels", path_inputs["qrels_held_out"])  # unjudged run queries warn
+    good = {command: path_flags(command, path_inputs, out) for command in COMMAND_OPTIONS if command != "fuse-rrf"}
+    good["fuse-rrf"] = [("--runs", str(gap)), ("--output", out)]
+    for command in ("eval", "compare"):
+        good[command] = [*good[command][:-1], held_out]
+    missing = {command: [(pairs[0][0], str(tmp_path / "missing")), *pairs[1:]] for command, pairs in good.items()}
+    overflow = [*good["train-toy"], ("--lr", "1e308")]
+    calls = [[command, *[a for pair in pairs for a in pair]]
+             for command, pairs in [*good.items(), *missing.items(), ("train-toy", overflow)]]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", STDERR_CHECK, json.dumps(calls)], env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results, faults = json.loads(proc.stdout), []
+    for command, rc, err in results:
+        lines = err.splitlines()
+        if not all(line.startswith(("error: ", "warning: ")) for line in lines):
+            faults.append((command, "a line that is neither error: nor warning:"))
+        if rc != 0 and sum(line.startswith("error: ") for line in lines) != 1:
+            faults.append((command, "not exactly one error: line"))
+    assert faults == [], proc.stdout
+    assert [rc for _, rc, _ in results] == [0] * len(good) + [1] * len(missing) + [1]
+    warned = {command for command, _, err in results[: len(good)] if "warning: " in err}
+    assert warned == {"eval", "compare", "fuse-rrf"}
+    assert results[-1][2] == "error: non-finite loss at step 1\n"
+
+
 class TestFileBackedMatrices:
     def matrices_for(self, planted, encoder_path, tmp_path, qids):
         from cqe.trainer import ToyQueryEncoder
@@ -987,6 +1043,48 @@ BAD_LINES = [
 ]
 
 
+def pool_line(pool):
+    """A labels line whose ``teacher_pool`` is the JSON text ``pool``."""
+    return '{"qid": "s_2", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], "teacher_pool": ' + pool + "}"
+
+
+def score_row(score):
+    """A teacher-table line whose ``score`` is the JSON text ``score``."""
+    return '{"query": "fox", "id": "p1", "score": ' + score + "}"
+
+
+HUGE = "1" + "0" * 400  # an integer too large for a float
+NOT_FINITE = "teacher score of {!r} must be a finite number, got {}"
+# Malformed teacher pools and teacher-table rows, each with the full text of its error.
+TEACHER_FAULTS = [
+    ("labels", pool_line("5"), "'int' object is not iterable"),
+    ("labels", pool_line("null"), "'NoneType' object is not iterable"),
+    ("labels", pool_line('"p0"'), "'teacher_pool' entries must be objects"),
+    ("labels", pool_line('{"id": "p0", "score": 1.0}'), "'teacher_pool' entries must be objects"),
+    ("labels", pool_line('["p0"]'), "'teacher_pool' entries must be objects"),
+    ("labels", pool_line('[["p0", 1.0]]'), "'teacher_pool' entries must be objects"),
+    ("labels", pool_line('[{"score": 1.0}]'), "missing field 'id'"),
+    ("labels", pool_line('[{"id": "p0"}]'), "missing field 'score'"),
+    ("labels", pool_line('[{"id": 5, "score": 1.0}]'), "'id' must be a string, got int"),
+    ("labels", pool_line('[{"id": null, "score": 1.0}]'), "'id' must be a string, got NoneType"),
+    ("labels", pool_line('[{"id": "p0", "score": "nan"}]'), NOT_FINITE.format("p0", "'nan'")),
+    ("labels", pool_line('[{"id": "p0", "score": true}]'), NOT_FINITE.format("p0", "True")),
+    ("labels", pool_line('[{"id": "p0", "score": 1e999}]'), NOT_FINITE.format("p0", "inf")),
+    ("labels", pool_line('[{"id": "p0", "score": -1e999}]'), NOT_FINITE.format("p0", "-inf")),
+    ("labels", pool_line('[{"id": "p0", "score": NaN}]'), NOT_FINITE.format("p0", "nan")),
+    pytest.param("labels", pool_line('[{"id": "p0", "score": ' + HUGE + "}]"), NOT_FINITE.format("p0", HUGE),
+                 id="labels-huge-int-score"),
+    ("labels", pool_line('[{"id": "p0", "score": [1]}]'), NOT_FINITE.format("p0", "[1]")),
+    ("labels", pool_line('[{"id": "p0", "score": null}]'), NOT_FINITE.format("p0", "None")),
+    ("labels", pool_line('[{"id": "p0", "score": 1.0}, {"id": "p1", "score": "x"}]'), NOT_FINITE.format("p1", "'x'")),
+    ("labels", pool_line('[{"id": "p0", "score": 1.0}, {"id": 7}]'), "'id' must be a string, got int"),
+    ("labels", pool_line('[{"id": "p0", "score": "x"}, {"id": 7, "score": 1.0}]'), NOT_FINITE.format("p0", "'x'")),
+    ("teacher", score_row('"high"'), NOT_FINITE.format("p1", "'high'")),
+    ("teacher", score_row("NaN"), NOT_FINITE.format("p1", "nan")),
+    pytest.param("teacher", score_row(HUGE), NOT_FINITE.format("p1", HUGE), id="teacher-huge-int-score"),
+]
+
+
 def reader_argv(reader, path, workspace, tmp_path):
     out = ["--output", str(tmp_path / "out")]
     return {
@@ -1003,14 +1101,24 @@ def reader_argv(reader, path, workspace, tmp_path):
 
 
 class TestMalformedJsonLines:
-    @pytest.mark.parametrize("reader,bad", BAD_LINES)
-    def test_error_names_path_and_line(self, reader, bad, workspace, tmp_path, capsys):
+    def error_of(self, reader, bad, workspace, tmp_path, capsys):
+        """(path, stderr) of a command that reads one good line of ``reader``'s file, then ``bad``."""
         path = str(tmp_path / f"{reader}.jsonl")
         with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(json.dumps(GOOD_LINES[reader]) + "\n" + bad + "\n")
         capsys.readouterr()
         assert run_cli(reader_argv(reader, path, workspace, tmp_path)) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+        return path, capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader,bad", BAD_LINES)
+    def test_error_names_path_and_line(self, reader, bad, workspace, tmp_path, capsys):
+        path, err = self.error_of(reader, bad, workspace, tmp_path, capsys)
+        assert err.startswith(f"error: {path}:2: ")
+
+    @pytest.mark.parametrize("reader,bad,message", TEACHER_FAULTS)
+    def test_teacher_fault_messages(self, reader, bad, message, workspace, tmp_path, capsys):
+        path, err = self.error_of(reader, bad, workspace, tmp_path, capsys)
+        assert err == f"error: {path}:2: {message}\n"
 
 
 class TestConfigErrors:
