@@ -243,16 +243,13 @@ def _cmd_fuse_rrf(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_build_weak_labels(args, cfg: EngineConfig) -> int:
-    corpus = load_corpus(_input_path(cfg.corpus, "corpus"))
     index = load_index(_input_path(cfg.sparse_index, "index"))
     sessions = load_sessions(_input_path(args.sessions, "sessions"))
     if args.teacher_scores:
         teacher = TableTeacher.from_file(_input_path(args.teacher_scores, "teacher scores"))
     else:
         teacher = CosineTeacher(load_embeddings(_input_path(cfg.dense_store, "dense store"), index.table))
-    labels = build_weak_labels(
-        corpus, sessions, index, teacher, candidate_depth=args.depth, pool_size=args.pool_size
-    )
+    labels = build_weak_labels(sessions, index, teacher, candidate_depth=args.depth, pool_size=args.pool_size)
     out = _output_path(args.output, "labels")
     save_weak_labels(labels, out)
     print(f"labeled {len(labels)} turns -> {out}")
@@ -262,12 +259,11 @@ def _cmd_build_weak_labels(args, cfg: EngineConfig) -> int:
 def _cmd_train_toy(args, cfg: EngineConfig) -> int:
     labels = load_weak_labels(_input_path(args.labels, "labels"))
     sessions = load_sessions(_input_path(args.sessions, "sessions"))
-    corpus = load_corpus(_input_path(cfg.corpus, "corpus"))
     store = load_embeddings(_input_path(cfg.dense_store, "dense store"))
     vocab_tokens = [tok for s in sessions for turn in s.turns for tok in tokenize(turn.raw_utterance)]
     encoder = ToyQueryEncoder.create(vocab_tokens, dim=store.dim, seed=cfg.train.seed)
     teacher = CosineTeacher(store) if cfg.train.use_soft_labels else None
-    losses = train(encoder, labels, sessions, store, cfg.train, teacher=teacher, corpus=corpus)
+    losses = train(encoder, labels, sessions, store, cfg.train, teacher=teacher)
     out = _output_path(args.output, "encoder checkpoint")
     encoder.save(out)
     first, last = (losses[0], losses[-1]) if losses else (math.nan, math.nan)
@@ -361,7 +357,8 @@ def _cmd_converse(args, cfg: EngineConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Each subcommand gets only the flags it reads. A flag that overrides a
+    # Each subcommand gets only the flags it reads, except the hidden --corpus of
+    # build-weak-labels and train-toy (see there). A flag that overrides a
     # config path or setting has that field's name as its dest and None (not
     # given) as its default, so _resolve merges it. Parents share their action
     # objects, so per-command defaults (--k) are set per subparser.
@@ -423,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fuse_rrf)
 
     p = sub.add_parser("build-weak-labels", parents=[writes, store], help="pseudo-label session turns")
-    p.add_argument("--corpus")
+    # Neither this command nor train-toy reads a corpus. Both accept --corpus, unread and
+    # unlisted, because perfbench's pipeline argv still passes it; ROADMAP item 2 deletes it.
+    p.add_argument("--corpus", help=argparse.SUPPRESS)
     p.add_argument("--index", dest="sparse_index", metavar="INDEX")
     p.add_argument("--sessions")
     p.add_argument("--teacher-scores", dest="teacher_scores", help="file-backed teacher table")
@@ -434,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", parents=[writes, store], help="train the toy query encoder")
     p.add_argument("--labels")
     p.add_argument("--sessions")
-    p.add_argument("--corpus")
+    p.add_argument("--corpus", help=argparse.SUPPRESS)  # unread; see build-weak-labels
     p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--steps", type=int)
     p.add_argument("--learning-rate", "--lr", type=float, dest="learning_rate")

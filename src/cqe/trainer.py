@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, read_jsonl, str_fields, str_lists, tokenize, unique, write_jsonl
+from .corpus import read_jsonl, str_fields, str_lists, tokenize, unique, write_jsonl
 from .core import Session, TokenEmbeddingMatrix
 from .dense import PassageEmbeddingStore, read_f32, read_lines, read_manifest, sidecar_base
 from .dense import write_lines, write_manifest
@@ -154,7 +154,6 @@ class TurnLabels:
 
 
 def build_weak_labels(
-    corpus: Corpus,
     sessions: Sequence[Session],
     index: InvertedIndex,
     teacher,
@@ -167,11 +166,10 @@ def build_weak_labels(
     rewrite, rescore them with one ``teacher.scores([rewrite], ids)``
     call, keep the teacher's top 3 as positives, and record the top
     pool_size ids of both orderings. Turns with fewer than 3 candidates
-    are skipped with a warning. Every index id must be in the corpus.
+    are skipped with a warning.
     """
     if min(candidate_depth, pool_size) < 1:
         raise ValueError(f"candidate_depth {candidate_depth} and pool_size {pool_size} must be >= 1")
-    _require_ids(index.ids, corpus, "corpus is missing indexed ids")
     turns = []
     for session in sessions:
         for i, turn in enumerate(session.turns):
@@ -198,13 +196,6 @@ def build_weak_labels(
                 )
             )
     return turns
-
-
-def _require_ids(ids, holder, problem: str) -> None:
-    """ValueError ``problem: [...]`` naming up to 5 of ``ids`` (sorted) that ``holder`` lacks."""
-    missing = sorted(pid for pid in ids if pid not in holder)
-    if missing:
-        raise ValueError(f"{problem}: {missing[:5]}")
 
 
 def save_weak_labels(labels: Sequence[TurnLabels], path: str) -> None:
@@ -520,27 +511,25 @@ def train(
     store: PassageEmbeddingStore,
     config: TrainConfig,
     teacher=None,
-    corpus: Corpus | None = None,
 ) -> list[float]:
     """Gradient-descent fine-tuning of ``encoder`` in place; passages stay frozen. Returns the loss of each step.
 
     The i-th instance takes label ``i % len(labels)``, so each pass over
     the labels draws every turn once: a uniform positive, then a uniform
     negative from the BM25 pool, or with hard negatives the teacher pool,
-    less the positives; both with replacement. Soft-label runs need a
-    teacher and the corpus, which must hold every labeled id: one
-    ``teacher.scores`` call per batch scores every in-batch (query,
-    passage) pair. Fully deterministic for a fixed seed.
+    less the positives; both with replacement. Every labeled id must be in
+    the store. Soft-label runs need a teacher: one ``teacher.scores`` call
+    per batch scores every in-batch (query, passage) pair. Fully
+    deterministic for a fixed seed.
     """
-    if config.use_soft_labels and (teacher is None or corpus is None):
-        raise ValueError("soft-label training requires a teacher and the corpus")
+    if config.use_soft_labels and teacher is None:
+        raise ValueError("soft-label training requires a teacher")
     if not labels:
         raise ValueError("no labeled turns to train on")
     labeled = {pid for t in labels for pid in t.positives + t.bm25_pool}
     labeled.update(pid for t in labels for pid, _ in t.teacher_pool)
-    _require_ids(labeled, store.table.row, "passage store is missing labeled ids")
-    if config.use_soft_labels:
-        _require_ids(labeled, corpus, "corpus is missing labeled ids")
+    if missing := sorted(labeled - store.table.row.keys()):
+        raise ValueError(f"passage store is missing labeled ids: {missing[:5]}")
 
     turns = {s.qid(i): (s, i) for s in sessions for i in range(len(s.turns))}
     records = []  # per label: the label, its turn's (context, query) tokens and its eligible negatives

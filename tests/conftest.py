@@ -29,7 +29,7 @@ def planted_index(planted):
 
 @pytest.fixture(scope="session")
 def planted_labels(planted, planted_index):
-    return build_weak_labels(planted.corpus, planted.sessions, planted_index, planted.teacher)
+    return build_weak_labels(planted.sessions, planted_index, planted.teacher)
 
 
 def session_vocab(sessions):

@@ -379,18 +379,18 @@ def _run_pipeline(planted, directory: str) -> dict[str, str]:
 
     cli_run(["index-sparse", "--corpus", paths["corpus"], "--output", paths["index"]])
     cli_run(
-        ["build-weak-labels", "--corpus", paths["corpus"], "--index", paths["index"],
+        ["build-weak-labels", "--index", paths["index"],
          "--store", paths["store"], "--sessions", paths["sessions"], "--output", paths["labels"]]
     )
     cli_run(
         ["train-toy", "--labels", paths["labels"], "--sessions", paths["sessions"],
-         "--corpus", paths["corpus"], "--store", paths["store"], "--seed", "0",
+         "--store", paths["store"], "--seed", "0",
          "--steps", "300", "--output", paths["encoder"]]
     )
     # the mode the benchmark pipeline trains in: the teacher scores every batch
     cli_run(
         ["train-toy", "--labels", paths["labels"], "--sessions", paths["sessions"],
-         "--corpus", paths["corpus"], "--store", paths["store"], "--seed", "0",
+         "--store", paths["store"], "--seed", "0",
          "--steps", "100", "--soft-labels", "--hard-negatives", "--output", f"{directory}/soft.json"]
     )
     cli_run(

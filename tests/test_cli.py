@@ -42,7 +42,6 @@ def workspace(tmp_path_factory, planted):
         cli.main(
             [
                 "build-weak-labels",
-                "--corpus", paths["corpus"],
                 "--index", paths["index"],
                 "--store", paths["store"],
                 "--sessions", paths["sessions"],
@@ -59,7 +58,6 @@ def workspace(tmp_path_factory, planted):
     common = [
         "--labels", paths["labels_train"],
         "--sessions", paths["sessions"],
-        "--corpus", paths["corpus"],
         "--store", paths["store"],
         "--seed", "0",
     ]
@@ -253,8 +251,7 @@ class TestNonFiniteSettings:
     def test_train_toy(self, flag, value, message, workspace, tmp_path, capsys, monkeypatch):
         out = tmp_path / "encoder.json"
         argv = ["train-toy", "--labels", workspace["labels_train"], "--sessions", workspace["sessions"],
-                "--corpus", workspace["corpus"], "--store", workspace["store"], "--steps", "1",
-                flag, value, "--output", str(out)]
+                "--store", workspace["store"], "--steps", "1", flag, value, "--output", str(out)]
         _, err = self.refused(argv, capsys, monkeypatch)
         assert err == f"error: {message.format(out=out)}\n" and list(tmp_path.iterdir()) == []
 
@@ -267,7 +264,7 @@ class TestNonFiniteSettings:
     def test_train_toy_overflow_during_training(self, flags, workspace, tmp_path, capsys, monkeypatch):
         out = tmp_path / "encoder.json"
         argv = ["train-toy", "--labels", workspace["labels_train"], "--sessions", workspace["sessions"],
-                "--corpus", workspace["corpus"], "--store", workspace["store"], *flags.split(), "--output", str(out)]
+                "--store", workspace["store"], *flags.split(), "--output", str(out)]
         _, err = self.refused(argv, capsys, monkeypatch)
         assert err == "error: non-finite loss at step 1\n" and list(tmp_path.iterdir()) == []
 
@@ -658,7 +655,8 @@ def path_flags(command, files, out):
         "search-dense": [store, matrices, output],
         "search-hybrid": [index, store, matrices, ("--depth", "50"), output],
         "rewrite": [matrices, output],
-        "build-weak-labels": [corpus, index, store, sessions, ("--depth", "20"), ("--pool-size", "10"), output],
+        # build-weak-labels and train-toy take the unread --corpus, as perfbench passes it, after a path they read
+        "build-weak-labels": [index, corpus, store, sessions, ("--depth", "20"), ("--pool-size", "10"), output],
         "train-toy": [("--labels", files["labels_train"]), sessions, corpus, store, ("--steps", "3"), output],
         "eval": [("--run", files["run_a"]), ("--qrels", files["qrels"])],
         "compare": [("--run", files["run_a"]), ("--baseline", files["run_b"]), ("--qrels", files["qrels"])],
@@ -890,9 +888,9 @@ class TestQuerySourceChecks:
             (["search-dense", "--k", "0", "--store", "missing.json"], "k must be >= 1, got 0"),
             (["search-sparse", "--k", "0", "--index", "missing.bin"], "k must be >= 1, got 0"),
             (["fuse-rrf", "--runs", "missing.txt", "--k", "0"], "k must be >= 1, got 0"),
-            (["build-weak-labels", "--pool-size", "0", "--corpus", "missing.jsonl", "--index", "missing.bin"],
+            (["build-weak-labels", "--pool-size", "0", "--sessions", "missing.jsonl", "--index", "missing.bin"],
              "pool-size must be >= 1, got 0"),
-            (["build-weak-labels", "--depth", "0", "--corpus", "missing.jsonl"], "depth must be >= 1, got 0"),
+            (["build-weak-labels", "--depth", "0", "--index", "missing.bin"], "depth must be >= 1, got 0"),
             (["eval", "--cutoff", "0", "--run", "missing.txt", "--qrels", "missing.txt"], "cutoff must be >= 1, got 0"),
             (["compare", "--cutoff", "0", "--run", "missing.txt"], "cutoff must be >= 1, got 0"),
         ],
@@ -1017,26 +1015,14 @@ BAD_LINES = [
     ("queries", json.dumps({"qid": "q", "text": "again"})),
     ("queries", json.dumps({"qid": "q 1", "text": "fox"})),
     ("labels", json.dumps(["s_1"])),
-    ("labels", json.dumps({**GOOD_LINES["labels"], "teacher_pool": ["p0"]})),
     ("labels", json.dumps(GOOD_LINES["labels"])),
     ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "positives": "P00C0"})),
     ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "bm25_pool": ["p0", 1]})),
     ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "positives": []})),
-    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": 5, "score": 1.0}]})),
-    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": "p0", "score": "nan"}]})),
-    ("labels", '{"qid": "s_2", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], '
-               '"teacher_pool": [{"id": "p0", "score": 1e999}]}'),
-    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": "p0", "score": True}]})),
-    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [["p0", 1.0]]})),
     ("teacher", json.dumps([1])),
     ("teacher", json.dumps({"query": "fox", "id": "p0", "score": 2.0})),
-    ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "high"})),
-    ("teacher", '{"query": "fox", "id": "p1", "score": NaN}'),
     ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "0.5"})),
     ("teacher", json.dumps({"query": "fox", "id": "p1", "score": True})),
-    pytest.param("teacher", '{"query": "fox", "id": "p1", "score": 1' + "0" * 400 + "}", id="teacher-huge-int"),
-    pytest.param("labels", '{"qid": "s_2", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], '
-                 '"teacher_pool": [{"id": "p0", "score": 1' + "0" * 400 + "}]}", id="labels-huge-int"),
     ("sessions", json.dumps(GOOD_LINES["sessions"])),
     ("corpus", '{"id": "p1", "text": "red \udcff fox"}'),  # written as the invalid UTF-8 byte 0xff
     *((reader, "\udcff") for reader in GOOD_LINES),
@@ -1093,9 +1079,8 @@ def reader_argv(reader, path, workspace, tmp_path):
                      "--sessions", path, *out],
         "matrices": ["search-dense", "--store", workspace["store"], "--matrices", path, *out],
         "queries": ["search-sparse", "--index", workspace["index"], "--queries", path, *out],
-        "labels": ["train-toy", "--labels", path, "--sessions", workspace["sessions"],
-                   "--corpus", workspace["corpus"], "--store", workspace["store"], *out],
-        "teacher": ["build-weak-labels", "--corpus", workspace["corpus"], "--index", workspace["index"],
+        "labels": ["train-toy", "--labels", path, "--sessions", workspace["sessions"], "--store", workspace["store"], *out],
+        "teacher": ["build-weak-labels", "--index", workspace["index"],
                     "--sessions", workspace["sessions"], "--teacher-scores", path, *out],
     }[reader]
 
@@ -1208,8 +1193,8 @@ class TestFlagMerge:
         with open(config_path, "w") as fh:
             fh.write(json.dumps({"train": config}))
         argv = ["train-toy", "--config", config_path, "--labels", workspace["labels_train"],
-                "--sessions", workspace["sessions"], "--corpus", workspace["corpus"],
-                "--store", workspace["store"], "--output", str(tmp_path / "enc.json"), *flags]
+                "--sessions", workspace["sessions"], "--store", workspace["store"],
+                "--output", str(tmp_path / "enc.json"), *flags]
         assert run_cli(argv) == 0
         return seen
 
@@ -1283,7 +1268,7 @@ class TestHybridSearchRoute:
 
 class TestLabellingInputs:
     def test_pool_size_must_be_positive(self, workspace, tmp_path, capsys):
-        argv = ["build-weak-labels", "--corpus", workspace["corpus"], "--index", workspace["index"],
+        argv = ["build-weak-labels", "--index", workspace["index"],
                 "--store", workspace["store"], "--sessions", workspace["sessions"],
                 "--pool-size", "-1", "--output", str(tmp_path / "labels.jsonl")]
         capsys.readouterr()
@@ -1293,47 +1278,18 @@ class TestLabellingInputs:
     def test_passage_absent_from_store_ends_labelling(self, planted, workspace, tmp_path, capsys):
         store, manifest = planted.store, str(tmp_path / "store.json")
         save_embeddings(PassageEmbeddingStore(store.ids[1:], store.vectors[1:]), manifest)  # the first row dropped
-        argv = ["build-weak-labels", "--corpus", workspace["corpus"], "--index", workspace["index"],
+        argv = ["build-weak-labels", "--index", workspace["index"],
                 "--store", manifest, "--sessions", workspace["sessions"], "--output", str(tmp_path / "labels.jsonl")]
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == f"error: unknown passage id {store.ids[0]!r}\n"
 
-    def corpus_without_labeled_passage(self, workspace, tmp_path):
-        """A copy of the corpus without the first positive of the training labels, and that id."""
-        dropped = load_weak_labels(workspace["labels_train"])[0].positives[0]
-        path = str(tmp_path / "corpus.jsonl")
-        with open(workspace["corpus"]) as src, open(path, "w") as dst:
-            dst.writelines(line for line in src if json.loads(line)["id"] != dropped)
-        return path, dropped
-
-    def test_passage_absent_from_corpus_ends_labelling(self, workspace, tmp_path, capsys):
-        corpus, dropped = self.corpus_without_labeled_passage(workspace, tmp_path)
-        argv = ["build-weak-labels", "--corpus", corpus, "--index", workspace["index"],
-                "--store", workspace["store"], "--sessions", workspace["sessions"],
-                "--output", str(tmp_path / "labels.jsonl")]
-        capsys.readouterr()
-        assert run_cli(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(dropped) in err
-
-    def test_passage_absent_from_corpus_ends_soft_label_training(self, workspace, tmp_path, capsys):
-        corpus, dropped = self.corpus_without_labeled_passage(workspace, tmp_path)
-        argv = ["train-toy", "--labels", workspace["labels_train"], "--sessions", workspace["sessions"],
-                "--corpus", corpus, "--store", workspace["store"], "--steps", "2", "--soft-labels",
-                "--output", str(tmp_path / "encoder.json")]
-        capsys.readouterr()
-        assert run_cli(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(dropped) in err
-        assert run_cli([*argv[:-3], "--output", str(tmp_path / "plain.json")]) == 0  # only the teacher needs it
-
     def train_toy_error(self, workspace, labels, tmp_path, capsys):
         """The stderr of a failing train-toy over ``labels``, which leaves its output directory empty."""
         out = tmp_path / "out"
         out.mkdir()
-        argv = ["train-toy", "--labels", labels, "--sessions", workspace["sessions"], "--corpus", workspace["corpus"],
-                "--store", workspace["store"], "--steps", "2", "--output", str(out / "encoder.json")]
+        argv = ["train-toy", "--labels", labels, "--sessions", workspace["sessions"], "--store", workspace["store"],
+                "--steps", "2", "--output", str(out / "encoder.json")]
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert list(out.iterdir()) == []
@@ -1349,12 +1305,40 @@ class TestLabellingInputs:
 
     def test_pools_of_only_positives_end_training(self, workspace, tmp_path, capsys):
         path = str(tmp_path / "labels.jsonl")
-        argv = ["build-weak-labels", "--corpus", workspace["corpus"], "--index", workspace["index"],
+        argv = ["build-weak-labels", "--index", workspace["index"],
                 "--store", workspace["store"], "--sessions", workspace["sessions"], "--depth", "3", "--output", path]
         assert run_cli(argv) == 0
         assert all(len(t.bm25_pool) == len(t.teacher_pool) == 3 for t in load_weak_labels(path))
         err = self.train_toy_error(workspace, path, tmp_path, capsys)
         assert err == "error: turn 's0_1' has no eligible negatives\n"
+
+    def test_labelling_and_training_read_no_corpus(self, planted, workspace, tmp_path, monkeypatch, capsys):
+        """With no corpus anywhere, both commands write the bytes they write when given --corpus."""
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        paths = write_planted_dataset(planted, str(tmp_path))
+        index, store, sessions = str(tmp_path / "index.bin"), paths["store"], paths["sessions"]
+        assert run_cli(["index-sparse", "--corpus", paths["corpus"], "--output", index]) == 0
+        os.remove(paths["corpus"])
+        outputs = {}
+        # perfbench's pipeline argv passes the hidden --corpus: still accepted, never read (ROADMAP item 2)
+        for name, corpus in (("none", []), ("given", ["--corpus", workspace["corpus"]])):
+            labels = tmp_path / f"labels-{name}.jsonl"
+            argv = ["build-weak-labels", *corpus, "--index", index, "--store", store, "--sessions", sessions]
+            assert run_cli([*argv, "--output", str(labels)]) == 0
+            outputs[name] = [labels.read_bytes()]
+            for mode, flags in (("plain", []), ("soft", ["--soft-labels", "--hard-negatives"])):
+                encoder = tmp_path / f"{mode}-{name}"
+                argv = ["train-toy", *corpus, "--labels", str(labels), "--sessions", sessions, "--store", store,
+                        "--seed", "0", "--steps", "40", *flags, "--output", f"{encoder}.json"]
+                assert run_cli(argv) == 0
+                outputs[name] += [pathlib.Path(f"{encoder}{ext}").read_bytes()
+                                  for ext in (".json", ".emb.f32", ".proj.f32", ".vocab")]
+        assert outputs["none"] == outputs["given"] and len(outputs["none"]) == 9
+        for command in ("build-weak-labels", "train-toy"):
+            capsys.readouterr()
+            with pytest.raises(SystemExit):
+                run_cli([command, "--help"])
+            assert "--corpus" not in capsys.readouterr().out
 
 
 # Store and encoder manifests with their sidecar files; each case corrupts

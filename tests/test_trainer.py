@@ -153,10 +153,8 @@ class TestCosineTeacherMemo:
     uncached per-pair formula gives."""
 
     def test_weak_labels_equal_reference(self, planted, planted_index):
-        got = build_weak_labels(planted.corpus, planted.sessions, planted_index, CosineTeacher(planted.store))
-        want = build_weak_labels(
-            planted.corpus, planted.sessions, planted_index, _ReferenceCosineTeacher(planted.store)
-        )
+        got = build_weak_labels(planted.sessions, planted_index, CosineTeacher(planted.store))
+        want = build_weak_labels(planted.sessions, planted_index, _ReferenceCosineTeacher(planted.store))
         assert len(got) == len(want) > 0
         for a, b in zip(got, want):
             assert (a.qid, a.rewrite, a.positives, a.bm25_pool) == (b.qid, b.rewrite, b.positives, b.bm25_pool)
@@ -168,10 +166,7 @@ class TestCosineTeacherMemo:
         runs = []
         for teacher in (CosineTeacher(planted.store), _ReferenceCosineTeacher(planted.store)):
             encoder = untrained.copy()
-            losses = train(
-                encoder, train_labels, planted.sessions, planted.store, cfg,
-                teacher=teacher, corpus=planted.corpus,
-            )
+            losses = train(encoder, train_labels, planted.sessions, planted.store, cfg, teacher=teacher)
             runs.append((encoder.embedding, encoder.projection, losses))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
@@ -205,7 +200,7 @@ class TestCosineTeacherMemo:
     def test_each_text_embedded_once(self, planted, planted_index):
         embedder = _CountingEmbedder(planted.store.dim)
         teacher = CosineTeacher(planted.store, embedder)
-        labels = build_weak_labels(planted.corpus, planted.sessions, planted_index, teacher)
+        labels = build_weak_labels(planted.sessions, planted_index, teacher)
         for turn in labels:
             ids, scores = zip(*turn.teacher_pool)
             assert teacher.scores([turn.rewrite], ids)[0].tolist() == list(scores)
@@ -257,10 +252,10 @@ class TestBuildWeakLabels:
             [Passage("p1", "apple pie"), Passage("p2", "apple tart"), Passage("p3", "apple core")]
         )
         sessions = [Session("s", [Turn("tell me about apple", "apple")])]
-        return corpus, sessions, build_index(corpus)
+        return sessions, build_index(corpus)
 
     def test_pool_exhausted_yields_all_in_teacher_order(self):
-        corpus, sessions, index = self.tiny_setup()
+        sessions, index = self.tiny_setup()
 
         class Preferring:
             order = {"p2": 3.0, "p3": 2.0, "p1": 1.0}
@@ -268,7 +263,7 @@ class TestBuildWeakLabels:
             def scores(self, texts, ids):
                 return [[self.order[pid] for pid in ids] for _ in texts]
 
-        labels = build_weak_labels(corpus, sessions, index, Preferring())
+        labels = build_weak_labels(sessions, index, Preferring())
         assert labels[0].positives == ["p2", "p3", "p1"]
 
     def test_tied_table_teacher_scores_label_like_from_scores(self):
@@ -278,7 +273,7 @@ class TestBuildWeakLabels:
         tied = [1.0, 0.0, -0.0, 1.0, 0.5, -0.0, 1.0]
         teacher = TableTeacher({(t.manual_rewrite, pid): s for t in sessions[0].turns for pid, s in zip(ids, tied)})
         index = build_index(corpus)
-        got = build_weak_labels(corpus, sessions, index, teacher, pool_size=5)
+        got = build_weak_labels(sessions, index, teacher, pool_size=5)
         want = []
         for i, turn in enumerate(sessions[0].turns):
             pool = search_sparse(index, tokenize(turn.manual_rewrite), 1000).docids()
@@ -293,7 +288,7 @@ class TestBuildWeakLabels:
 
     def test_bm25_teacher_reproduces_bm25_top3(self, planted, planted_index):
         teacher = _BM25Teacher(planted_index)
-        labels = build_weak_labels(planted.corpus, planted.sessions[:2], planted_index, teacher)
+        labels = build_weak_labels(planted.sessions[:2], planted_index, teacher)
         for turn_labels in labels:
             rewrite_tokens = tokenize(turn_labels.rewrite)
             expected = search_sparse(planted_index, rewrite_tokens, 3).docids()
@@ -316,28 +311,23 @@ class TestBuildWeakLabels:
             ]
             assert set(turn_labels.positives) <= {d for d, _ in turn_labels.teacher_pool}
 
-    def test_index_id_absent_from_corpus_is_refused(self):
-        corpus, sessions, index = self.tiny_setup()
-        with pytest.raises(ValueError, match=r"corpus is missing indexed ids: \['p3'\]"):
-            build_weak_labels(Corpus(list(corpus)[:2]), sessions, index, _BM25Teacher(index))
-
     def test_missing_rewrite_rejected(self):
-        corpus, _, index = self.tiny_setup()
+        _, index = self.tiny_setup()
         sessions = [Session("s", [Turn("about apples", None)])]
         with pytest.raises(ValueError, match="manual rewrite"):
-            build_weak_labels(corpus, sessions, index, _BM25Teacher(index))
+            build_weak_labels(sessions, index, _BM25Teacher(index))
 
     @pytest.mark.parametrize("depth,pool_size", [(0, 200), (1000, 0), (1000, -1)])
     def test_depth_and_pool_size_must_be_positive(self, depth, pool_size):
-        corpus, sessions, index = self.tiny_setup()
+        sessions, index = self.tiny_setup()
         with pytest.raises(ValueError, match="must be >= 1"):
-            build_weak_labels(corpus, sessions, index, _BM25Teacher(index), depth, pool_size)
+            build_weak_labels(sessions, index, _BM25Teacher(index), depth, pool_size)
 
     def test_too_few_candidates_skips_with_warning(self):
-        corpus, _, index = self.tiny_setup()
+        _, index = self.tiny_setup()
         sessions = [Session("s", [Turn("zebra", "zebra")])]
         with pytest.warns(UserWarning, match="s_1"):
-            labels = build_weak_labels(corpus, sessions, index, _BM25Teacher(index))
+            labels = build_weak_labels(sessions, index, _BM25Teacher(index))
         assert len(labels) == 0
 
     def test_label_file_round_trip(self, planted_labels, tmp_path):
@@ -830,10 +820,7 @@ class TestTrain:
         untrained, _, train_labels = planted_training
         encoder = untrained.copy()
         cfg = TrainConfig(steps=120, seed=0, use_soft_labels=True, use_hard_negatives=True)
-        losses = train(
-            encoder, train_labels, planted.sessions, planted.store, cfg,
-            teacher=planted.teacher, corpus=planted.corpus,
-        )
+        losses = train(encoder, train_labels, planted.sessions, planted.store, cfg, teacher=planted.teacher)
         first = np.mean(losses[:12])
         last = np.mean(losses[-12:])
         assert last < first
@@ -841,7 +828,7 @@ class TestTrain:
     def test_soft_labels_require_teacher(self, planted, planted_training):
         untrained, _, train_labels = planted_training
         cfg = TrainConfig(steps=1, use_soft_labels=True)
-        with pytest.raises(ValueError, match="teacher"):
+        with pytest.raises(ValueError, match="^soft-label training requires a teacher$"):
             train(untrained.copy(), train_labels, planted.sessions, planted.store, cfg)
 
     def test_store_must_cover_label_ids(self, planted, planted_training):
@@ -849,17 +836,10 @@ class TestTrain:
         tiny = PassageEmbeddingStore(
             planted.store.ids[:2], planted.store.vectors[:2]
         )
-        with pytest.raises(ValueError, match="missing"):
+        labeled = {pid for t in train_labels for pid in [*t.positives, *t.bm25_pool, *dict(t.teacher_pool)]}
+        missing = sorted(labeled - set(tiny.ids))[:5]  # the first five, in id order
+        with pytest.raises(ValueError, match=re.escape(f"passage store is missing labeled ids: {missing}")):
             train(untrained.copy(), train_labels, planted.sessions, tiny, TrainConfig(steps=1))
-
-    def test_soft_labels_need_corpus_to_cover_label_ids(self, planted, planted_training):
-        untrained, _, train_labels = planted_training
-        dropped = train_labels[0].positives[0]
-        corpus = Corpus([p for p in planted.corpus if p.id != dropped])
-        cfg = TrainConfig(steps=1, use_soft_labels=True)
-        with pytest.raises(ValueError, match=re.escape(f"corpus is missing labeled ids: ['{dropped}']")):
-            train(untrained.copy(), train_labels, planted.sessions, planted.store, cfg,
-                  teacher=planted.teacher, corpus=corpus)
 
     def test_non_finite_loss_aborts_with_step(self, planted, planted_training):
         untrained, _, train_labels = planted_training
