@@ -16,12 +16,12 @@ import pytest
 
 from cqe import cli, dense
 from cqe.core import TokenEmbeddingMatrix, load_token_matrices, pool, save_token_matrices
-from cqe.corpus import Corpus, Passage, write_jsonl
+from cqe.corpus import Corpus, Passage, tokenize, write_jsonl
 from cqe.dense import PassageEmbeddingStore, save_embeddings
 from cqe.evaluation import read_qrels, read_run, write_qrels, write_run
 from cqe.fusion import FusionConfig, rrf
 from cqe.ranking import RankedList
-from cqe.sparse import InvertedIndex, build_index, save_index
+from cqe.sparse import InvertedIndex, build_index, save_index, search_sparse
 from cqe.synth import write_planted_dataset
 from cqe.trainer import ToyQueryEncoder, load_weak_labels, save_weak_labels
 from test_dense import reference_search_dense
@@ -1015,14 +1015,26 @@ BAD_LINES = [
     ("queries", json.dumps({"qid": "q", "text": "again"})),
     ("queries", json.dumps({"qid": "q 1", "text": "fox"})),
     ("labels", json.dumps(["s_1"])),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "teacher_pool": ["p0"]})),
     ("labels", json.dumps(GOOD_LINES["labels"])),
     ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "positives": "P00C0"})),
     ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "bm25_pool": ["p0", 1]})),
     ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "positives": []})),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": 5, "score": 1.0}]})),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": "p0", "score": "nan"}]})),
+    ("labels", '{"qid": "s_2", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], '
+               '"teacher_pool": [{"id": "p0", "score": 1e999}]}'),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [{"id": "p0", "score": True}]})),
+    ("labels", json.dumps({**GOOD_LINES["labels"], "qid": "s_2", "teacher_pool": [["p0", 1.0]]})),
     ("teacher", json.dumps([1])),
     ("teacher", json.dumps({"query": "fox", "id": "p0", "score": 2.0})),
+    ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "high"})),
+    ("teacher", '{"query": "fox", "id": "p1", "score": NaN}'),
     ("teacher", json.dumps({"query": "fox", "id": "p1", "score": "0.5"})),
     ("teacher", json.dumps({"query": "fox", "id": "p1", "score": True})),
+    pytest.param("teacher", '{"query": "fox", "id": "p1", "score": 1' + "0" * 400 + "}", id="teacher-huge-int"),
+    pytest.param("labels", '{"qid": "s_2", "rewrite": "fox", "positives": ["p0"], "bm25_pool": [], '
+                 '"teacher_pool": [{"id": "p0", "score": 1' + "0" * 400 + "}]}", id="labels-huge-int"),
     ("sessions", json.dumps(GOOD_LINES["sessions"])),
     ("corpus", '{"id": "p1", "text": "red \udcff fox"}'),  # written as the invalid UTF-8 byte 0xff
     *((reader, "\udcff") for reader in GOOD_LINES),
@@ -1283,6 +1295,29 @@ class TestLabellingInputs:
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == f"error: unknown passage id {store.ids[0]!r}\n"
+
+    def test_passage_absent_from_store_ends_soft_label_training(self, planted, workspace, tmp_path, capsys):
+        dropped = load_weak_labels(workspace["labels_train"])[0].positives[0]
+        store, manifest = planted.store, str(tmp_path / "store.json")
+        keep = [i for i, pid in enumerate(store.ids) if pid != dropped]
+        save_embeddings(PassageEmbeddingStore([store.ids[i] for i in keep], store.vectors[keep]), manifest)
+        argv = ["train-toy", "--labels", workspace["labels_train"], "--sessions", workspace["sessions"],
+                "--store", manifest, "--steps", "2", "--soft-labels", "--output", str(tmp_path / "encoder.json")]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: passage store is missing labeled ids: [{dropped!r}]\n"
+
+    def test_pair_absent_from_teacher_table_ends_labelling(self, planted, planted_index, workspace, tmp_path, capsys):
+        table = tmp_path / "teacher.jsonl"
+        table.write_text(json.dumps({"query": "no such rewrite", "id": planted.store.ids[0], "score": 1.0}) + "\n")
+        argv = ["build-weak-labels", "--index", workspace["index"], "--sessions", workspace["sessions"],
+                "--teacher-scores", str(table), "--depth", "20", "--output", str(tmp_path / "labels.jsonl")]
+        rewrite = planted.sessions[0].turns[0].manual_rewrite
+        first = search_sparse(planted_index, tokenize(rewrite), 20).docids()[0]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: no teacher score for query {rewrite!r} and passage {first!r}\n"
+        assert list(tmp_path.iterdir()) == [table]
 
     def train_toy_error(self, workspace, labels, tmp_path, capsys):
         """The stderr of a failing train-toy over ``labels``, which leaves its output directory empty."""

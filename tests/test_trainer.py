@@ -1,5 +1,6 @@
 """Weak labels, triplet sampling, losses, gradients, and the training loop."""
 
+import dataclasses
 import math
 import os
 import re
@@ -310,6 +311,12 @@ class TestBuildWeakLabels:
                 (d, pytest.approx(s)) for d, s in rescored[:200]
             ]
             assert set(turn_labels.positives) <= {d for d, _ in turn_labels.teacher_pool}
+
+    def test_index_id_absent_from_store_is_refused(self):
+        sessions, index = self.tiny_setup()
+        store = PassageEmbeddingStore(["p1", "p2"], np.ones((2, 4), dtype=np.float32))  # no row for p3
+        with pytest.raises(ValueError, match="^unknown passage id 'p3'$"):
+            build_weak_labels(sessions, index, CosineTeacher(store))
 
     def test_missing_rewrite_rejected(self):
         _, index = self.tiny_setup()
@@ -840,6 +847,17 @@ class TestTrain:
         missing = sorted(labeled - set(tiny.ids))[:5]  # the first five, in id order
         with pytest.raises(ValueError, match=re.escape(f"passage store is missing labeled ids: {missing}")):
             train(untrained.copy(), train_labels, planted.sessions, tiny, TrainConfig(steps=1))
+
+    def test_soft_labels_need_teacher_to_score_label_ids(self, planted, planted_training):
+        untrained, _, train_labels = planted_training
+        lab = dataclasses.replace(train_labels[0], positives=train_labels[0].positives[:1])
+        positive = lab.positives[0]
+        # scores every pool passage but the positive, the first passage of every batch
+        teacher = TableTeacher({(lab.rewrite, pid): 1.0 for pid in lab.bm25_pool if pid != positive})
+        cfg = TrainConfig(steps=1, batch_size=1, use_soft_labels=True)
+        message = f"no teacher score for query {lab.rewrite!r} and passage {positive!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(untrained.copy(), [lab], planted.sessions, planted.store, cfg, teacher=teacher)
 
     def test_non_finite_loss_aborts_with_step(self, planted, planted_training):
         untrained, _, train_labels = planted_training
